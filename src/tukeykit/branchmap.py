@@ -19,6 +19,13 @@ Key exact facts made executable here:
     level, a finite set this module enumerates completely,
   * a finite trace of observed tuples forces per-coordinate bounds on
     every branch consistent with it (constraint propagation).
+
+Coding cost.  0 and 1 are fixed points of the first pairing component
+(``unpair(0) == (0, 0)``, ``unpair(1) == (1, 0)``), so an admissible
+code, which stays below its level, decodes in a few steps followed by
+zeros; the codec stops there instead of walking all n^2 entries.  Image
+reads (``image_contains``, ``image_prefix``) decide membership straight
+from a tuple's (level, code, tails) and build no ``ColumnTuple``.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ def unpair(z: int) -> tuple[int, int]:
 
 def tuple_code(matrix: Sequence[Sequence[int]]) -> int:
     """Code an n x n matrix of naturals by folding the pairing over the
-    entries in row-major order; the 1 x 1 case is the identity."""
+    entries in row-major order; the 1 x 1 case is the identity.  Folding
+    a 0 into a code of 0 or 1 leaves it unchanged, so those steps are
+    skipped."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
@@ -69,22 +78,32 @@ def tuple_code(matrix: Sequence[Sequence[int]]) -> int:
         raise ValueError("entries must be naturals")
     code = entries[0]
     for e in entries[1:]:
-        code = pair(code, e)
+        if code > 1 or e:
+            code = pair(code, e)
     return code
 
 
 def tuple_decode(code: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of ``tuple_code`` for a given dimension."""
+    """Inverse of ``tuple_code`` for a given dimension.
+
+    Entries come off the end of the fold one ``unpair`` at a time.  Once
+    the remaining code is 0 or 1 it is a fixed point of the first
+    component (``unpair(z) == (z, 0)``), so every entry left except the
+    first is 0 and the decode stops: its cost follows the size of the
+    code, not n^2.
+    """
     if n < 1 or code < 0:
         raise ValueError("need n >= 1 and a natural code")
-    entries: list[int] = []
+    entries = [0] * (n * n)
     z = code
-    for _ in range(n * n - 1):
-        z, e = unpair(z)
-        entries.append(e)
-    entries.append(z)
-    entries.reverse()
-    return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+    i = n * n - 1
+    while i > 0 and z > 1:
+        z, entries[i] = unpair(z)
+        i -= 1
+    entries[0] = z
+    # n references to one iterator: zip cuts n consecutive entries per row
+    rows = [iter(entries)] * n
+    return tuple(zip(*rows))
 
 
 # -- branches of the column trees ---------------------------------------
@@ -187,12 +206,18 @@ def divergence_level(a: Branch, b: Branch) -> int | None:
             raise InsufficientDepth(
                 len(a.entries) + 1, "entry-backed branches agree on their whole description"
             )
-        ceiling = min(len(a.entries), len(b.entries)) + 1
+        ceiling = min(len(a.entries), len(b.entries))
     else:
         raise ValueError("mixed branch descriptions cannot be compared")
-    for level in range(1, ceiling + 1):
-        if a.restrict(level) != b.restrict(level):
-            return level
+    # a deeper restriction extends every shallower one, so the first
+    # differing entry at the ceiling gives the least differing level
+    ra, rb = a.restrict(ceiling), b.restrict(ceiling)
+    for i, (x, y) in enumerate(zip(ra, rb)):
+        if x != y:
+            return i + 1
+    if a.entries is not None:
+        # one description is a prefix of the other
+        raise InsufficientDepth(ceiling + 1)
     raise AssertionError("branches must separate below the computed ceiling")
 
 
@@ -252,17 +277,23 @@ def tuple_index(t: ColumnTuple) -> int:
     return idx + (t.code << width) + tails
 
 
-def tuple_at(n: int, index: int) -> ColumnTuple:
-    """Inverse of ``tuple_index``."""
-    if index < 0:
-        raise ValueError("index must be a natural")
+def _locate(n: int, index: int) -> tuple[int, int, int]:
+    """(level, code, tails) of the column-n tuple at ``index``."""
     level = n + 1
     rest = index
     while rest >= level_count(n, level):
         rest -= level_count(n, level)
         level += 1
     width = n * (level - n)
-    code, tails = rest >> width, rest & ((1 << width) - 1)
+    return level, rest >> width, rest & ((1 << width) - 1)
+
+
+def tuple_at(n: int, index: int) -> ColumnTuple:
+    """Inverse of ``tuple_index``."""
+    if index < 0:
+        raise ValueError("index must be a natural")
+    level, code, tails = _locate(n, index)
+    width = n * (level - n)
     matrix = tuple_decode(code, n)
     bits = [(tails >> (width - 1 - i)) & 1 for i in range(width)]
     per = level - n
@@ -322,6 +353,32 @@ def tuple_in_column_image(n: int, branch: Branch, t: ColumnTuple) -> bool:
     return branch.restrict(t.level) in t.nodes
 
 
+def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A node's first n entries, and its bits past n read as a binary
+    word (first bit most significant, as in the tails of ``tuple_index``)."""
+    tail = 0
+    for b in node[n:]:
+        tail = (tail << 1) | b
+    return node[:n], tail
+
+
+def _slot_carries(
+    n: int, level: int, code: int, tails: int, head: tuple[int, ...], tail: int
+) -> bool:
+    """Does a slot of the tuple (level, code, tails) hold the node split
+    as (head, tail)?  Slot j's prefix is row j of the decoded matrix and
+    its bits are the j-th (level - n)-bit word of ``tails``."""
+    matrix = tuple_decode(code, n)
+    if head not in matrix:
+        return False
+    per = level - n
+    mask = (1 << per) - 1
+    for j, row in enumerate(matrix):
+        if row == head and (tails >> (per * (n - 1 - j))) & mask == tail:
+            return True
+    return False
+
+
 # -- the glued map --------------------------------------------------------
 
 
@@ -340,21 +397,31 @@ def image_contains(f: APFunc, x: int) -> bool:
     col, m = unpair(x)
     if col == 0:
         return False
-    return tuple_in_column_image(col, branch_of(f, col), tuple_at(col, m))
+    level, code, tails = _locate(col, m)
+    head, tail = _head_and_tail(col, branch_of(f, col).restrict(level))
+    return _slot_carries(col, level, code, tails, head, tail)
 
 
 def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
-    """The image's elements below ``bound``, computed column by column."""
+    """The image's elements below ``bound``, computed column by column.
+
+    Each (column, level) restriction is computed once per call; elements
+    of one column share their level for long runs of x.
+    """
     elements = []
     depth = 0
+    split: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     for x in range(bound):
         col, m = unpair(x)
         if col == 0:
             continue
-        t = tuple_at(col, m)
-        b = branch_of(f, col)
-        depth = max(depth, b.values_needed(t.level))
-        if tuple_in_column_image(col, b, t):
+        level, code, tails = _locate(col, m)
+        key = (col, level)
+        if key not in split:
+            b = branch_of(f, col)
+            depth = max(depth, b.values_needed(level))
+            split[key] = _head_and_tail(col, b.restrict(level))
+        if _slot_carries(col, level, code, tails, *split[key]):
             elements.append(x)
     return ImagePrefix(tuple(elements), bound, depth)
 
@@ -388,7 +455,8 @@ def witness_stream(
     while len(out) < count:
         t = ColumnTuple(n, tuple(b.restrict(level) for b in padded))
         for b in branches:
-            assert tuple_in_column_image(n, b, t)
+            if not tuple_in_column_image(n, b, t):
+                raise AssertionError(f"witness at level {level} misses a branch")
         out.append(t)
         level += 1
     return out
@@ -418,7 +486,8 @@ def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
     elements = tuple(pair(n, tuple_index(t)) for t in tuples)
     for x in elements:
         for f in fs:
-            assert image_contains(f, x)
+            if not image_contains(f, x):
+                raise AssertionError(f"witness {x} is not in the image of {f.literal()}")
     return CommonWitnesses(n, tuple(tuples), elements)
 
 

@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, gadgets.ContractBreach) as exc:
+    except (ValueError, gadgets.ContractBreach, adv.MachineFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MachineBudgetError, SearchBoundExceeded, branchmap.EnumerationBudget) as exc:

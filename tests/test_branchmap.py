@@ -1,9 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tukeykit.apfuncs import APFunc, ZERO, constant
+import reference_branchmap as ref
+import tukeykit
+from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.branchmap import (
     Branch,
     ColumnTuple,
@@ -68,6 +75,35 @@ class TestCoding:
         with pytest.raises(ValueError):
             tuple_code([(1, 2), (3,)])
 
+    @given(st.integers(1, 12), st.integers(0, 10**40))
+    # chains that settle at 1 (1, 4, 10) and at 0 (3, 6)
+    @example(1, 1)
+    @example(5, 3)
+    @example(12, 4)
+    @example(7, 6)
+    @example(12, pair(1, 0))
+    @example(12, pair(pair(1, 1), 0))
+    @example(9, pair(pair(1, 0), 7))
+    def test_decode_matches_full_walk(self, n, code):
+        matrix = tuple_decode(code, n)
+        assert matrix == ref.tuple_decode(code, n)
+        assert tuple_code(matrix) == code == ref.tuple_code(matrix)
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 1),
+        st.lists(st.integers(0, 5), max_size=4),
+    )
+    def test_code_matches_full_fold(self, n, first, tail):
+        # a 0 or 1 up front, then zeros, then a few small entries: the
+        # codes of denser matrices have astronomically many digits
+        tail = tail[: n * n - 1]
+        entries = [first] + [0] * (n * n - 1 - len(tail)) + tail
+        matrix = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+        code = tuple_code(matrix)
+        assert code == ref.tuple_code(matrix)
+        assert tuple_decode(code, n) == matrix
+
 
 class TestBranches:
     def test_identity_region(self):
@@ -108,6 +144,32 @@ class TestBranches:
             else:
                 assert bf.restrict(lvl) != bg.restrict(lvl)
                 assert bf.restrict(lvl - 1) == bg.restrict(lvl - 1)
+
+    def test_divergence_level_matches_level_scan(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randrange(1, 5)
+            f, g = small_apfunc(rng), small_apfunc(rng)
+            bf, bg = branch_of(f, n), branch_of(g, n)
+            assert divergence_level(bf, bg) == ref.divergence_level(bf, bg)
+
+    def test_entry_divergence_matches_level_scan(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randrange(1, 4)
+            head = tuple(rng.randrange(3) for _ in range(n))
+            a, b = (
+                Branch(n, entries=head + tuple(rng.choices((0, 1), k=rng.randrange(6))))
+                for _ in range(2)
+            )
+            try:
+                expected = ref.divergence_level(a, b)
+            except InsufficientDepth as exc:
+                with pytest.raises(InsufficientDepth) as got:
+                    divergence_level(a, b)
+                assert got.value.needed == exc.needed
+            else:
+                assert divergence_level(a, b) == expected
 
 
 class TestTupleEnumeration:
@@ -196,6 +258,27 @@ class TestImage:
         for x in range(90):
             assert (x in set(result.elements)) == image_contains(f, x)
 
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_reads_match_tuple_walk(self, seed):
+        # IDENTITY, then seeded small functions
+        rng = random.Random(seed)
+        f = IDENTITY if seed is None else small_apfunc(rng)
+        bound = 1500 if seed is None else rng.randrange(200, 1500)
+        expected = ref.image_prefix(f, bound)
+        assert image_prefix(f, bound) == expected
+        members = set(expected.elements)
+        for x in range(bound):
+            assert image_contains(f, x) == (x in members)
+        # sparse reads up to about 10^5 (columns up to about 440)
+        for x in [10**5, pair(440, 6)] + [rng.randrange(10**5) for _ in range(6)]:
+            assert image_contains(f, x) == ref.image_contains(f, x)
+
+    @given(st.integers(0, 2**20), st.integers(0, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_matches_tuple_walk(self, seed, bound):
+        f = small_apfunc(random.Random(seed))
+        assert image_prefix(f, bound) == ref.image_prefix(f, bound)
+
 
 class TestWitnesses:
     def test_single_branch_counts(self):
@@ -237,6 +320,35 @@ class TestWitnesses:
     def test_duplicates_deduplicated(self):
         found = common_witnesses([ZERO, ZERO], 5)
         assert found.column == 1
+
+    @pytest.mark.parametrize("check", ["tuple_in_column_image", "image_contains"])
+    def test_membership_checks_survive_optimize(self, check):
+        # the first breaks witness_stream's check, the second only
+        # common_witnesses' own re-check
+        script = (
+            "import sys\n"
+            "import tukeykit.branchmap as bm\n"
+            "from tukeykit.apfuncs import ZERO, constant\n"
+            "if __debug__:\n"
+            "    sys.exit('assertions are enabled')\n"
+            f"bm.{check} = lambda *args: False\n"
+            "try:\n"
+            "    bm.common_witnesses([ZERO, constant(2)], 3)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit('membership failure went unnoticed')\n"
+        )
+        src = str(Path(tukeykit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "witness" in proc.stdout
 
 
 class TestExactIntersection:

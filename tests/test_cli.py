@@ -24,6 +24,16 @@ IDENTITY_MACHINE = (
     "    m = int(m)\n"
     "    print(bits[m] if m < len(bits) else 'U'); sys.stdout.flush()\n"
 )
+# decides 1 only on prefixes ending in 1 with an odd number of ones, so
+# a decided answer does not survive zero padding
+NONMONOTONE_MACHINE = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    _, bits, m = line.split()\n"
+    "    bits = '' if bits == '-' else bits\n"
+    "    odd = bits.endswith('1') and bits.count('1') % 2 == 1\n"
+    "    print('1' if int(m) < len(bits) and odd else 'U'); sys.stdout.flush()\n"
+)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -171,6 +181,15 @@ class TestSubprocessVerbs:
         data = json.loads(out)
         jsonschema.validate(data, load_schema("certificate.schema.json"))
         assert len(data["pivots"]) == 3
+
+    def test_adversary_nonmonotone_machine_is_usage_error(self, capsys, tmp_path):
+        script = tmp_path / "machine.py"
+        script.write_text(NONMONOTONE_MACHINE)
+        code = main(
+            ["adversary", "run", "--machine", f"{sys.executable} {script}", "--depth", "4"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_adversary_builtin_budget_exhaustion(self, capsys):
         code, _ = run_cli(
