@@ -25,7 +25,7 @@ from .branchmap import (
     tuple_decode,
     witness_stream,
 )
-from .catalog import builtin_morphisms, catalog, vd_diagram
+from .catalog import builtin_morphisms, catalog, family_property, vd_diagram
 from .gadgets import (
     refute_filterclass_to_unbounded,
     refute_pseudo_intersection_to_tower,
@@ -59,7 +59,6 @@ from .upsets import (
     UPSet,
     almost_disjoint,
     almost_subset,
-    family_property,
     parse_upset,
     splits,
     upset_algebra,

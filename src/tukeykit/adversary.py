@@ -392,7 +392,8 @@ def splitter_from_free_class(
     element = predicted_element(cert, n, r, free_bits)
     hits = tuple((p, assignment[p]) for p in free)
     for p, b in hits:
-        assert int(element[p]) == b
+        if int(element[p]) != b:
+            raise AssertionError(f"predicted element misses bit {b} at free point {p}")
     return SplitterTrace(element, n, r, hits)
 
 

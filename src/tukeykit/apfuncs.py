@@ -10,10 +10,8 @@ window over the lcm of the periods settles ties.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .upsets import UPSet, lcm
 
@@ -57,9 +55,6 @@ class APFunc:
     def values(self, n: int) -> list[int]:
         return [self(k) for k in range(n)]
 
-    def iter_values(self) -> Iterator[int]:
-        return (self(k) for k in itertools.count())
-
     @property
     def period_start(self) -> int:
         return len(self.prefix)
@@ -71,10 +66,6 @@ class APFunc:
     @property
     def slope(self) -> Fraction:
         return Fraction(self.drift, len(self.base))
-
-    @property
-    def eventually_bounded(self) -> bool:
-        return self.drift == 0
 
     # -- literals -----------------------------------------------------
 

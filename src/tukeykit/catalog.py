@@ -10,8 +10,9 @@ relation in the catalog is decided exactly on these representatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from . import branchmap
@@ -27,7 +28,14 @@ from .apfuncs import (
     next_element_func,
     pointwise_max,
 )
-from .triples import CodedTriple, FamilyProperty, MorphismCandidate
+from .splitorder import SplitSpec, bt_edge, column_sizes
+from .triples import (
+    CodedTriple,
+    FamilyProperty,
+    Kind,
+    MorphismCandidate,
+    check_morphism,
+)
 from .upsets import (
     EVENS,
     FULL,
@@ -37,27 +45,12 @@ from .upsets import (
     almost_subset,
     dyadic_family,
     intersection_of,
+    is_ad_family,
+    is_centered,
     is_linearly_ordered,
+    partition_upset,
     splits,
 )
-
-# -- kinds ----------------------------------------------------------------
-
-UPSET = "upset"  # infinite subsets of omega
-IC = "ic"  # infinite, co-infinite subsets
-COLORING = "coloring"  # 2-colorings, i.e. arbitrary subsets
-APFUNC = "apfunc"  # functions omega -> omega
-UPSET_TUPLE = "upset_tuple"
-COLORING_TUPLE = "coloring_tuple"
-
-
-def coloring_kind(colors: int) -> str:
-    return f"coloring{colors}"
-
-
-def upset_tuple_kind(arity: int) -> str:
-    return f"upset_tuple{arity}"
-
 
 # -- derived colorings -----------------------------------------------------
 
@@ -203,7 +196,7 @@ def _centered_check(family: list) -> bool:
     if not family:
         raise ValueError("empty family")
     if all(isinstance(s, UPSet) for s in family):
-        return intersection_of(family).is_infinite
+        return is_centered(family)
     if all(isinstance(s, GluedImage) for s in family):
         witnesses = branchmap.common_witnesses([s.func for s in family], 12)
         return all(x in s for s in family for x in witnesses.elements)
@@ -214,21 +207,9 @@ CENTERED = FamilyProperty("centered", _centered_check, downward_closed=True)
 LINEARLY_ORDERED = FamilyProperty(
     "linearly_ordered", is_linearly_ordered, downward_closed=True
 )
-
-
-def _ad_check(family: list) -> bool:
-    if not family:
-        raise ValueError("empty family")
-    if not all(s.is_infinite for s in family):
-        return False
-    return all(
-        almost_disjoint(x, y) for x, y in itertools.combinations(family, 2)
-    )
-
-
 AD_INFINITE = FamilyProperty(
     "ad_infinite",
-    _ad_check,
+    is_ad_family,
     downward_closed=True,
     note="a finite list only samples an infinite a.d. family",
 )
@@ -286,461 +267,19 @@ INDEPENDENCE_DERIVED = FamilyProperty(
 )
 
 
-# -- validators -------------------------------------------------------------
+FAMILY_PROPERTIES: dict[str, FamilyProperty] = {
+    prop.name: prop
+    for prop in (CENTERED, LINEARLY_ORDERED, AD_INFINITE, INDEPENDENCE_DERIVED)
+}
 
 
-def _is_infinite_upset(x: Any) -> bool:
-    return isinstance(x, UPSet) and x.is_infinite
+def family_property(family: list, prop: str) -> bool:
+    if prop not in FAMILY_PROPERTIES:
+        raise ValueError(f"unknown family property {prop!r}")
+    return FAMILY_PROPERTIES[prop](family)
 
 
-def _is_ic(x: Any) -> bool:
-    return isinstance(x, UPSet) and x.is_ic
-
-
-def _is_coloring(x: Any) -> bool:
-    return isinstance(x, (UPSet, IterateColoring))
-
-
-def _is_apfunc(x: Any) -> bool:
-    return isinstance(x, APFunc)
-
-
-def _is_upset_tuple(n: int | None):
-    def check(xs: Any) -> bool:
-        if not isinstance(xs, tuple) or (n is not None and len(xs) != n):
-            return False
-        return all(_is_infinite_upset(x) for x in xs)
-
-    return check
-
-
-# -- the catalog -------------------------------------------------------------
-
-
-def pseudo_intersection_triple() -> CodedTriple:
-    return CodedTriple(
-        name="p",
-        minus_kind=UPSET,
-        plus_kind=UPSET,
-        relation=lambda x, y: not_almost_subset_general(x, y),
-        property=CENTERED,
-        relation_name="not almost contained in",
-        validate_minus=_is_infinite_upset,
-    )
-
-
-def tower_triple() -> CodedTriple:
-    t = pseudo_intersection_triple()
-    return CodedTriple(
-        name="t",
-        minus_kind=t.minus_kind,
-        plus_kind=t.plus_kind,
-        relation=t.relation,
-        property=LINEARLY_ORDERED,
-        relation_name=t.relation_name,
-        validate_minus=t.validate_minus,
-    )
-
-
-def splitting_triple() -> CodedTriple:
-    return CodedTriple(
-        name="s",
-        minus_kind=UPSET,
-        plus_kind=COLORING,
-        relation=lambda a, c: splits_general(c, a),
-        relation_name="is split by",
-        validate_minus=_is_infinite_upset,
-        validate_plus=_is_coloring,
-    )
-
-
-def unsplitting_triple() -> CodedTriple:
-    return CodedTriple(
-        name="r",
-        minus_kind=COLORING,
-        plus_kind=UPSET,
-        relation=lambda c, b: not splits_general(c, b),
-        relation_name="does not split",
-        validate_minus=_is_coloring,
-        validate_plus=_is_infinite_upset,
-    )
-
-
-def unbounded_triple() -> CodedTriple:
-    return CodedTriple(
-        name="b",
-        minus_kind=APFUNC,
-        plus_kind=APFUNC,
-        relation=lambda f, g: not eventually_dominates(f, g),
-        relation_name="does not eventually dominate",
-        validate_minus=_is_apfunc,
-        validate_plus=_is_apfunc,
-    )
-
-
-def dominating_triple() -> CodedTriple:
-    return CodedTriple(
-        name="d",
-        minus_kind=APFUNC,
-        plus_kind=APFUNC,
-        relation=lambda f, g: eventually_dominates(g, f),
-        relation_name="is eventually dominated by",
-        validate_minus=_is_apfunc,
-        validate_plus=_is_apfunc,
-    )
-
-
-def almost_disjointness_triple() -> CodedTriple:
-    return CodedTriple(
-        name="a",
-        minus_kind=IC,
-        plus_kind=IC,
-        relation=lambda x, y: not almost_disjoint(x, y),
-        property=AD_INFINITE,
-        relation_name="meets infinitely",
-        validate_minus=_is_ic,
-        validate_plus=_is_ic,
-    )
-
-
-def independence_triple() -> CodedTriple:
-    return CodedTriple(
-        name="i",
-        minus_kind=IC,
-        plus_kind=IC,
-        relation=lambda x, y: not splits(x, y),
-        property=INDEPENDENCE_DERIVED,
-        relation_name="does not split",
-        validate_minus=_is_ic,
-        validate_plus=_is_ic,
-    )
-
-
-def ultrafilter_triple() -> CodedTriple:
-    return CodedTriple(
-        name="u",
-        minus_kind=UPSET,
-        plus_kind=UPSET,
-        relation=lambda x, y: not splits(x, y),
-        property=CENTERED,
-        relation_name="does not split",
-        validate_minus=_is_infinite_upset,
-        validate_plus=_is_infinite_upset,
-    )
-
-
-def n_unsplitting_triple(colors: int) -> CodedTriple:
-    if colors < 2:
-        raise ValueError("need at least two colors")
-    return CodedTriple(
-        name=f"r_{colors}",
-        minus_kind=coloring_kind(colors),
-        plus_kind=UPSET,
-        relation=lambda c, b: almost_constant_on(c, b),
-        relation_name="is almost constant on",
-        validate_minus=lambda c: isinstance(c, APFunc) and is_coloring(c, colors),
-        validate_plus=_is_infinite_upset,
-    )
-
-
-def sigma_unsplitting_triple() -> CodedTriple:
-    def rel(cs: tuple[UPSet, ...], b: UPSet) -> bool:
-        return all(not splits(c, b) for c in cs)
-
-    return CodedTriple(
-        name="r_sigma",
-        minus_kind=COLORING_TUPLE,
-        plus_kind=UPSET,
-        relation=rel,
-        relation_name="every listed coloring almost constant on",
-        validate_minus=lambda xs: isinstance(xs, tuple)
-        and all(isinstance(c, UPSet) for c in xs),
-        validate_plus=_is_infinite_upset,
-    )
-
-
-def n_splitting_triple(n: int) -> CodedTriple:
-    return CodedTriple(
-        name=f"s_{n}",
-        minus_kind=upset_tuple_kind(n),
-        plus_kind=COLORING,
-        relation=lambda xs, c: all(splits_general(c, a) for a in xs),
-        relation_name="splits every entry of",
-        validate_minus=_is_upset_tuple(n),
-        validate_plus=_is_coloring,
-    )
-
-
-def nm_splitting_triple(n: int, m: int) -> CodedTriple:
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    return CodedTriple(
-        name=f"s_{n},{m}",
-        minus_kind=upset_tuple_kind(n),
-        plus_kind=COLORING,
-        relation=lambda xs, c: sum(1 for a in xs if splits_general(c, a)) >= m,
-        relation_name=f"splits at least {m} entries of",
-        validate_minus=_is_upset_tuple(n),
-        validate_plus=_is_coloring,
-    )
-
-
-def sigma_splitting_triple() -> CodedTriple:
-    return CodedTriple(
-        name="s_sigma",
-        minus_kind=UPSET_TUPLE,
-        plus_kind=UPSET,
-        relation=lambda xs, b: all(splits(b, a) for a in xs),
-        relation_name="splits every listed set",
-        validate_minus=_is_upset_tuple(None),
-        validate_plus=_is_infinite_upset,
-    )
-
-
-def finite_splitting_triple() -> CodedTriple:
-    return CodedTriple(
-        name="s_finite",
-        minus_kind=UPSET_TUPLE,
-        plus_kind=COLORING,
-        relation=lambda xs, c: all(splits_general(c, a) for a in xs),
-        relation_name="splits every entry of the finite tuple",
-        validate_minus=_is_upset_tuple(None),
-        validate_plus=_is_coloring,
-    )
-
-
-def catalog() -> dict[str, CodedTriple]:
-    """All catalog triples, keyed by id; parametrized families appear
-    with small default parameters alongside their factory functions."""
-    base = [
-        pseudo_intersection_triple(),
-        splitting_triple(),
-        unsplitting_triple(),
-        unbounded_triple(),
-        dominating_triple(),
-        almost_disjointness_triple(),
-        independence_triple(),
-        ultrafilter_triple(),
-        tower_triple(),
-    ]
-    extra = [
-        n_unsplitting_triple(3),
-        n_unsplitting_triple(4),
-        sigma_unsplitting_triple(),
-        n_splitting_triple(2),
-        n_splitting_triple(3),
-        nm_splitting_triple(4, 2),
-        sigma_splitting_triple(),
-        finite_splitting_triple(),
-    ]
-    return {t.name: t for t in base + extra}
-
-
-# -- built-in morphism candidates --------------------------------------------
-
-
-def _as_infinite(x: UPSet) -> UPSet:
-    return x if x.is_infinite else EVENS
-
-
-def _as_ic(x: UPSet) -> UPSet:
-    return x if x.is_ic else EVENS
-
-
-def plus_one(f: APFunc) -> APFunc:
-    return APFunc(
-        tuple(v + 1 for v in f.prefix), tuple(v + 1 for v in f.base), f.drift
-    )
-
-
-def ultrafilter_to_unsplitting() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=_as_infinite,
-        push=lambda y: y,
-        source_kinds=(UPSET, UPSET),
-        target_kinds=(COLORING, UPSET),
-        name="u->r identity",
-    )
-
-
-def independence_to_unsplitting() -> MorphismCandidate:
-    # the pull map must choose something for finite and cofinite
-    # colorings; any infinite co-infinite set works there
-    return MorphismCandidate(
-        pull=_as_ic,
-        push=lambda y: y,
-        source_kinds=(IC, IC),
-        target_kinds=(COLORING, UPSET),
-        name="i->r identity",
-    )
-
-
-def dominating_to_unbounded() -> MorphismCandidate:
-    # +1 realizes "dominating families are unbounded": if x+1 is
-    # eventually below y then x cannot eventually sit above y
-    return MorphismCandidate(
-        pull=plus_one,
-        push=lambda y: y,
-        source_kinds=(APFUNC, APFUNC),
-        target_kinds=(APFUNC, APFUNC),
-        name="d->b successor",
-    )
-
-
-def dominating_to_splitting() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda a: plus_one(next_element_func(a)),
-        push=IterateColoring,
-        source_kinds=(APFUNC, APFUNC),
-        target_kinds=(UPSET, COLORING),
-        name="d->s next-element / block coloring",
-    )
-
-
-def unsplitting_to_unbounded() -> MorphismCandidate:
-    from .triples import dual_morphism
-
-    c = dual_morphism(dominating_to_splitting())
-    return MorphismCandidate(
-        pull=c.pull,
-        push=c.push,
-        source_kinds=(COLORING, UPSET),
-        target_kinds=(APFUNC, APFUNC),
-        name="r->b dual of d->s",
-    )
-
-
-def ad_to_pseudo_intersection() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=_as_ic,
-        push=lambda y: y.complement(),
-        source_kinds=(IC, IC),
-        target_kinds=(UPSET, UPSET),
-        name="a->p complement",
-    )
-
-
-def tower_to_pseudo_intersection() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda x: x,
-        push=lambda y: y,
-        source_kinds=(UPSET, UPSET),
-        target_kinds=(UPSET, UPSET),
-        name="t->p identity",
-    )
-
-
-def unbounded_to_pseudo_intersection() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=branchmap.trace_bound_func,
-        push=GluedImage,
-        source_kinds=(APFUNC, APFUNC),
-        target_kinds=(UPSET, UPSET),
-        name="b->p glued map / trace bound",
-    )
-
-
-def sigma_unsplitting_to_unsplitting() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda c: (c,),
-        push=lambda y: y,
-        source_kinds=(COLORING_TUPLE, UPSET),
-        target_kinds=(COLORING, UPSET),
-        name="r_sigma->r constant sequence",
-    )
-
-
-def sigma_unsplitting_to_n_unsplitting(colors: int) -> MorphismCandidate:
-    bits = max(1, (colors - 1).bit_length())
-
-    def pull(c: APFunc) -> tuple[UPSet, ...]:
-        return tuple(bit_coloring(c, i) for i in range(bits))
-
-    return MorphismCandidate(
-        pull=pull,
-        push=lambda y: y,
-        source_kinds=(COLORING_TUPLE, UPSET),
-        target_kinds=(coloring_kind(colors), UPSET),
-        name=f"r_sigma->r_{colors} bit colorings",
-    )
-
-
-def n_unsplitting_inclusion(colors_from: int, colors_to: int) -> MorphismCandidate:
-    if colors_from < colors_to:
-        raise ValueError("inclusion goes from more colors to fewer")
-    return MorphismCandidate(
-        pull=lambda c: c,
-        push=lambda y: y,
-        source_kinds=(coloring_kind(colors_from), UPSET),
-        target_kinds=(coloring_kind(colors_to), UPSET),
-        name=f"r_{colors_from}->r_{colors_to} inclusion",
-    )
-
-
-def sigma_splitting_to_splitting() -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda a: (a,),
-        push=lambda y: y,
-        source_kinds=(UPSET_TUPLE, UPSET),
-        target_kinds=(UPSET, COLORING),
-        name="s_sigma->s singleton",
-    )
-
-
-def n_splitting_to_m_splitting(n: int, m: int) -> MorphismCandidate:
-    if m > n:
-        raise ValueError("splitting strength only drops")
-
-    def pull(xs: tuple[UPSet, ...]) -> tuple[UPSet, ...]:
-        return xs + (xs[-1],) * (n - len(xs))
-
-    return MorphismCandidate(
-        pull=pull,
-        push=lambda y: y,
-        source_kinds=(upset_tuple_kind(n), COLORING),
-        target_kinds=(upset_tuple_kind(m), COLORING),
-        name=f"s_{n}->s_{m} padding",
-    )
-
-
-def finite_splitting_to_n_splitting(n: int) -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda xs: xs,
-        push=lambda y: y,
-        source_kinds=(UPSET_TUPLE, COLORING),
-        target_kinds=(upset_tuple_kind(n), COLORING),
-        name=f"s_finite->s_{n} inclusion",
-    )
-
-
-def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCandidate:
-    """The even-partition map behind positive verdicts in the
-    (n, m)-splitting order: each incoming set is cut into almost equal
-    infinite pieces, remainder to the left."""
-    from .splitorder import SplitSpec, bt_edge, column_sizes
-    from .upsets import partition_upset
-
-    verdict = bt_edge(SplitSpec(a_n, a_m), SplitSpec(b_n, b_m))
-    if not verdict.morphism:
-        raise ValueError(f"no morphism: {verdict.describe()}")
-    sizes = column_sizes(a_n, b_n)
-
-    def pull(xs: tuple[UPSet, ...]) -> tuple[UPSet, ...]:
-        pieces: list[UPSet] = []
-        for b, size in zip(xs, sizes):
-            pieces.extend(partition_upset(b, size))
-        return tuple(pieces)
-
-    return MorphismCandidate(
-        pull=pull,
-        push=lambda y: y,
-        source_kinds=(upset_tuple_kind(a_n), COLORING),
-        target_kinds=(upset_tuple_kind(b_n), COLORING),
-        name=f"s_{a_n},{a_m}->s_{b_n},{b_m} even partition",
-    )
-
-
-# -- probe suites -------------------------------------------------------------
+# -- kinds and their probe suites ---------------------------------------------
 
 UPSET_PROBES: tuple[UPSet, ...] = (
     EVENS,
@@ -750,8 +289,6 @@ UPSET_PROBES: tuple[UPSet, ...] = (
     UPSet.from_residues(3, {0}),
     UPSet.from_residues(3, {1, 2}),
 )
-
-IC_PROBES: tuple[UPSet, ...] = UPSET_PROBES
 
 COLORING_PROBES: tuple[UPSet, ...] = UPSET_PROBES + (
     FULL,
@@ -776,36 +313,233 @@ CHAIN_FAMILY = [
 ]
 
 
-def probes_for_kind(kind: str) -> tuple:
-    if kind in (UPSET,):
-        return UPSET_PROBES
-    if kind == IC:
-        return IC_PROBES
-    if kind == COLORING:
-        return COLORING_PROBES
-    if kind == APFUNC:
-        return APFUNC_PROBES
-    if kind.startswith("coloring") and kind != COLORING_TUPLE:
-        colors = int(kind.removeprefix("coloring"))
-        mods = [
+def _is_infinite_upset(x: Any) -> bool:
+    return isinstance(x, UPSet) and x.is_infinite
+
+
+def _is_upset_tuple(xs: Any) -> bool:
+    return isinstance(xs, tuple) and all(_is_infinite_upset(x) for x in xs)
+
+
+UPSET = Kind("upset", _is_infinite_upset, UPSET_PROBES)  # infinite subsets of omega
+# the plus side of almost inclusion also holds glued images, which b->p pushes to
+UPSET_OR_IMAGE = Kind(
+    "upset", lambda y: isinstance(y, (UPSet, GluedImage)), UPSET_PROBES
+)
+IC = Kind(  # infinite, co-infinite subsets
+    "ic", lambda x: isinstance(x, UPSet) and x.is_ic, UPSET_PROBES
+)
+COLORING = Kind(  # 2-colorings, i.e. arbitrary subsets
+    "coloring", lambda x: isinstance(x, (UPSet, IterateColoring)), COLORING_PROBES
+)
+APFUNC = Kind("apfunc", lambda x: isinstance(x, APFunc), APFUNC_PROBES)
+UPSET_TUPLE = Kind(
+    "upset_tuple", _is_upset_tuple, ((EVENS,), (EVENS, ODDS), UPSET_PROBES[:3])
+)
+COLORING_TUPLE = Kind(
+    "coloring_tuple",
+    lambda xs: isinstance(xs, tuple) and all(isinstance(c, UPSet) for c in xs),
+    ((EVENS,), (EVENS, UPSet.from_residues(4, {1})), (FULL,)),
+)
+
+
+@functools.cache
+def coloring_kind(colors: int) -> Kind:
+    return Kind(
+        f"coloring{colors}",
+        lambda c: isinstance(c, APFunc) and is_coloring(c, colors),
+        (
             APFunc((), tuple(range(colors)), 0),
             APFunc((), (0,) * (colors - 1) + (colors - 1,), 0),
             constant(colors - 1),
             APFunc((1, 0), (0, 1), 0),
-        ]
-        return tuple(mods)
-    if kind == COLORING_TUPLE:
-        return ((EVENS,), (EVENS, UPSet.from_residues(4, {1})), (FULL,))
-    if kind == UPSET_TUPLE:
-        return ((EVENS,), (EVENS, ODDS), UPSET_PROBES[:3])
-    if kind.startswith("upset_tuple"):
-        arity = int(kind.removeprefix("upset_tuple"))
-        pool = UPSET_PROBES
-        return (
+        ),
+    )
+
+
+@functools.cache
+def upset_tuple_kind(arity: int) -> Kind:
+    pool = UPSET_PROBES
+    return Kind(
+        f"upset_tuple{arity}",
+        lambda xs: _is_upset_tuple(xs) and len(xs) == arity,
+        (
             tuple(pool[i % len(pool)] for i in range(arity)),
             tuple(pool[(i + 1) % len(pool)] for i in range(arity)),
-        )
-    raise ValueError(f"no probe suite for kind {kind!r}")
+        ),
+    )
+
+
+# -- the catalog -------------------------------------------------------------
+
+
+def n_unsplitting_triple(colors: int) -> CodedTriple:
+    if colors < 2:
+        raise ValueError("need at least two colors")
+    return CodedTriple(
+        f"r_{colors}", coloring_kind(colors), UPSET, almost_constant_on,
+        relation_name="is almost constant on",
+    )
+
+
+def n_splitting_triple(n: int) -> CodedTriple:
+    return CodedTriple(
+        f"s_{n}",
+        upset_tuple_kind(n),
+        COLORING,
+        lambda xs, c: all(splits_general(c, a) for a in xs),
+        relation_name="splits every entry of",
+    )
+
+
+def nm_splitting_triple(n: int, m: int) -> CodedTriple:
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+    return CodedTriple(
+        f"s_{n},{m}",
+        upset_tuple_kind(n),
+        COLORING,
+        lambda xs, c: sum(1 for a in xs if splits_general(c, a)) >= m,
+        relation_name=f"splits at least {m} entries of",
+    )
+
+
+_PSEUDO_INTERSECTION = CodedTriple(
+    "p", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, CENTERED,
+    "not almost contained in",
+)
+
+# Every catalog triple in listing order; parametrized families appear
+# with small default parameters alongside their factory functions.
+TRIPLES: tuple[CodedTriple, ...] = (
+    _PSEUDO_INTERSECTION,
+    CodedTriple("s", UPSET, COLORING, lambda a, c: splits_general(c, a),
+                relation_name="is split by"),
+    CodedTriple("r", COLORING, UPSET, lambda c, b: not splits_general(c, b),
+                relation_name="does not split"),
+    CodedTriple("b", APFUNC, APFUNC, lambda f, g: not eventually_dominates(f, g),
+                relation_name="does not eventually dominate"),
+    CodedTriple("d", APFUNC, APFUNC, lambda f, g: eventually_dominates(g, f),
+                relation_name="is eventually dominated by"),
+    CodedTriple("a", IC, IC, lambda x, y: not almost_disjoint(x, y), AD_INFINITE,
+                "meets infinitely"),
+    CodedTriple("i", IC, IC, lambda x, y: not splits(x, y), INDEPENDENCE_DERIVED,
+                "does not split"),
+    CodedTriple("u", UPSET, UPSET, lambda x, y: not splits(x, y), CENTERED,
+                "does not split"),
+    replace(_PSEUDO_INTERSECTION, name="t", property=LINEARLY_ORDERED),
+    n_unsplitting_triple(3),
+    n_unsplitting_triple(4),
+    CodedTriple("r_sigma", COLORING_TUPLE, UPSET,
+                lambda cs, b: all(not splits(c, b) for c in cs),
+                relation_name="every listed coloring almost constant on"),
+    n_splitting_triple(2),
+    n_splitting_triple(3),
+    nm_splitting_triple(4, 2),
+    CodedTriple("s_sigma", UPSET_TUPLE, UPSET,
+                lambda xs, b: all(splits(b, a) for a in xs),
+                relation_name="splits every listed set"),
+    CodedTriple("s_finite", UPSET_TUPLE, COLORING,
+                lambda xs, c: all(splits_general(c, a) for a in xs),
+                relation_name="splits every entry of the finite tuple"),
+)
+
+
+def catalog() -> dict[str, CodedTriple]:
+    """All catalog triples, keyed by id."""
+    return {t.name: t for t in TRIPLES}
+
+
+# -- built-in morphism candidates --------------------------------------------
+
+
+def _same(x: Any) -> Any:
+    return x
+
+
+def _as_infinite(x: UPSet) -> UPSet:
+    return x if x.is_infinite else EVENS
+
+
+def _as_ic(x: UPSet) -> UPSet:
+    return x if x.is_ic else EVENS
+
+
+def plus_one(f: APFunc) -> APFunc:
+    return APFunc(
+        tuple(v + 1 for v in f.prefix), tuple(v + 1 for v in f.base), f.drift
+    )
+
+
+def _next_element_plus_one(a: UPSet) -> APFunc:
+    return plus_one(next_element_func(a))
+
+
+def sigma_unsplitting_to_n_unsplitting(colors: int) -> MorphismCandidate:
+    bits = max(1, (colors - 1).bit_length())
+
+    def pull(c: APFunc) -> tuple[UPSet, ...]:
+        return tuple(bit_coloring(c, i) for i in range(bits))
+
+    return MorphismCandidate(
+        pull=pull,
+        push=_same,
+        source_kinds=(COLORING_TUPLE, UPSET),
+        target_kinds=(coloring_kind(colors), UPSET),
+        name=f"r_sigma->r_{colors} bit colorings",
+    )
+
+
+def n_unsplitting_inclusion(colors_from: int, colors_to: int) -> MorphismCandidate:
+    if colors_from < colors_to:
+        raise ValueError("inclusion goes from more colors to fewer")
+    return MorphismCandidate(
+        pull=_same,
+        push=_same,
+        source_kinds=(coloring_kind(colors_from), UPSET),
+        target_kinds=(coloring_kind(colors_to), UPSET),
+        name=f"r_{colors_from}->r_{colors_to} inclusion",
+    )
+
+
+def n_splitting_to_m_splitting(n: int, m: int) -> MorphismCandidate:
+    if m > n:
+        raise ValueError("splitting strength only drops")
+
+    def pull(xs: tuple[UPSet, ...]) -> tuple[UPSet, ...]:
+        return xs + (xs[-1],) * (n - len(xs))
+
+    return MorphismCandidate(
+        pull=pull,
+        push=_same,
+        source_kinds=(upset_tuple_kind(n), COLORING),
+        target_kinds=(upset_tuple_kind(m), COLORING),
+        name=f"s_{n}->s_{m} padding",
+    )
+
+
+def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCandidate:
+    """The even-partition map behind positive verdicts in the
+    (n, m)-splitting order: each incoming set is cut into almost equal
+    infinite pieces, remainder to the left."""
+    verdict = bt_edge(SplitSpec(a_n, a_m), SplitSpec(b_n, b_m))
+    if not verdict.morphism:
+        raise ValueError(f"no morphism: {verdict.describe()}")
+    sizes = column_sizes(a_n, b_n)
+
+    def pull(xs: tuple[UPSet, ...]) -> tuple[UPSet, ...]:
+        pieces: list[UPSet] = []
+        for b, size in zip(xs, sizes):
+            pieces.extend(partition_upset(b, size))
+        return tuple(pieces)
+
+    return MorphismCandidate(
+        pull=pull,
+        push=_same,
+        source_kinds=(upset_tuple_kind(a_n), COLORING),
+        target_kinds=(upset_tuple_kind(b_n), COLORING),
+        name=f"s_{a_n},{a_m}->s_{b_n},{b_m} even partition",
+    )
 
 
 @dataclass(frozen=True)
@@ -817,34 +551,46 @@ class BuiltinMorphism:
 
 
 def builtin_morphisms() -> list[BuiltinMorphism]:
-    dyadics = tuple(dyadic_family(4))
+    """One candidate per positive edge; a row given by its maps takes
+    its kinds from the two catalog triples it connects."""
+    cat = catalog()
+
+    def row(source, target, name, pull, push=_same, families=()) -> BuiltinMorphism:
+        s, t = cat[source], cat[target]
+        candidate = MorphismCandidate(
+            pull, push, (s.minus, s.plus), (t.minus, t.plus), name
+        )
+        return BuiltinMorphism(source, target, candidate, families)
+
     return [
-        BuiltinMorphism("u", "r", ultrafilter_to_unsplitting(), (CHAIN_FAMILY,)),
-        BuiltinMorphism("i", "r", independence_to_unsplitting()),
-        BuiltinMorphism("d", "b", dominating_to_unbounded()),
-        BuiltinMorphism("d", "s", dominating_to_splitting()),
-        BuiltinMorphism("r", "b", unsplitting_to_unbounded()),
-        BuiltinMorphism("a", "p", ad_to_pseudo_intersection(), (dyadics, (EVENS,))),
-        BuiltinMorphism("t", "p", tower_to_pseudo_intersection(), (CHAIN_FAMILY,)),
-        BuiltinMorphism(
-            "b",
-            "p",
-            unbounded_to_pseudo_intersection(),
-            ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3))),
-        ),
-        BuiltinMorphism("r_sigma", "r", sigma_unsplitting_to_unsplitting()),
+        row("u", "r", "u->r identity", _as_infinite, families=(CHAIN_FAMILY,)),
+        # the pull map must choose something for finite and cofinite
+        # colorings; any infinite co-infinite set works there
+        row("i", "r", "i->r identity", _as_ic),
+        # +1 realizes "dominating families are unbounded": if x+1 is
+        # eventually below y then x cannot eventually sit above y
+        row("d", "b", "d->b successor", plus_one),
+        row("d", "s", "d->s next-element / block coloring",
+            _next_element_plus_one, IterateColoring),
+        # the dual of d->s: the two maps swap sides
+        row("r", "b", "r->b dual of d->s", IterateColoring, _next_element_plus_one),
+        row("a", "p", "a->p complement", _as_ic, UPSet.complement,
+            (tuple(dyadic_family(4)), (EVENS,))),
+        row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
+        row("b", "p", "b->p glued map / trace bound",
+            branchmap.trace_bound_func, GluedImage,
+            ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3)))),
+        row("r_sigma", "r", "r_sigma->r constant sequence", lambda c: (c,)),
         BuiltinMorphism("r_sigma", "r_4", sigma_unsplitting_to_n_unsplitting(4)),
         BuiltinMorphism("r_4", "r_3", n_unsplitting_inclusion(4, 3)),
-        BuiltinMorphism("s_sigma", "s", sigma_splitting_to_splitting()),
+        row("s_sigma", "s", "s_sigma->s singleton", lambda a: (a,)),
         BuiltinMorphism("s_3", "s_2", n_splitting_to_m_splitting(3, 2)),
-        BuiltinMorphism("s_finite", "s_3", finite_splitting_to_n_splitting(3)),
+        row("s_finite", "s_3", "s_finite->s_3 inclusion", _same),
     ]
 
 
 def default_probe_check(entry: BuiltinMorphism):
     """Run the standard probe suite against one built-in candidate."""
-    from .triples import check_morphism
-
     cat = catalog()
     source = cat[entry.source]
     target = cat[entry.target]
@@ -852,8 +598,8 @@ def default_probe_check(entry: BuiltinMorphism):
         entry.candidate,
         source,
         target,
-        target_minus_probes=probes_for_kind(target.minus_kind),
-        source_plus_probes=probes_for_kind(source.plus_kind),
+        target_minus_probes=target.minus.probes,
+        source_plus_probes=source.plus.probes,
         families=entry.families,
     )
 

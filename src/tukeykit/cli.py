@@ -41,8 +41,8 @@ def cmd_catalog(args) -> int:
             [
                 {
                     "id": t.name,
-                    "minus": t.minus_kind,
-                    "plus": t.plus_kind,
+                    "minus": t.minus.name,
+                    "plus": t.plus.name,
                     "relation": t.relation_name,
                     "property": t.property.name if t.property else None,
                     "property_note": t.property.note if t.property else None,
@@ -53,7 +53,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     for t in cat.values():
         prop = f"  [{t.property.name}]" if t.property else ""
-        print(f"{t.name:10s} {t.minus_kind:14s} {t.plus_kind:12s} {t.relation_name}{prop}")
+        print(f"{t.name:10s} {t.minus.name:14s} {t.plus.name:12s} {t.relation_name}{prop}")
     return EXIT_OK
 
 

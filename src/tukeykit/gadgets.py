@@ -73,7 +73,8 @@ def refute_filterclass_to_unbounded(
     for name, half in ((name_a, set_a), (name_b, set_b)):
         if (pulled & half).is_infinite:
             violation = MaxPairViolation(combined, name, half, pulled, pushed[name])
-            assert violation.verify()
+            if not violation.verify():
+                raise AssertionError("max-pair certificate failed re-verification")
             return violation
     raise AssertionError("an infinite set meets one half of a complementary pair")
 
@@ -157,10 +158,12 @@ def refute_pseudo_intersection_to_tower(
                 pair=(x, y),
                 images=(ix, iy),
             )
-            assert violation.verify()
+            if not violation.verify():
+                raise AssertionError("three-sets family certificate failed re-verification")
             return violation
     common = intersection_of(list(images.values()))
-    assert common.is_infinite, "a chain of infinite sets meets in an infinite set"
+    if not common.is_infinite:
+        raise AssertionError("a chain of infinite sets meets in an infinite set")
     pulled = candidate.apply_pull(common)
     if not isinstance(pulled, UPSet) or not pulled.is_infinite:
         raise ContractBreach(f"pull map must produce infinite sets, got {pulled!r}")
@@ -175,7 +178,8 @@ def refute_pseudo_intersection_to_tower(
                 culprit_image=images[s],
                 pulled=pulled,
             )
-            assert violation.verify()
+            if not violation.verify():
+                raise AssertionError("three-sets relation certificate failed re-verification")
             return violation
     raise AssertionError(
         "an infinite set cannot be almost inside three sets with finite "

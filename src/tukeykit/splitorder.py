@@ -96,23 +96,6 @@ def min_columns_hit(n: int, n2: int, m: int, *, bound: int = 30) -> int:
     return best
 
 
-def min_columns_hit_fast(n: int, n2: int, m: int) -> int:
-    """Greedy fast path: fill the fullest columns first.  Agreement with
-    the exhaustive search is proved by the test suite over the whole
-    exhaustive range before anything relies on this."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    sizes = sorted(column_sizes(n, n2), reverse=True)
-    remaining = m
-    cols = 0
-    for s in sizes:
-        if remaining <= 0:
-            break
-        remaining -= s
-        cols += 1
-    return cols
-
-
 def bt_edge(a: SplitSpec, b: SplitSpec) -> EdgeVerdict:
     """Is there a definable morphism from the (a.n, a.m) notion to the
     (b.n, b.m) notion?  Exact: m may never increase, and otherwise the
@@ -151,14 +134,18 @@ def antichain(top: int) -> AntichainReport:
         hi = SplitSpec(2**m2, m2)
         fwd = bt_edge(lo, hi)
         back = bt_edge(hi, lo)
-        assert fwd.reason == "m_increase"
+        if fwd.reason != "m_increase":
+            raise AssertionError(f"({2**m},{m}) -> ({2**m2},{m2}) must fail by m increase")
         # the bound fails in the backward direction because
         # 2^(m2-m) * (m-1) >= (m2-m+1)(m-1) >= m2; both steps are
         # instances of AB >= A+B for A, B >= 2
         a_, b_ = m2 - m + 1, m - 1
-        assert 2 ** (m2 - m) * (m - 1) >= a_ * b_
-        assert a_ * b_ >= a_ + b_ == m2
-        assert back.reason == "bound_fails" and back.lhs >= m2
+        if not 2 ** (m2 - m) * (m - 1) >= a_ * b_:
+            raise AssertionError(f"2^{m2 - m} * {m - 1} < {a_} * {b_}")
+        if not a_ * b_ >= a_ + b_ == m2:
+            raise AssertionError(f"{a_} * {b_} >= {a_} + {b_} == {m2} fails")
+        if not (back.reason == "bound_fails" and back.lhs >= m2):
+            raise AssertionError(f"({2**m2},{m2}) -> ({2**m},{m}) must fail the bound")
         pairs.append((m, m2))
         verdicts.append((fwd, back))
     return AntichainReport(top, tuple(pairs), tuple(verdicts))

@@ -12,7 +12,7 @@ checked against finite probe lists, and reports say so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 
@@ -88,9 +88,15 @@ class FamilyProperty:
         return self.check(family)
 
 
-# the field below is named for the side condition it carries, so keep a
-# handle on the builtin descriptor
-_descriptor = property
+@dataclass(frozen=True)
+class Kind:
+    """A carrier kind: its printed name, the test a value must pass to
+    sit on a side of this kind, and the probe list that stands in for
+    the whole carrier when a morphism is checked."""
+
+    name: str
+    validate: Callable[[Any], bool] = field(repr=False)
+    probes: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -98,22 +104,16 @@ class CodedTriple:
     """A triple whose carriers are decidable stand-ins for real spaces."""
 
     name: str
-    minus_kind: str
-    plus_kind: str
+    minus: Kind
+    plus: Kind
     relation: Callable[[Any, Any], bool]
     property: FamilyProperty | None = None
     relation_name: str = ""
-    validate_minus: Callable[[Any], bool] | None = None
-    validate_plus: Callable[[Any], bool] | None = None
-
-    @_descriptor
-    def simple(self) -> bool:
-        return self.property is None
 
     def holds(self, x: Any, y: Any) -> bool:
-        if self.validate_minus is not None and not self.validate_minus(x):
+        if not self.minus.validate(x):
             raise ValueError(f"{x!r} is not a valid minus value for {self.name}")
-        if self.validate_plus is not None and not self.validate_plus(y):
+        if not self.plus.validate(y):
             raise ValueError(f"{y!r} is not a valid plus value for {self.name}")
         return self.relation(x, y)
 
@@ -130,16 +130,14 @@ def dual(t: Triple) -> Triple:
             for i in range(len(t.plus))
         )
         return FiniteTriple(t.plus, t.minus, rel)
-    if not t.simple:
+    if t.property is not None:
         raise ValueError(f"{t.name} carries a family property and is not simple")
     return CodedTriple(
         name=f"{t.name}^dual",
-        minus_kind=t.plus_kind,
-        plus_kind=t.minus_kind,
+        minus=t.plus,
+        plus=t.minus,
         relation=lambda x, y, _r=t.relation: not _r(y, x),
         relation_name=f"not converse {t.relation_name}".strip(),
-        validate_minus=t.validate_plus,
-        validate_plus=t.validate_minus,
     )
 
 
@@ -190,8 +188,8 @@ class MorphismCandidate:
 
     pull: Callable[[Any], Any]
     push: Callable[[Any], Any]
-    source_kinds: tuple[str, str] = ("", "")
-    target_kinds: tuple[str, str] = ("", "")
+    source_kinds: tuple[Kind | str, Kind | str] = ("", "")
+    target_kinds: tuple[Kind | str, Kind | str] = ("", "")
     name: str = ""
 
     def apply_pull(self, x: Any) -> Any:

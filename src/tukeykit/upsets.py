@@ -55,10 +55,6 @@ class UPSet:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int], period: Iterable[int]) -> "UPSet":
-        return cls(tuple(bits), tuple(period))
-
-    @classmethod
     def from_residues(cls, modulus: int, residues: Iterable[int]) -> "UPSet":
         """The set of k with k mod ``modulus`` in ``residues``."""
         if modulus < 1:
@@ -125,16 +121,6 @@ class UPSet:
             if j in self:
                 return j
         raise AssertionError("unreachable for infinite sets")
-
-    def eventual_gap_bound(self) -> int:
-        """A bound D so that beyond the prefix every member is followed
-        by another member within D steps."""
-        if not self.is_infinite:
-            raise ValueError("finite set has unbounded gaps")
-        start = len(self.prefix)
-        window = [j for j in range(start, start + 2 * len(self.period) + 1) if j in self]
-        gaps = [b - a for a, b in zip(window, window[1:])]
-        return max(gaps) if gaps else len(self.period)
 
     # -- boolean algebra ----------------------------------------------
 
@@ -208,10 +194,6 @@ def almost_subset(a: UPSet, b: UPSet) -> bool:
     return (a - b).is_finite
 
 
-def almost_equal(a: UPSet, b: UPSet) -> bool:
-    return almost_subset(a, b) and almost_subset(b, a)
-
-
 def almost_disjoint(a: UPSet, b: UPSet) -> bool:
     return (a & b).is_finite
 
@@ -255,30 +237,14 @@ def is_ad_family(family: list[UPSet]) -> bool:
     """Pairwise almost disjoint, every member infinite.
 
     A finite list can only ever be a sample of an infinite a.d. family;
-    callers asserting the infinite-family reading should say so (see
-    ``family_property``).
+    the catalog's ``AD_INFINITE`` property wraps this check and says so
+    in its note (see ``tukeykit.catalog.AD_INFINITE``).
     """
     if not family:
         raise ValueError("empty family")
     if not all(s.is_infinite for s in family):
         return False
     return all(almost_disjoint(a, b) for a, b in itertools.combinations(family, 2))
-
-
-FAMILY_PROPERTIES = {
-    "centered": is_centered,
-    "linearly_ordered": is_linearly_ordered,
-    "ad_infinite": is_ad_family,
-}
-
-# ad_infinite verdicts certify only the supplied finite sample.
-SAMPLE_ONLY_PROPERTIES = frozenset({"ad_infinite"})
-
-
-def family_property(family: list[UPSet], prop: str) -> bool:
-    if prop not in FAMILY_PROPERTIES:
-        raise ValueError(f"unknown family property {prop!r}")
-    return FAMILY_PROPERTIES[prop](family)
 
 
 def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:

@@ -5,27 +5,30 @@ import pytest
 from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.catalog import (
     AD_INFINITE,
+    APFUNC,
     BOREL_POSITIVE_EDGES,
     CLASSICAL_EDGES,
     CENTERED,
+    COLORING,
+    IC,
+    UPSET,
     GluedImage,
     IterateColoring,
     TaggedIndependentFamily,
-    ad_to_pseudo_intersection,
     builtin_morphisms,
     catalog,
+    coloring_kind,
     default_probe_check,
-    independence_triple,
     n_splitting_to_m_splitting,
     n_unsplitting_inclusion,
     nm_partition_candidate,
     nm_splitting_triple,
-    probes_for_kind,
     sigma_unsplitting_to_n_unsplitting,
     splits_general,
+    upset_tuple_kind,
     vd_diagram,
 )
-from tukeykit.triples import MorphismCandidate, check_morphism, compose
+from tukeykit.triples import KindMismatch, MorphismCandidate, check_morphism, compose
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
 
 
@@ -82,7 +85,7 @@ class TestCatalogRelations:
             self.cat["r_3"].holds(IDENTITY, EVENS)
 
     def test_independence_property_tagged_only(self):
-        prop = independence_triple().property
+        prop = catalog()["i"].property
         base = (EVENS, UPSet.from_residues(3, {0, 1}))
         member = base[0] & base[1]
         good = TaggedIndependentFamily((member,), base, ((1, 1),))
@@ -95,13 +98,12 @@ class TestCatalogRelations:
 
 class TestDuality:
     def test_dual_of_dominating_is_unbounded(self):
-        from tukeykit.catalog import dominating_triple, unbounded_triple
         from tukeykit.triples import dual
 
-        d_dual = dual(dominating_triple())
-        b = unbounded_triple()
-        for f in probes_for_kind("apfunc"):
-            for g in probes_for_kind("apfunc"):
+        d_dual = dual(catalog()["d"])
+        b = catalog()["b"]
+        for f in APFUNC.probes:
+            for g in APFUNC.probes:
                 assert d_dual.holds(f, g) == b.holds(f, g)
 
     def test_dual_rejects_property_triples(self):
@@ -199,7 +201,11 @@ class TestBuiltinMorphisms:
             assert report.nonvacuous_checks > 0, entry.candidate.name
 
     def test_swapped_ad_candidate_fails_family_condition(self):
-        cand = ad_to_pseudo_intersection()
+        cand = next(
+            e.candidate
+            for e in builtin_morphisms()
+            if (e.source, e.target) == ("a", "p")
+        )
         swapped = MorphismCandidate(
             pull=cand.pull, push=lambda y: y, name="a->p without complement"
         )
@@ -208,8 +214,8 @@ class TestBuiltinMorphisms:
             swapped,
             cat["a"],
             cat["p"],
-            target_minus_probes=probes_for_kind("upset"),
-            source_plus_probes=probes_for_kind("ic"),
+            target_minus_probes=UPSET.probes,
+            source_plus_probes=IC.probes,
             families=[(EVENS, ODDS)],
         )
         family_violations = [
@@ -236,10 +242,36 @@ class TestBuiltinMorphisms:
             chain,
             cat["r_sigma"],
             cat["r_3"],
-            target_minus_probes=probes_for_kind("coloring3"),
-            source_plus_probes=probes_for_kind("upset"),
+            target_minus_probes=coloring_kind(3).probes,
+            source_plus_probes=UPSET.probes,
         )
         assert report.consistent
+
+    def test_builtins_compose_through_shared_triples(self):
+        entries = builtin_morphisms()
+        cat = catalog()
+        for e in entries:
+            s, t = cat[e.source], cat[e.target]
+            assert e.candidate.source_kinds == (s.minus, s.plus), e.candidate.name
+            assert e.candidate.target_kinds == (t.minus, t.plus), e.candidate.name
+        chains = [
+            (first, second)
+            for first in entries
+            for second in entries
+            if first.target == second.source
+        ]
+        assert len(chains) == 7
+        for first, second in chains:
+            chain = compose(first.candidate, second.candidate)
+            assert chain.source_kinds == first.candidate.source_kinds
+            assert chain.target_kinds == second.candidate.target_kinds
+
+    def test_builtins_refuse_composition_across_triples(self):
+        by_edge = {(e.source, e.target): e.candidate for e in builtin_morphisms()}
+        with pytest.raises(KindMismatch):
+            compose(by_edge[("u", "r")], by_edge[("d", "b")])
+        with pytest.raises(KindMismatch):
+            compose(by_edge[("r_4", "r_3")], by_edge[("r_4", "r_3")])
 
     def test_padding_candidate_condition(self):
         cand = n_splitting_to_m_splitting(3, 2)
@@ -253,8 +285,8 @@ class TestBuiltinMorphisms:
             cand,
             nm_splitting_triple(14, 9),
             nm_splitting_triple(6, 4),
-            target_minus_probes=probes_for_kind("upset_tuple6"),
-            source_plus_probes=probes_for_kind("coloring") + (block,),
+            target_minus_probes=upset_tuple_kind(6).probes,
+            source_plus_probes=COLORING.probes + (block,),
         )
         assert report.consistent
         assert report.nonvacuous_checks > 0

@@ -1,8 +1,10 @@
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 from tukeykit.cli import main
 
@@ -45,6 +47,29 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 def load_schema(name: str) -> dict:
     path = resources.files("tukeykit") / "schemas" / name
     return json.loads(path.read_text())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("catalog.txt", ["catalog"]),
+        ("catalog.json", ["catalog", "--format", "json"]),
+        ("diagram_classical.json", ["diagram", "--kind", "classical", "--format", "json"]),
+        ("diagram_borel.json", ["diagram", "--kind", "borel", "--format", "json"]),
+        ("diagram_borel.dot", ["diagram", "--kind", "borel", "--format", "dot"]),
+        (
+            "diagram_splitting_4_hasse.json",
+            ["diagram", "--kind", "splitting", "--limit", "4", "--hasse", "--format", "json"],
+        ),
+    ],
+)
+def test_output_matches_golden(capsys, fixture, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / fixture).read_bytes()
 
 
 class TestEdgeVerbs:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tukeykit
 from tukeykit.apfuncs import ZERO
 from tukeykit.gadgets import (
     ContractBreach,
@@ -56,6 +62,35 @@ class TestMaxPairGadget:
         )
         violation = refute_filterclass_to_unbounded(cand, halves=thirds)
         assert violation.verify()
+
+    def test_reverification_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from tukeykit.apfuncs import ZERO\n"
+            "from tukeykit.gadgets import MaxPairViolation, refute_filterclass_to_unbounded\n"
+            "from tukeykit.triples import MorphismCandidate\n"
+            "from tukeykit.upsets import EVENS\n"
+            "if __debug__:\n"
+            "    sys.exit('assertions are enabled')\n"
+            "MaxPairViolation.verify = lambda self: False\n"
+            "cand = MorphismCandidate(pull=lambda f: EVENS, push=lambda a: ZERO)\n"
+            "try:\n"
+            "    refute_filterclass_to_unbounded(cand)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit('a certificate failing re-verification was returned')\n"
+        )
+        src = str(Path(tukeykit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "re-verification" in proc.stdout
 
 
 class TestThreeSetsGadget:

@@ -10,7 +10,6 @@ from tukeykit.splitorder import (
     bucket_count_by_filling,
     is_nm_splitting,
     min_columns_hit,
-    min_columns_hit_fast,
     order_digraph,
     order_digraph_dot,
     x_order,
@@ -53,12 +52,6 @@ class TestMinColumnsHit:
     def test_single_region(self):
         for n, n2 in ((5, 2), (9, 3), (4, 4)):
             assert min_columns_hit(n, n2, 1) == 1
-
-    def test_greedy_agrees_on_exhaustive_range(self):
-        for n in range(1, 15):
-            for n2 in range(1, 7):
-                for m in range(1, n + 1):
-                    assert min_columns_hit(n, n2, m) == min_columns_hit_fast(n, n2, m)
 
     def test_equivalence_with_bucket_bound(self):
         # the computational core: forcing m' columns is the same as the

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tukeykit.catalog import family_property
 from tukeykit.upsets import (
     EMPTY,
     EVENS,
@@ -12,7 +13,6 @@ from tukeykit.upsets import (
     almost_disjoint,
     almost_subset,
     dyadic_family,
-    family_property,
     intersection_of,
     is_centered,
     lcm,
