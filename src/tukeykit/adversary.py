@@ -220,11 +220,7 @@ def _histories(width: int):
 
 
 def build_adversary(
-    machine: ContinuousMachine,
-    depth: int,
-    budget: int = 10**6,
-    *,
-    dense_extension: Callable[[str], str] | None = None,
+    machine: ContinuousMachine, depth: int, budget: int = 10**6
 ) -> AdversaryCertificate:
     """Run the level construction to the requested depth.
 
@@ -236,7 +232,6 @@ def build_adversary(
     next interval and the forecasts.  Exhaustion raises with the failing
     frontier; it is never retried silently.
     """
-    hook = dense_extension or (getattr(machine, "dense_extension", None))
     metered = MeteredMachine(machine, budget)
     cuts = [0]
     pivots: list[int] = []
@@ -257,18 +252,18 @@ def build_adversary(
 
     for level in range(depth):
         width = cuts[-1]
-        base = {h: h + (hook(h) if hook else "") for h in _histories(width)}
+        histories = list(_histories(width))
         pivot = (pivots[-1] + 1) if pivots else 0
         found: dict[str, str] | None = None
         while found is None:
             attempt: dict[str, str] = {}
             try:
-                for history, stem in base.items():
-                    ext = _find_extension(metered, stem, pivot, pivot + 2 - width)
+                for history in histories:
+                    ext = _find_extension(metered, history, pivot, pivot + 2 - width)
                     if ext is None:
                         attempt = {}
                         break
-                    attempt[history] = stem[width:] + ext
+                    attempt[history] = ext
                 else:
                     found = attempt
                     break

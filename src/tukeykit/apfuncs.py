@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .upsets import UPSet, lcm
+from .upsets import UPSet, almost_subset, lcm
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,7 @@ def level_set(f: APFunc, v: int) -> UPSet:
     for i, b in enumerate(f.base):
         if v >= b and (v - b) % f.drift == 0:
             members.append(n0 + (v - b) // f.drift * p + i)
-    from .upsets import UPSet as _U
-
-    return _U.from_finite(members)
+    return UPSet.from_finite(members)
 
 
 def value_parity_set(f: APFunc) -> UPSet:
@@ -236,8 +234,6 @@ def almost_constant_on(c: APFunc, b: UPSet) -> bool:
         raise ValueError("almost-constancy is judged on infinite sets")
     if c.drift != 0:
         return False
-    from .upsets import almost_subset
-
     return any(almost_subset(b, level_set(c, v)) for v in set(c.base))
 
 

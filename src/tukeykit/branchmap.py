@@ -39,16 +39,8 @@ from .apfuncs import APFunc, first_difference
 from .upsets import UPSet
 
 
-class InsufficientDepth(ValueError):
-    """A branch description was not determined deep enough."""
-
-    def __init__(self, needed: int, message: str | None = None):
-        self.needed = needed
-        super().__init__(message or f"branch description needed to depth {needed}")
-
-
 class EnumerationBudget(RuntimeError):
-    """An enumeration would exceed the configured size guard."""
+    """An enumeration would exceed its size guard."""
 
 
 # -- pairing and tuple coding ------------------------------------------
@@ -134,39 +126,22 @@ def decode_blocks(n: int, entries: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Branch:
-    """A branch of T_n, described by a function or by explicit entries.
-
-    Function-backed branches are total: the embedding above produces
-    entries to any depth.  Entry-backed branches raise
-    ``InsufficientDepth`` past their description.
-    """
+    """A branch of T_n: the ``encode_blocks`` image of a function's
+    values, so it has entries to any depth."""
 
     n: int
-    func: APFunc | None = None
-    entries: tuple[int, ...] | None = None
+    func: APFunc
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("column index must be at least 1")
-        if (self.func is None) == (self.entries is None):
-            raise ValueError("describe a branch by a function or by entries")
-        if self.entries is not None and any(
-            b not in (0, 1) for b in self.entries[self.n :]
-        ):
-            raise ValueError("entries beyond the identity region must be bits")
 
     def restrict(self, level: int) -> tuple[int, ...]:
-        if self.entries is not None:
-            if level > len(self.entries):
-                raise InsufficientDepth(level)
-            return self.entries[:level]
         values_used = self.values_needed(level)
         return encode_blocks(self.n, self.func.values(values_used))[:level]
 
     def values_needed(self, level: int) -> int:
         """How many function values determine this branch to ``level``."""
-        if self.func is None:
-            raise ValueError("entry-backed branch has no generating function")
         if level <= self.n:
             return level
         length = self.n
@@ -178,8 +153,6 @@ class Branch:
 
     def entry_length_through(self, k: int) -> int:
         """Entry count produced by the first k+1 function values."""
-        if self.func is None:
-            raise ValueError("entry-backed branch has no generating function")
         if k < self.n:
             return k + 1
         return self.n + sum(self.func(i) + 1 for i in range(self.n, k + 1))
@@ -194,30 +167,18 @@ def divergence_level(a: Branch, b: Branch) -> int | None:
     when the branches are equal."""
     if a.n != b.n:
         raise ValueError("branches live in different trees")
-    if a.func is not None and b.func is not None:
-        k = first_difference(a.func, b.func)
-        if k is None:
-            return None
-        # both agree up to value k, so they separate within the block
-        # coding of value k; this bounds the search
-        ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
-    elif a.entries is not None and b.entries is not None:
-        if a.entries == b.entries:
-            raise InsufficientDepth(
-                len(a.entries) + 1, "entry-backed branches agree on their whole description"
-            )
-        ceiling = min(len(a.entries), len(b.entries))
-    else:
-        raise ValueError("mixed branch descriptions cannot be compared")
+    k = first_difference(a.func, b.func)
+    if k is None:
+        return None
+    # both agree up to value k, so they separate within the block coding
+    # of value k; this bounds the search
+    ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
     # a deeper restriction extends every shallower one, so the first
     # differing entry at the ceiling gives the least differing level
     ra, rb = a.restrict(ceiling), b.restrict(ceiling)
     for i, (x, y) in enumerate(zip(ra, rb)):
         if x != y:
             return i + 1
-    if a.entries is not None:
-        # one description is a prefix of the other
-        raise InsufficientDepth(ceiling + 1)
     raise AssertionError("branches must separate below the computed ceiling")
 
 
@@ -308,26 +269,24 @@ def _nodes_with_prefix(prefix: tuple[int, ...], level: int):
         yield prefix + tail
 
 
-def column_level_set(
-    n: int, branch: Branch, level: int, *, size_guard: int = 22
-) -> list[ColumnTuple]:
-    """All admissible tuples at one level having the branch restriction
-    among their components.
+# most tail bits, n * (level - n), that one level's enumeration may walk
+_SIZE_GUARD = 24
+
+
+def _tuples_carrying(n: int, r: tuple[int, ...], level: int):
+    """Node tuples of the admissible column-n tuples at ``level`` that
+    have the node ``r`` among their components.
 
     Enumerated by placement: pick the exact nonempty set of slots that
-    carry the restriction (their prefixes must match), then let the
-    remaining slots range over the other nodes.  Each tuple arises from
-    exactly one placement.
+    carry ``r`` (their prefixes must match), then let the remaining
+    slots range over the other nodes.  Each tuple arises from exactly
+    one placement.
     """
-    if level <= n:
-        raise ValueError("levels start above the column index")
-    if n * (level - n) > size_guard:
+    if n * (level - n) > _SIZE_GUARD:
         raise EnumerationBudget(
-            f"level set of column {n} at level {level} exceeds 2^{size_guard} tails"
+            f"level {level} of column {n} exceeds 2^{_SIZE_GUARD} tails"
         )
-    r = branch.restrict(level)
     head = r[:n]
-    out = []
     for code in range(level):
         matrix = tuple_decode(code, n)
         carriers = [j for j in range(n) if matrix[j] == head]
@@ -342,9 +301,20 @@ def column_level_set(
                 slot_pools = [
                     (r,) if j in chosen else tuple(pools[j]) for j in range(n)
                 ]
-                for combo in itertools.product(*slot_pools):
-                    out.append(ColumnTuple(n, combo))
-    return sorted(out, key=tuple_index)
+                yield from itertools.product(*slot_pools)
+
+
+def column_level_set(n: int, branch: Branch, level: int) -> list[ColumnTuple]:
+    """All admissible tuples at one level having the branch restriction
+    among their components, in ``tuple_index`` order.  Raises
+    ``EnumerationBudget`` past 2^24 tails per level."""
+    if level <= n:
+        raise ValueError("levels start above the column index")
+    r = branch.restrict(level)
+    return sorted(
+        (ColumnTuple(n, nodes) for nodes in _tuples_carrying(n, r, level)),
+        key=tuple_index,
+    )
 
 
 def tuple_in_column_image(n: int, branch: Branch, t: ColumnTuple) -> bool:
@@ -426,8 +396,11 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     return ImagePrefix(tuple(elements), bound, depth)
 
 
+_CODE_GUARD = 10**6
+
+
 def witness_stream(
-    n: int, branches: Sequence[Branch], count: int, *, code_guard: int = 10**6
+    n: int, branches: Sequence[Branch], count: int
 ) -> list[ColumnTuple]:
     """Admissible tuples common to every branch's column image, one per
     admissible level; works for up to n branches by padding with the
@@ -445,7 +418,7 @@ def witness_stream(
         raise ValueError("branches must live in column n's tree")
     padded = list(branches) + [branches[0]] * (n - len(branches))
     code = tuple_code([b.restrict(n) for b in padded])
-    if code > code_guard:
+    if code > _CODE_GUARD:
         raise EnumerationBudget(
             f"shared tuples start only above level {code}; "
             "use branches with smaller identity-region entries"
@@ -505,15 +478,16 @@ class ExactIntersection:
         return len(self.tuples)
 
 
-def exact_intersection(
-    n: int, branches: Sequence[Branch], *, size_guard: int = 24
-) -> ExactIntersection:
+def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
     """The complete intersection of the column images of n+1 pairwise
-    distinct branches.
+    distinct branches, in ``tuple_index`` order.
 
     Once all restrictions are pairwise distinct, n slots cannot match
-    n+1 of them, so every shared tuple lies below the separation level;
-    those levels are enumerated exhaustively.
+    n+1 of them, so every shared tuple lies below the separation level.
+    Each of those levels is enumerated exhaustively through the tuples
+    carrying the first branch's restriction, keeping those that carry
+    every other restriction too; ``EnumerationBudget`` is raised past
+    2^24 tails per level.
     """
     if len(branches) != n + 1:
         raise ValueError("exact intersections take n+1 branches")
@@ -527,17 +501,10 @@ def exact_intersection(
         sep = max(sep, lvl)
     found = []
     for level in range(n + 1, sep):
-        if n * (level - n) > size_guard:
-            raise EnumerationBudget(
-                f"intersection scan at level {level} exceeds 2^{size_guard} tails"
-            )
-        rs = [b.restrict(level) for b in branches]
-        for code in range(level):
-            matrix = tuple_decode(code, n)
-            slots = [list(_nodes_with_prefix(matrix[j], level)) for j in range(n)]
-            for combo in itertools.product(*slots):
-                if all(r in combo for r in rs):
-                    found.append(ColumnTuple(n, combo))
+        first, *rest = (b.restrict(level) for b in branches)
+        for nodes in _tuples_carrying(n, first, level):
+            if all(r in nodes for r in rest):
+                found.append(ColumnTuple(n, nodes))
     return ExactIntersection(n, sep, tuple(sorted(found, key=tuple_index)))
 
 
@@ -652,9 +619,14 @@ def bound_from_trace(
     return BoundCertificate(n, tuple(observed), False, bound, len(unions))
 
 
-def trace_bound_func(
-    a: UPSet, *, columns: int = 4, element_cap: int = 4000, per_column: int = 12
-) -> APFunc:
+# the columns read, the elements scanned and the observations kept per
+# column when a set's trace is turned into a bound
+_TRACE_COLUMNS = 4
+_TRACE_SCAN = 4000
+_TRACE_OBSERVATIONS = 12
+
+
+def trace_bound_func(a: UPSet) -> APFunc:
     """A concrete function bound extracted from a set's trace through
     the glued map's columns.
 
@@ -664,13 +636,13 @@ def trace_bound_func(
     and finished with a strictly growing tail.
     """
     claims: list[list[int]] = []
-    for col in range(1, columns + 1):
+    for col in range(1, _TRACE_COLUMNS + 1):
         observed = []
-        for x in a.elements_below(element_cap):
+        for x in a.elements_below(_TRACE_SCAN):
             c, m = unpair(x)
             if c == col:
                 observed.append(tuple_at(col, m))
-                if len(observed) >= per_column:
+                if len(observed) >= _TRACE_OBSERVATIONS:
                     break
         if not observed:
             continue

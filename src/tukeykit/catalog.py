@@ -126,6 +126,10 @@ def splits_general(c: "UPSet | IterateColoring", a: UPSet) -> bool:
 # -- the glued image as a plus-side value -----------------------------------
 
 
+# how many column positions ``missing_elements`` reads before giving up
+_MISSING_SCAN = 20000
+
+
 @dataclass(frozen=True)
 class GluedImage:
     """The glued-map image of a function, usable on the plus side of
@@ -157,13 +161,13 @@ class GluedImage:
                 return col
         raise AssertionError("every infinite periodic set has an infinite column trace")
 
-    def missing_elements(self, a: UPSet, count: int, *, scan: int = 20000) -> list[int]:
+    def missing_elements(self, a: UPSet, count: int) -> list[int]:
         """Concrete members of ``a`` outside this image."""
         if not a.is_infinite:
             raise ValueError("need an infinite set")
         col = self._infinite_trace_column(a)
         out: list[int] = []
-        for m in range(scan):
+        for m in range(_MISSING_SCAN):
             x = branchmap.pair(col, m)
             if x not in a:
                 continue
@@ -203,14 +207,11 @@ def _centered_check(family: list) -> bool:
     raise TypeError("centeredness needs a homogeneous family")
 
 
-CENTERED = FamilyProperty("centered", _centered_check, downward_closed=True)
-LINEARLY_ORDERED = FamilyProperty(
-    "linearly_ordered", is_linearly_ordered, downward_closed=True
-)
+CENTERED = FamilyProperty("centered", _centered_check)
+LINEARLY_ORDERED = FamilyProperty("linearly_ordered", is_linearly_ordered)
 AD_INFINITE = FamilyProperty(
     "ad_infinite",
     is_ad_family,
-    downward_closed=True,
     note="a finite list only samples an infinite a.d. family",
 )
 
@@ -259,7 +260,6 @@ def _independence_derived_check(family: list) -> bool:
 INDEPENDENCE_DERIVED = FamilyProperty(
     "independence_derived",
     _independence_derived_check,
-    downward_closed=False,
     note=(
         "checkable only on explicitly tagged inputs: members must be the "
         "declared boolean combinations of an independent list"

@@ -163,13 +163,27 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    with open(args.obs) as handle:
+def _load_observations(path: str, column: int) -> list[branchmap.ColumnTuple]:
+    with open(path) as handle:
         data = json.load(handle)
-    observed = [
-        branchmap.ColumnTuple(args.column, tuple(tuple(n) for n in item["nodes"]))
-        for item in data
-    ]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON list of {{level, nodes}} tuples")
+    observed = []
+    for i, item in enumerate(data):
+        nodes = item.get("nodes") if isinstance(item, dict) else None
+        if not isinstance(nodes, list) or not all(
+            isinstance(node, list) and all(isinstance(v, int) for v in node)
+            for node in nodes
+        ):
+            raise ValueError(
+                f"{path}: observation {i} needs 'nodes', a list of integer lists"
+            )
+        observed.append(branchmap.ColumnTuple(column, tuple(tuple(n) for n in nodes)))
+    return observed
+
+
+def cmd_bound(args) -> int:
+    observed = _load_observations(args.obs, args.column)
     cert = branchmap.bound_from_trace(args.column, observed)
     _emit(
         {
@@ -249,6 +263,13 @@ def cmd_adversary(args) -> int:
 def _load_finite_triple(path: str) -> tuple[FiniteTriple, object]:
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in ("minus", "plus", "relation"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"{path}: the finite triple needs a {key!r} list")
+    if not all(isinstance(row, list) for row in data["relation"]):
+        raise ValueError(f"{path}: each 'relation' row must be a list")
     t = FiniteTriple(
         tuple(data["minus"]),
         tuple(data["plus"]),
@@ -372,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, gadgets.ContractBreach, adv.MachineFault) as exc:
+    except (ValueError, OSError, gadgets.ContractBreach, adv.MachineFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MachineBudgetError, SearchBoundExceeded, branchmap.EnumerationBudget) as exc:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 from .apfuncs import APFunc, eventually_dominates, pointwise_max
 from .triples import MorphismCandidate
-from .upsets import EVENS, ODDS, UPSet, almost_subset, intersection_of
+from .upsets import (
+    EVENS,
+    ODDS,
+    UPSet,
+    almost_subset,
+    intersection_of,
+    is_linearly_ordered,
+)
 
 
 class ContractBreach(ValueError):
@@ -100,8 +107,6 @@ class ThreeSetsViolation:
     pulled: UPSet | None = None
 
     def verify(self) -> bool:
-        from .upsets import is_linearly_ordered
-
         if self.kind == "family":
             a, b = self.pair
             return (

@@ -77,13 +77,16 @@ def column_sizes(n: int, n2: int) -> list[int]:
     return [n // n2 + (1 if i < n % n2 else 0) for i in range(n2)]
 
 
-def min_columns_hit(n: int, n2: int, m: int, *, bound: int = 30) -> int:
+_EXHAUSTIVE_BOUND = 30
+
+
+def min_columns_hit(n: int, n2: int, m: int) -> int:
     """Fewest distinct columns any m regions can touch, by exhaustive
     enumeration over all m-subsets of the evenly partitioned regions."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    if n > bound:
-        raise ValueError(f"exhaustive search capped at n <= {bound}")
+    if n > _EXHAUSTIVE_BOUND:
+        raise ValueError(f"exhaustive search capped at n <= {_EXHAUSTIVE_BOUND}")
     sizes = column_sizes(n, n2)
     region_col = [c for c, s in enumerate(sizes) for _ in range(s)]
     best = n2

@@ -81,7 +81,6 @@ class FamilyProperty:
 
     name: str
     check: Callable[[list], bool]
-    downward_closed: bool = True
     note: str = ""
 
     def __call__(self, family: list) -> bool:
@@ -157,17 +156,18 @@ def is_dominating(
     return all(any(t.holds(x, y) for y in family) for x in probes)
 
 
+_NORM_SEARCH_BOUND = 20
+
+
 def finite_norm(
-    t: FiniteTriple,
-    prop: Callable[[tuple], bool] | None = None,
-    *,
-    bound: int = 20,
+    t: FiniteTriple, prop: Callable[[tuple], bool] | None = None
 ) -> int | None:
     """Exact least size of a dominating family satisfying ``prop``,
     searched by increasing size; None encodes "no such family"."""
-    if len(t.plus) > bound:
+    if len(t.plus) > _NORM_SEARCH_BOUND:
         raise SearchBoundExceeded(
-            f"plus side has {len(t.plus)} elements, search bound is {bound}"
+            f"plus side has {len(t.plus)} elements, "
+            f"search bound is {_NORM_SEARCH_BOUND}"
         )
     for size in range(len(t.plus) + 1):
         for family in itertools.combinations(t.plus, size):

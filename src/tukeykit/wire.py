@@ -22,14 +22,16 @@ from .upsets import UPSet, parse_upset
 @dataclass
 class LineProcess:
     """A child process spoken to line by line; unanswered requests turn
-    into budget errors after the timeout."""
+    into budget errors after the timeout.  The child is started once and
+    never restarted: a machine keeps its state between queries, so a
+    child that has exited is reported, not replaced."""
 
     command: list[str]
     timeout: float = 10.0
     _proc: subprocess.Popen | None = field(default=None, repr=False)
 
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+    def _ensure(self, line: str) -> subprocess.Popen:
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -37,10 +39,13 @@ class LineProcess:
                 text=True,
                 bufsize=1,
             )
+        code = self._proc.poll()
+        if code is not None:
+            raise MachineBudgetError(f"external process (exited with code {code})", line)
         return self._proc
 
     def ask(self, line: str) -> str:
-        proc = self._ensure()
+        proc = self._ensure(line)
         try:
             proc.stdin.write(line + "\n")
             proc.stdin.flush()

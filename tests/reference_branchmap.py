@@ -10,7 +10,6 @@ from tukeykit.branchmap import (
     Branch,
     ColumnTuple,
     ImagePrefix,
-    InsufficientDepth,
     branch_of,
     level_count,
     pair,
@@ -94,19 +93,10 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
 def divergence_level(a: Branch, b: Branch) -> int | None:
     if a.n != b.n:
         raise ValueError("branches live in different trees")
-    if a.func is not None and b.func is not None:
-        k = first_difference(a.func, b.func)
-        if k is None:
-            return None
-        ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
-    elif a.entries is not None and b.entries is not None:
-        if a.entries == b.entries:
-            raise InsufficientDepth(
-                len(a.entries) + 1, "entry-backed branches agree on their whole description"
-            )
-        ceiling = min(len(a.entries), len(b.entries)) + 1
-    else:
-        raise ValueError("mixed branch descriptions cannot be compared")
+    k = first_difference(a.func, b.func)
+    if k is None:
+        return None
+    ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
     for level in range(1, ceiling + 1):
         if a.restrict(level) != b.restrict(level):
             return level

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from tukeykit import wire
 from tukeykit.adversary import (
     AdversaryCertificate,
     BudgetExhausted,
@@ -18,7 +22,15 @@ from tukeykit.adversary import (
     splitter_from_free_class,
     verify_certificate,
 )
+from tukeykit.triples import MachineBudgetError
 from tukeykit.upsets import EVENS, FULL, UPSet
+
+# answers its first query with 1, then exits
+ONE_SHOT_MACHINE = (
+    "import sys\n"
+    "sys.stdin.readline()\n"
+    "print('1'); sys.stdout.flush()\n"
+)
 
 
 class TestPartitionAndPredictor:
@@ -119,18 +131,6 @@ class TestBuildAdversary:
         with pytest.raises(MachineFault):
             verify_certificate(tampered, identity_machine())
 
-    def test_dense_extension_hook(self):
-        calls = []
-
-        def hook(history: str) -> str:
-            calls.append(history)
-            return "0"
-
-        cert = build_adversary(identity_machine(), 2, dense_extension=hook)
-        assert calls
-        assert cert.depth == 2
-        assert verify_certificate(cert, identity_machine()) == len(cert.facts)
-
 
 class TestPredictedFamilies:
     def setup_method(self):
@@ -210,3 +210,27 @@ class TestPredictedFamilies:
             else:
                 assert report.splits
             assert report.pinnings
+
+
+class TestExternalMachine:
+    def test_exited_child_is_not_respawned(self, tmp_path, monkeypatch):
+        script = tmp_path / "once.py"
+        script.write_text(ONE_SHOT_MACHINE)
+        spawned = []
+        popen = subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(wire.subprocess, "Popen", counting_popen)
+        machine = wire.subprocess_machine([sys.executable, str(script)])
+        try:
+            assert machine.query("1", 0) == 1
+            # without this wait the second query races the child's exit
+            spawned[0].wait(timeout=30)
+            with pytest.raises(MachineBudgetError, match="exited with code 0"):
+                machine.query("1", 0)
+        finally:
+            machine.process.close()
+        assert len(spawned) == 1

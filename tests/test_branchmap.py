@@ -12,9 +12,8 @@ import reference_branchmap as ref
 import tukeykit
 from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.branchmap import (
-    Branch,
     ColumnTuple,
-    InsufficientDepth,
+    EnumerationBudget,
     bound_from_trace,
     branch_of,
     column_level_set,
@@ -38,7 +37,7 @@ from tukeykit.branchmap import (
 )
 from tukeykit.upsets import UPSet
 
-from helpers import naive_level_tuples
+from helpers import naive_level_tuples, zero_headed_apfunc
 
 
 def small_apfunc(rng: random.Random) -> APFunc:
@@ -126,12 +125,6 @@ class TestBranches:
             l2 = rng.randrange(l1, 10)
             assert b.restrict(l2)[:l1] == b.restrict(l1)
 
-    def test_entry_backed_depth_error(self):
-        b = Branch(1, entries=(4, 1, 0))
-        assert b.restrict(2) == (4, 1)
-        with pytest.raises(InsufficientDepth):
-            b.restrict(5)
-
     def test_divergence_level(self):
         rng = random.Random(2)
         for _ in range(60):
@@ -152,24 +145,6 @@ class TestBranches:
             f, g = small_apfunc(rng), small_apfunc(rng)
             bf, bg = branch_of(f, n), branch_of(g, n)
             assert divergence_level(bf, bg) == ref.divergence_level(bf, bg)
-
-    def test_entry_divergence_matches_level_scan(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            n = rng.randrange(1, 4)
-            head = tuple(rng.randrange(3) for _ in range(n))
-            a, b = (
-                Branch(n, entries=head + tuple(rng.choices((0, 1), k=rng.randrange(6))))
-                for _ in range(2)
-            )
-            try:
-                expected = ref.divergence_level(a, b)
-            except InsufficientDepth as exc:
-                with pytest.raises(InsufficientDepth) as got:
-                    divergence_level(a, b)
-                assert got.value.needed == exc.needed
-            else:
-                assert divergence_level(a, b) == expected
 
 
 class TestTupleEnumeration:
@@ -303,8 +278,6 @@ class TestWitnesses:
                 assert tuple_in_column_image(3, b, t)
 
     def test_astronomic_code_guarded(self):
-        from tukeykit.branchmap import EnumerationBudget
-
         branches = [branch_of(constant(1), 3)] * 3
         with pytest.raises(EnumerationBudget):
             witness_stream(3, branches, 1)
@@ -358,14 +331,23 @@ class TestExactIntersection:
         assert result.tuples == ()
 
     def test_shared_prefix_counts(self):
-        # branches equal to depth 4, separating at entry 4
-        a = Branch(1, entries=(0, 0, 0, 0, 0, 0))
-        b = Branch(1, entries=(0, 0, 0, 0, 1, 1))
+        # branches equal to depth 4, separating at entry 4: the fifth
+        # value 2 is coded as the block 110
+        a = branch_of(ZERO, 1)
+        b = branch_of(APFunc((0, 0, 0, 0), (2,), 0), 1)
         result = exact_intersection(1, [a, b])
         assert result.separation_level == 5
         # shared tuples can live at levels 2, 3, 4 only
         assert {t.level for t in result.tuples} <= {2, 3, 4}
         assert result.size == 3
+
+    def test_size_guard(self):
+        # the branches agree to depth 20, so column 2's scan reaches
+        # level 15, the first whose tails exceed 2^24
+        zeros = (0,) * 20
+        fs = [ZERO, APFunc(zeros, (1,), 0), APFunc(zeros, (2,), 0)]
+        with pytest.raises(EnumerationBudget, match="level 15 of column 2"):
+            exact_intersection(2, [branch_of(f, 2) for f in fs])
 
     def test_equal_branches_rejected(self):
         with pytest.raises(ValueError):
@@ -374,11 +356,13 @@ class TestExactIntersection:
     def test_matches_brute_force(self):
         rng = random.Random(11)
         done = 0
-        while done < 40:
-            n = rng.randrange(1, 3)
+        while done < 60:
+            n = rng.randrange(1, 4)
             fs = []
             while len(fs) < n + 1:
-                f = small_apfunc(rng)
+                # zero heads keep the shared prefix code low, so columns 2
+                # and 3 also meet nonempty intersections
+                f = small_apfunc(rng) if rng.randrange(2) else zero_headed_apfunc(rng, n)
                 if f not in fs:
                     fs.append(f)
             branches = [branch_of(f, n) for f in fs]

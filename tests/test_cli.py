@@ -64,6 +64,16 @@ GOLDEN = Path(__file__).parent / "golden"
             "diagram_splitting_4_hasse.json",
             ["diagram", "--kind", "splitting", "--limit", "4", "--hasse", "--format", "json"],
         ),
+        ("psi_0_1_N60.json", ["psi", "--f", ";0;1", "--N", "60"]),
+        (
+            "witnesses_0_2_count10.json",
+            ["witnesses", "--fs", ";0;0", ";2;0", "--count", "10"],
+        ),
+        ("intersect_n1.json", ["intersect", "--n", "1", "--fs", ";0;0", "0,0,0,0;2;0"]),
+        (
+            "intersect_n2.json",
+            ["intersect", "--n", "2", "--fs", ";0;0", "0,0;1;0", "0,0;2;1"],
+        ),
     ],
 )
 def test_output_matches_golden(capsys, fixture, argv):
@@ -158,6 +168,15 @@ class TestBranchMapVerbs:
         assert code == 0
         data = json.loads(out)
         assert data["size"] == 0
+
+    def test_intersect_size_guard(self, capsys):
+        # the branches agree to depth 20, past what the scan may walk
+        zeros = ",".join(["0"] * 20)
+        code = main(
+            ["intersect", "--n", "2", "--fs", ";0;0", f"{zeros};1;0", f"{zeros};2;0"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("budget:")
 
     def test_bound(self, capsys, tmp_path):
         obs = [{"level": 3, "nodes": [[0, 1, 0]]}]
@@ -287,6 +306,39 @@ class TestNorm:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            pytest.param(["norm", "--triple", "{tmp}/absent.json"], None, id="norm-no-file"),
+            pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/absent.json"],
+                None,
+                id="bound-no-file",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x"], "plus": ["y"]},
+                id="norm-no-relation",
+            ),
+            pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [{"level": 3}],
+                id="bound-no-nodes",
+            ),
+            pytest.param(
+                ["adversary", "run", "--machine", "/nonexistent"],
+                None,
+                id="adversary-no-machine",
+            ),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv, content):
+        if content is not None:
+            (tmp_path / "in.json").write_text(json.dumps(content))
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 
