@@ -292,8 +292,12 @@ def _tuples_carrying(n: int, r: tuple[int, ...], level: int):
         carriers = [j for j in range(n) if matrix[j] == head]
         if not carriers:
             continue
+        # a slot needs a pool only if some placement leaves it free;
+        # a sole carrier always holds r
         pools = {}
         for j in range(n):
+            if carriers == [j]:
+                continue
             nodes = list(_nodes_with_prefix(matrix[j], level))
             pools[j] = [t for t in nodes if t != r] if matrix[j] == head else nodes
         for size in range(1, len(carriers) + 1):

@@ -193,9 +193,11 @@ class MorphismCandidate:
     name: str = ""
 
     def apply_pull(self, x: Any) -> Any:
+        # an OSError (say, a map executable that cannot be started) is
+        # a usage error, not a map that gave no answer
         try:
             out = self.pull(x)
-        except MachineBudgetError:
+        except (MachineBudgetError, OSError):
             raise
         except Exception as exc:
             raise MachineBudgetError("pull map", x) from exc
@@ -206,7 +208,7 @@ class MorphismCandidate:
     def apply_push(self, y: Any) -> Any:
         try:
             out = self.push(y)
-        except MachineBudgetError:
+        except (MachineBudgetError, OSError):
             raise
         except Exception as exc:
             raise MachineBudgetError("push map", y) from exc

@@ -6,13 +6,23 @@ the representation (primitive period, then shortest prefix), so two
 ``UPSet`` values compare equal exactly when they denote the same subset
 of the naturals.  All the usual mod-finite relations (almost inclusion,
 almost disjointness, splitting) are decided exactly on this fragment.
+
+The bits stay tuples of 0/1 ints; only the algebra packs them.  ``&``,
+``|`` and ``-`` read both operands over the common window (the longer
+prefix, then the lcm of the periods) as one Python int each, apply one
+int operation and unpack the result.  The relations build no set at all:
+past both prefixes, offset i of a period p1 and offset j of a period p2
+are read together infinitely often iff the positions they stand for
+agree mod gcd(p1, p2) (Chinese remainder theorem).  So each relation
+folds both periods into residue classes mod the gcd and costs
+O(p1 + p2), never the lcm.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 
@@ -20,13 +30,25 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
+def _primitive_root(word: bytes) -> bytes:
     """Shortest word whose repetition equals ``word`` repeated."""
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    for d in low + [n // d for d in reversed(low) if d * d != n]:
+        # a word of period d equals itself shifted by d
+        if d < n and word[d:] == word[:-d]:
             return word[:d]
     return word
+
+
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _pack(bits: bytes) -> int:
+    """The int whose binary digits, most significant first, are ``bits``."""
+    return int(b"0" + bits.translate(_TO_ASCII), 2)
 
 
 @dataclass(frozen=True)
@@ -41,14 +63,27 @@ class UPSet:
         period = tuple(self.period)
         if not period:
             raise ValueError("period must be nonempty")
-        if any(b not in (0, 1) for b in prefix + period):
+        try:
+            head, word = bytes(prefix), bytes(period)
+            valid = not (
+                head.translate(None, b"\x00\x01") or word.translate(None, b"\x00\x01")
+            )
+        except (TypeError, ValueError):  # entries that are no small ints
+            valid = False
+        if not valid:
             raise ValueError("membership bits must be 0 or 1")
-        period = _primitive_root(period)
-        # Absorb prefix bits that already match the rotated period; this
-        # yields the shortest possible prefix for the denoted set.
-        while prefix and prefix[-1] == period[-1]:
-            period = (period[-1],) + period[:-1]
-            prefix = prefix[:-1]
+        word = _primitive_root(word)
+        period = period[: len(word)]
+        # Absorb the trailing prefix bits that already match the period
+        # (each bit against the one a period later); this yields the
+        # shortest possible prefix for the denoted set.
+        if prefix and prefix[-1] == period[-1]:
+            m, p = len(prefix), len(period)
+            x = _pack(head + word)
+            diff = (x >> p) ^ (x & ((1 << m) - 1))
+            k = (diff & -diff).bit_length() - 1 if diff else m
+            r = p - k % p
+            prefix, period = prefix[: m - k], period[r:] + period[:r]
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
 
@@ -124,21 +159,27 @@ class UPSet:
 
     # -- boolean algebra ----------------------------------------------
 
-    def _combine(self, other: "UPSet", fn) -> "UPSet":
+    def _window(self, width: int) -> int:
+        """Membership bits over [0, width) packed into one int."""
+        reps = -(-(width - len(self.prefix)) // len(self.period))
+        bits = bytes(self.prefix) + bytes(self.period) * reps
+        return _pack(bits[:width])
+
+    def _combine(self, other: "UPSet", op) -> "UPSet":
         m = max(len(self.prefix), len(other.prefix))
-        d = lcm(len(self.period), len(other.period))
-        prefix = tuple(fn(self.bit(k), other.bit(k)) for k in range(m))
-        period = tuple(fn(self.bit(k), other.bit(k)) for k in range(m, m + d))
-        return UPSet(prefix, period)
+        width = m + lcm(len(self.period), len(other.period))
+        z = op(self._window(width), other._window(width))
+        bits = format(z, f"0{width}b").encode().translate(_FROM_ASCII)
+        return UPSet(tuple(bits[:m]), tuple(bits[m:]))
 
     def __and__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a & b)
+        return self._combine(other, int.__and__)
 
     def __or__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a | b)
+        return self._combine(other, int.__or__)
 
     def __sub__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a & (1 - b))
+        return self._combine(other, lambda a, b: a & ~b)
 
     def complement(self) -> "UPSet":
         return UPSet(
@@ -189,20 +230,42 @@ def upset_algebra(a: UPSet, b: UPSet | None, op: str) -> UPSet:
     raise ValueError(f"unknown operation {op!r}")
 
 
+def _fold(s: UPSet, g: int, bit: int) -> int:
+    """Bit c is set iff s reads ``bit`` at infinitely many k = c mod g,
+    for g dividing the period: min(g, period/g) slices, no per-bit walk."""
+    word = bytes(s.period) if bit else bytes(s.period).translate(_FLIP)
+    p = len(word)
+    if g * g <= p:  # few classes: one slice per class of offsets
+        mask = sum(1 << r for r in range(g) if 1 in word[r::g])
+    else:  # few blocks: OR them, reversed so that offset r lands on bit r
+        mask = 0
+        word = word[::-1]
+        for q in range(0, p, g):
+            mask |= _pack(word[q : q + g])
+    shift = len(s.prefix) % g
+    return ((mask << shift) | (mask >> (g - shift))) & ((1 << g) - 1)
+
+
+def _recur_together(a: UPSet, abit: int, b: UPSet, bbit: int) -> bool:
+    """Are there infinitely many k where a reads ``abit`` and b ``bbit``?"""
+    g = gcd(len(a.period), len(b.period))
+    return _fold(a, g, abit) & _fold(b, g, bbit) != 0
+
+
 def almost_subset(a: UPSet, b: UPSet) -> bool:
     """a is contained in b up to finitely many exceptions."""
-    return (a - b).is_finite
+    return not _recur_together(a, 1, b, 0)
 
 
 def almost_disjoint(a: UPSet, b: UPSet) -> bool:
-    return (a & b).is_finite
+    return not _recur_together(a, 1, b, 1)
 
 
 def splits(c: UPSet, a: UPSet) -> bool:
     """Does the coloring c take both values infinitely often on a?"""
     if not a.is_infinite:
         raise ValueError("splitting is only defined for infinite sets")
-    return (a & c).is_infinite and (a - c).is_infinite
+    return _recur_together(a, 1, c, 1) and _recur_together(a, 1, c, 0)
 
 
 def intersection_of(family: Iterable[UPSet]) -> UPSet:
@@ -257,19 +320,14 @@ def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:
     if t < 1 or not 0 <= j < t:
         raise ValueError("need t >= 1 and 0 <= j < t")
     n0 = len(b.prefix)
-    d = len(b.period)
-    # After d*t steps the position phase and the member count mod t
-    # both return, so d*t is always a valid (possibly non-primitive)
-    # period for the slice.
-    horizon = n0 + d * t
-    bits = []
-    count = 0
-    for k in range(horizon):
-        if k in b:
-            bits.append(1 if count % t == j else 0)
-            count += 1
-        else:
-            bits.append(0)
+    # After t periods the position phase and the member count mod t
+    # both return, so t periods are always a valid (possibly
+    # non-primitive) period for the slice.
+    word = b.prefix + b.period * t
+    bits = [0] * len(word)
+    members = [k for k, x in enumerate(word) if x]
+    for k in members[j::t]:
+        bits[k] = 1
     return UPSet(tuple(bits[:n0]), tuple(bits[n0:]))
 
 

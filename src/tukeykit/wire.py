@@ -10,8 +10,10 @@ an empty prefix is sent as ``-``.
 
 from __future__ import annotations
 
+import os
 import select
 import subprocess
+import time
 from dataclasses import dataclass, field
 
 from .apfuncs import APFunc, parse_apfunc
@@ -21,24 +23,25 @@ from .upsets import UPSet, parse_upset
 
 @dataclass
 class LineProcess:
-    """A child process spoken to line by line; unanswered requests turn
-    into budget errors after the timeout.  The child is started once and
-    never restarted: a machine keeps its state between queries, so a
-    child that has exited is reported, not replaced."""
+    """A child process spoken to line by line; a request not answered
+    with a whole line within the timeout turns into a budget error.  The
+    child is started once and never restarted: a machine keeps its state
+    between queries, so a child that has exited is reported, not
+    replaced."""
 
     command: list[str]
     timeout: float = 10.0
     _proc: subprocess.Popen | None = field(default=None, repr=False)
+    # bytes the child wrote past the last answered line
+    _pending: bytearray = field(default_factory=bytearray, repr=False)
 
     def _ensure(self, line: str) -> subprocess.Popen:
         if self._proc is None:
             self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
+            # writes return early on a full pipe instead of blocking
+            os.set_blocking(self._proc.stdin.fileno(), False)
         code = self._proc.poll()
         if code is not None:
             raise MachineBudgetError(f"external process (exited with code {code})", line)
@@ -46,19 +49,37 @@ class LineProcess:
 
     def ask(self, line: str) -> str:
         proc = self._ensure(line)
-        try:
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-            ready, _, _ = select.select([proc.stdout], [], [], self.timeout)
-            if not ready:
+        deadline = time.monotonic() + self.timeout
+        buf = self._pending
+
+        def wait(readable=(), writable=()) -> None:
+            left = deadline - time.monotonic()
+            if left <= 0 or not any(select.select(readable, writable, [], left)[:2]):
                 raise MachineBudgetError("external process (timeout)", line)
-            answer = proc.stdout.readline()
+
+        try:
+            # the raw descriptors are used against one deadline, so a
+            # child that stops reading, or stops mid-line, cannot block
+            # past the timeout
+            request = memoryview(line.encode() + b"\n")
+            fd_in, fd_out = proc.stdin.fileno(), proc.stdout.fileno()
+            while request:
+                wait(writable=[fd_in])
+                request = request[os.write(fd_in, request) :]
+            scanned = 0
+            while (end := buf.find(b"\n", scanned)) < 0:
+                scanned = len(buf)
+                wait(readable=[fd_out])
+                chunk = os.read(fd_out, 65536)
+                if not chunk:
+                    raise MachineBudgetError("external process", line)
+                buf += chunk
         except MachineBudgetError:
             raise
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise MachineBudgetError("external process", line) from exc
-        if not answer:
-            raise MachineBudgetError("external process", line)
+        answer = buf[:end].decode()
+        del buf[: end + 1]
         return answer.strip()
 
     def close(self) -> None:

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tukeykit
 from tukeykit import wire
 from tukeykit.adversary import (
     AdversaryCertificate,
@@ -31,6 +34,57 @@ ONE_SHOT_MACHINE = (
     "sys.stdin.readline()\n"
     "print('1'); sys.stdout.flush()\n"
 )
+
+# answers its first query with "1" but no newline, then stalls
+PARTIAL_LINE_MACHINE = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "sys.stdout.write('1'); sys.stdout.flush()\n"
+    "time.sleep(60)\n"
+)
+
+# answers its first query with two lines at once, then stalls
+TWO_LINE_MACHINE = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "sys.stdout.write('1\\n0\\n'); sys.stdout.flush()\n"
+    "time.sleep(60)\n"
+)
+
+# never reads its requests
+DEAF_MACHINE = "import time\ntime.sleep(60)\n"
+
+
+def ask_twice(tmp_path, child: str, request: str = "'QUERY - 0'") -> list[str]:
+    """Two asks with a 0.5 s timeout to the scripted ``child``, each
+    printed as its answer or ``budget``; ``request`` is the Python
+    expression of the line asked.  They run in a fresh interpreter
+    under an outer deadline, so a wire that blocks past its own timeout
+    fails the test instead of hanging it."""
+    script = tmp_path / "child.py"
+    script.write_text(child)
+    probe = (
+        "import sys\n"
+        "from tukeykit.triples import MachineBudgetError\n"
+        "from tukeykit.wire import LineProcess\n"
+        f"process = LineProcess([sys.executable, {str(script)!r}], timeout=0.5)\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        f"        print(process.ask({request}))\n"
+        "    except MachineBudgetError:\n"
+        "        print('budget')\n"
+        "process.close()\n"
+    )
+    src = str(Path(tukeykit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 class TestPartitionAndPredictor:
@@ -234,3 +288,14 @@ class TestExternalMachine:
         finally:
             machine.process.close()
         assert len(spawned) == 1
+
+    def test_timeout_bounds_a_partial_line(self, tmp_path):
+        assert ask_twice(tmp_path, PARTIAL_LINE_MACHINE) == ["budget", "budget"]
+
+    def test_bytes_past_the_line_answer_the_next_ask(self, tmp_path):
+        assert ask_twice(tmp_path, TWO_LINE_MACHINE) == ["1", "0"]
+
+    def test_timeout_bounds_a_request_the_child_does_not_read(self, tmp_path):
+        # larger than a pipe's buffer, so writing it waits on the child
+        request = "'UPSET ε|' + '10' * 100_000"
+        assert ask_twice(tmp_path, DEAF_MACHINE, request) == ["budget", "budget"]

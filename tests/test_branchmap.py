@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_branchmap as ref
 import tukeykit
+from tukeykit import branchmap
 from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.branchmap import (
     ColumnTuple,
@@ -352,6 +353,23 @@ class TestExactIntersection:
     def test_equal_branches_rejected(self):
         with pytest.raises(ValueError):
             exact_intersection(1, [branch_of(ZERO, 1), branch_of(ZERO, 1)])
+
+    def test_sole_carrier_lists_no_pool(self, monkeypatch):
+        # column 1 has one slot, which always holds the first branch's
+        # node, so no level needs the 2^(level-1) nodes under its prefix
+        listed = []
+        nodes_with_prefix = branchmap._nodes_with_prefix
+
+        def counting(prefix, level):
+            for node in nodes_with_prefix(prefix, level):
+                listed.append(node)
+                yield node
+
+        monkeypatch.setattr(branchmap, "_nodes_with_prefix", counting)
+        fs = [ZERO, APFunc((0,) * 12, (1,), 0)]
+        result = exact_intersection(1, [branch_of(f, 1) for f in fs])
+        assert result.size == 11
+        assert listed == []
 
     def test_matches_brute_force(self):
         rng = random.Random(11)

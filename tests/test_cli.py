@@ -330,6 +330,11 @@ class TestUsageErrors:
                 None,
                 id="adversary-no-machine",
             ),
+            pytest.param(
+                ["refute", "a2b", "--phi", "/nonexistent", "--psi", "/nonexistent"],
+                None,
+                id="refute-no-map",
+            ),
         ],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv, content):

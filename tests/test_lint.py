@@ -1,6 +1,7 @@
 """Source checks that keep the package's guarantees visible to tools."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tukeykit
@@ -18,3 +19,26 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements at {found}"
+
+
+def test_tracer_patches_resolve():
+    # the benchmark's traced run rebinds these names; a rename in the
+    # package must fail here, not only in a traced benchmark run.  The
+    # file is executed from its source so nothing is written next to it.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(tracing.read_text(), str(tracing), "exec"), namespace)
+    missing = []
+    for module, attr, *_ in namespace["PATCHES"]:
+        owner = importlib.import_module(f"tukeykit.{module}")
+        cls_name, _, leaf = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        # the tracer reads a method from its class's own dict
+        if isinstance(owner, type):
+            found = vars(owner).get(leaf)
+        else:
+            found = getattr(owner, leaf, None)
+        if not callable(found):
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"tracer hooks that do not resolve: {missing}"

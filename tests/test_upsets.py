@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_upsets as ref
 from tukeykit.catalog import family_property
 from tukeykit.upsets import (
     EMPTY,
@@ -14,7 +15,9 @@ from tukeykit.upsets import (
     almost_subset,
     dyadic_family,
     intersection_of,
+    is_ad_family,
     is_centered,
+    is_linearly_ordered,
     lcm,
     parse_upset,
     partition_upset,
@@ -71,6 +74,9 @@ class TestCanonical:
             UPSet((), ())
         with pytest.raises(ValueError):
             UPSet((2,), (1,))
+        for bad in ((1.0,), ([1],), (-1,), ("1",)):
+            with pytest.raises(ValueError):
+                UPSet((), bad)
 
 
 class TestLiterals:
@@ -208,3 +214,72 @@ class TestSlices:
         assert union == EVENS
         for a, b in itertools.combinations(pieces, 2):
             assert (a & b) == EMPTY
+
+
+# Periods up to 40 whose lengths share factors (6/10, 12/18, 24/36), so
+# the gcd folds meet every case between coprime and equal periods;
+# constant words give finite and cofinite sets, repeated words
+# non-primitive periods.
+PERIOD_LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 18, 24, 36, 40)
+
+
+@st.composite
+def raw_words(draw):
+    prefix = tuple(draw(st.lists(st.integers(0, 1), max_size=9)))
+    length = draw(st.sampled_from(PERIOD_LENGTHS))
+    shape = draw(st.sampled_from(("random", "constant", "repeated")))
+    if shape == "constant":
+        period = (draw(st.integers(0, 1)),) * length
+    else:
+        word = tuple(draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+        period = word * (draw(st.integers(2, 3)) if shape == "repeated" else 1)
+    return prefix, period
+
+
+wide_upsets = raw_words().map(lambda w: UPSet(*w))
+
+
+def fields(s: UPSet) -> tuple:
+    return s.prefix, s.period
+
+
+class TestAgainstReference:
+    """The packed algebra and the gcd-folded relations against the
+    per-bit walk in ``reference_upsets``."""
+
+    @given(raw_words())
+    @settings(max_examples=150)
+    def test_canonical_form(self, word):
+        assert fields(UPSet(*word)) == ref.canonical(*word)
+
+    @given(wide_upsets, wide_upsets)
+    @settings(max_examples=200)
+    def test_operations(self, a, b):
+        for name, op in (("and", a.__and__), ("or", a.__or__), ("minus", a.__sub__)):
+            out = op(b)
+            assert fields(out) == ref.combine(a, b, ref.OPS[name])
+            assert all(type(bit) is int for bit in out.prefix + out.period)
+
+    @given(wide_upsets, wide_upsets)
+    @settings(max_examples=200)
+    def test_relations(self, a, b):
+        assert almost_subset(a, b) == ref.almost_subset(a, b)
+        assert almost_disjoint(a, b) == ref.almost_disjoint(a, b)
+        if b.is_infinite:
+            assert splits(a, b) == ref.splits(a, b)
+
+    @given(st.lists(wide_upsets, min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=100)
+    def test_families(self, family, chain):
+        if chain:
+            # each member inside the one before: a linearly ordered family
+            family = list(itertools.accumulate(family, lambda x, y: x & y))
+        assert is_linearly_ordered(family) == ref.is_linearly_ordered(family)
+        assert is_ad_family(family) == ref.is_ad_family(family)
+        assert is_centered(family) == ref.is_centered(family)
+
+    @given(wide_upsets, st.integers(1, 5), st.data())
+    @settings(max_examples=100)
+    def test_slice_by_index(self, b, t, data):
+        j = data.draw(st.integers(0, t - 1))
+        assert fields(slice_by_index(b, t, j)) == ref.slice_by_index(b, t, j)
