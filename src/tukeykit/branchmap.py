@@ -25,7 +25,13 @@ Coding cost.  0 and 1 are fixed points of the first pairing component
 code, which stays below its level, decodes in a few steps followed by
 zeros; the codec stops there instead of walking all n^2 entries.  Image
 reads (``image_contains``, ``image_prefix``) decide membership straight
-from a tuple's (level, code, tails) and build no ``ColumnTuple``.
+from a tuple's (level, code, tails) and build neither a ``ColumnTuple``
+nor the n x n prefix matrix: only the code's nonzero entries are kept,
+and a branch's head matches a touched row or, when it is all zero, the
+untouched rows.  ``image_prefix`` walks each column's rows in (level,
+code, tails) order, so a restriction is computed once per level, the
+matching slots once per code, and a code whose rows miss the head is
+skipped whole; a prefix of the image below N costs close to O(N).
 """
 
 from __future__ import annotations
@@ -336,21 +342,46 @@ def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]
     return node[:n], tail
 
 
+def _slots_holding(code: int, n: int, head: tuple[int, ...]) -> list[int]:
+    """Slots whose row of ``tuple_decode(code, n)`` equals ``head``,
+    read from the code's nonzero entries alone.
+
+    The fold is undone from its end as in ``tuple_decode`` and stops
+    once the remaining code is 0 or 1; only the nonzero entries are
+    kept, grouped by the row they touch.  A nonzero head can equal only
+    a touched row, and an all-zero head equals exactly the untouched
+    rows, so no n x n matrix is built.
+    """
+    touched: dict[int, dict[int, int]] = {}
+    z = code
+    i = n * n - 1
+    while i > 0 and z > 1:
+        z, e = unpair(z)
+        if e:
+            row, col = divmod(i, n)
+            touched.setdefault(row, {})[col] = e
+        i -= 1
+    if z:
+        touched.setdefault(0, {})[0] = z
+    if any(head):
+        want = {k: v for k, v in enumerate(head) if v}
+        return sorted(j for j, row in touched.items() if row == want)
+    return [j for j in range(n) if j not in touched]
+
+
 def _slot_carries(
     n: int, level: int, code: int, tails: int, head: tuple[int, ...], tail: int
 ) -> bool:
     """Does a slot of the tuple (level, code, tails) hold the node split
-    as (head, tail)?  Slot j's prefix is row j of the decoded matrix and
-    its bits are the j-th (level - n)-bit word of ``tails``."""
-    matrix = tuple_decode(code, n)
-    if head not in matrix:
-        return False
+    as (head, tail)?  Only the slots whose prefix row equals the head
+    (``_slots_holding``) are candidates; slot j's bits are the j-th
+    (level - n)-bit word of ``tails``."""
     per = level - n
     mask = (1 << per) - 1
-    for j, row in enumerate(matrix):
-        if row == head and (tails >> (per * (n - 1 - j))) & mask == tail:
-            return True
-    return False
+    return any(
+        (tails >> (per * (n - 1 - j))) & mask == tail
+        for j in _slots_holding(code, n, head)
+    )
 
 
 # -- the glued map --------------------------------------------------------
@@ -379,24 +410,43 @@ def image_contains(f: APFunc, x: int) -> bool:
 def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     """The image's elements below ``bound``, computed column by column.
 
-    Each (column, level) restriction is computed once per call; elements
-    of one column share their level for long runs of x.
+    Each column's rows m with ``pair(col, m) < bound`` are walked in
+    (level, code, tails) order.  The branch restriction and its split
+    are computed once per (column, level) reached, the slots whose
+    prefix row equals the head once per (level, code), and a code with
+    no such slot is skipped whole; each remaining row then costs one
+    shift and mask per candidate slot.
     """
     elements = []
     depth = 0
-    split: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-    for x in range(bound):
-        col, m = unpair(x)
-        if col == 0:
-            continue
-        level, code, tails = _locate(col, m)
-        key = (col, level)
-        if key not in split:
-            b = branch_of(f, col)
+    # the last element below the bound sits on diagonal ``last`` at
+    # column ``c``: column col reaches rows m < last - col, plus the row
+    # on that diagonal when col >= c
+    c, r = unpair(max(bound, 1) - 1)
+    last = c + r
+    for col in range(1, last + 1):
+        reach = last - col + (col >= c)
+        b = branch_of(f, col)
+        start = 0
+        level = col + 1
+        while start < reach:
+            per = level - col
+            width = col * per
+            mask = (1 << per) - 1
             depth = max(depth, b.values_needed(level))
-            split[key] = _head_and_tail(col, b.restrict(level))
-        if _slot_carries(col, level, code, tails, *split[key]):
-            elements.append(x)
+            head, tail = _head_and_tail(col, b.restrict(level))
+            for code in range(level):
+                if start >= reach:
+                    break
+                slots = _slots_holding(code, col, head)
+                if slots:
+                    shifts = [per * (col - 1 - j) for j in slots]
+                    for tails in range(min(1 << width, reach - start)):
+                        if any((tails >> s) & mask == tail for s in shifts):
+                            elements.append(pair(col, start + tails))
+                start += 1 << width
+            level += 1
+    elements.sort()
     return ImagePrefix(tuple(elements), bound, depth)
 
 

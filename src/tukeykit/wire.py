@@ -27,15 +27,21 @@ class LineProcess:
     with a whole line within the timeout turns into a budget error.  The
     child is started once and never restarted: a machine keeps its state
     between queries, so a child that has exited is reported, not
-    replaced."""
+    replaced.  A child that timed out is killed, since its late answer
+    would otherwise be read as the answer to the next request; every
+    later ask fails the same way."""
 
     command: list[str]
     timeout: float = 10.0
     _proc: subprocess.Popen | None = field(default=None, repr=False)
     # bytes the child wrote past the last answered line
     _pending: bytearray = field(default_factory=bytearray, repr=False)
+    # why the child was killed, once it has been
+    _failure: str | None = field(default=None, repr=False)
 
     def _ensure(self, line: str) -> subprocess.Popen:
+        if self._failure is not None:
+            raise MachineBudgetError(self._failure, line)
         if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -55,7 +61,10 @@ class LineProcess:
         def wait(readable=(), writable=()) -> None:
             left = deadline - time.monotonic()
             if left <= 0 or not any(select.select(readable, writable, [], left)[:2]):
-                raise MachineBudgetError("external process (timeout)", line)
+                self._failure = "external process (timeout)"
+                proc.kill()
+                proc.wait()
+                raise MachineBudgetError(self._failure, line)
 
         try:
             # the raw descriptors are used against one deadline, so a

@@ -54,26 +54,41 @@ TWO_LINE_MACHINE = (
 # never reads its requests
 DEAF_MACHINE = "import time\ntime.sleep(60)\n"
 
+# answers each query after 0.7 s, naming the query's m
+LATE_MACHINE = (
+    "import sys, time\n"
+    "for line in sys.stdin:\n"
+    "    time.sleep(0.7)\n"
+    "    print('answer-to-' + line.split()[-1]); sys.stdout.flush()\n"
+)
 
-def ask_twice(tmp_path, child: str, request: str = "'QUERY - 0'") -> list[str]:
+
+def ask_twice(
+    tmp_path, child: str, requests: tuple[str, str] = ("'QUERY - 0'",) * 2
+) -> list[str]:
     """Two asks with a 0.5 s timeout to the scripted ``child``, each
-    printed as its answer or ``budget``; ``request`` is the Python
-    expression of the line asked.  They run in a fresh interpreter
+    printed as its answer or ``budget``; ``requests`` are the Python
+    expressions of the lines asked.  They run in a fresh interpreter
     under an outer deadline, so a wire that blocks past its own timeout
-    fails the test instead of hanging it."""
+    fails the test instead of hanging it.  The wire must start one child
+    only, whatever the child did."""
     script = tmp_path / "child.py"
     script.write_text(child)
     probe = (
-        "import sys\n"
+        "import subprocess, sys\n"
         "from tukeykit.triples import MachineBudgetError\n"
         "from tukeykit.wire import LineProcess\n"
+        "spawned = []\n"
+        "popen = subprocess.Popen\n"
+        "subprocess.Popen = lambda *a, **k: spawned.append(1) or popen(*a, **k)\n"
         f"process = LineProcess([sys.executable, {str(script)!r}], timeout=0.5)\n"
-        "for _ in range(2):\n"
+        f"for request in [{', '.join(requests)}]:\n"
         "    try:\n"
-        f"        print(process.ask({request}))\n"
+        "        print(process.ask(request))\n"
         "    except MachineBudgetError:\n"
         "        print('budget')\n"
         "process.close()\n"
+        "print(len(spawned))\n"
     )
     src = str(Path(tukeykit.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -84,7 +99,9 @@ def ask_twice(tmp_path, child: str, request: str = "'QUERY - 0'") -> list[str]:
         timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    *answers, spawns = proc.stdout.split()
+    assert spawns == "1"
+    return answers
 
 
 class TestPartitionAndPredictor:
@@ -298,4 +315,10 @@ class TestExternalMachine:
     def test_timeout_bounds_a_request_the_child_does_not_read(self, tmp_path):
         # larger than a pipe's buffer, so writing it waits on the child
         request = "'UPSET ε|' + '10' * 100_000"
-        assert ask_twice(tmp_path, DEAF_MACHINE, request) == ["budget", "budget"]
+        assert ask_twice(tmp_path, DEAF_MACHINE, (request,) * 2) == ["budget", "budget"]
+
+    def test_no_late_answer_after_a_timeout(self, tmp_path):
+        # the child answers the first query after the timeout; that late
+        # answer must not be taken for the answer to the second
+        requests = ("'QUERY 1 0'", "'QUERY 1 1'")
+        assert ask_twice(tmp_path, LATE_MACHINE, requests) == ["budget", "budget"]

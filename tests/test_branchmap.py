@@ -256,6 +256,101 @@ class TestImage:
         assert image_prefix(f, bound) == ref.image_prefix(f, bound)
 
 
+def branch_head_func(head, after, base, drift) -> APFunc:
+    """A function whose first len(head) values are ``head``."""
+    return APFunc(tuple(head) + tuple(after), (base,), drift)
+
+
+class TestSparseReads:
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 10**12),
+        st.sampled_from(["row", "zero", "other"]),
+        st.integers(0, 39),
+        st.lists(st.integers(0, 3), min_size=40, max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    # codes below and at the level n + 1, codes that settle at 1 and at 0
+    @example(3, 4, "zero", 0, [0] * 40)
+    @example(40, 41, "row", 39, [0] * 40)
+    @example(12, pair(1, 0), "row", 0, [0] * 40)
+    @example(7, 6, "zero", 0, [0] * 40)
+    @example(1, 10**12, "row", 0, [0] * 40)
+    def test_slots_match_decoded_rows(self, n, code, kind, row, other):
+        rows = ref.tuple_decode(code, n)
+        head = {
+            "row": rows[row % n],
+            "zero": (0,) * n,
+            "other": tuple(other[:n]),
+        }[kind]
+        expected = [j for j, r in enumerate(rows) if r == head]
+        assert branchmap._slots_holding(code, n, head) == expected
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 3000),
+    )
+    @settings(max_examples=12, deadline=None)
+    @example(3, [1], 0, 0, 3000)
+    @example(1, [0, 2], 1, 1, 2999)
+    def test_prefix_matches_tuple_walk_zero_headed(self, k, after, base, drift, bound):
+        # columns up to k read an all-zero head, which the untouched
+        # rows of every code carry
+        f = branch_head_func((0,) * k, after, base, drift)
+        assert image_prefix(f, bound) == ref.image_prefix(f, bound)
+
+    @given(
+        st.integers(300, 450),
+        st.data(),
+        st.sampled_from(["row", "zero", "other"]),
+        st.lists(st.integers(0, 2), min_size=1, max_size=2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_contains_matches_tuple_walk_at_high_columns(self, col, data, kind, after, drift):
+        # a tuple at level col + 1: a code up to the level, free tails
+        code = data.draw(st.integers(0, col))
+        tails = data.draw(st.integers(0, (1 << col) - 1))
+        x = pair(col, (code << col) | tails)
+        rows = ref.tuple_decode(code, col)
+        if kind == "row":
+            head = rows[data.draw(st.integers(0, col - 1))]
+        elif kind == "zero":
+            head = (0,) * col
+        else:
+            head = tuple(range(col))
+        f = branch_head_func(head, after, 1, drift)
+        assert image_contains(f, x) == ref.image_contains(f, x)
+
+    def test_reads_build_no_dense_matrix(self, monkeypatch):
+        def dense(code, n):
+            raise AssertionError("image reads must not decode a whole tuple")
+
+        restricted = []
+        restrict = branchmap.Branch.restrict
+
+        def counting(self, level):
+            restricted.append((self.n, level))
+            return restrict(self, level)
+
+        monkeypatch.setattr(branchmap, "tuple_decode", dense)
+        monkeypatch.setattr(branchmap.Branch, "restrict", counting)
+        bound = 16000
+        result = image_prefix(IDENTITY, bound)
+        assert result.bound == bound and result.elements
+        reached = {
+            (col, branchmap._locate(col, m)[0])
+            for col, m in map(unpair, range(bound))
+            if col
+        }
+        assert sorted(restricted) == sorted(reached)
+        assert image_contains(IDENTITY, pair(447, 0)) is False
+        assert image_contains(ZERO, pair(447, 0)) is True
+
+
 class TestWitnesses:
     def test_single_branch_counts(self):
         ws = witness_stream(1, [branch_of(ZERO, 1)], 10)

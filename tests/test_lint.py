@@ -42,3 +42,18 @@ def test_tracer_patches_resolve():
         if not callable(found):
             missing.append(f"{module}.{attr}")
     assert not missing, f"tracer hooks that do not resolve: {missing}"
+
+
+def test_branchmap_oracle_uses_no_private_names():
+    # the reference image reads must not share the fast path's helpers,
+    # or a fault in a helper would pass the differential tests
+    oracle = Path(__file__).resolve().parent / "reference_branchmap.py"
+    tree = ast.parse(oracle.read_text(), filename=str(oracle))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tukeykit.branchmap"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"the oracle imports private names {private}"
