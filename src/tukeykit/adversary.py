@@ -155,7 +155,8 @@ def predicts(predictor: Predictor, c: "str | UPSet", k: int) -> bool:
 
 def _bits_of(c: "str | UPSet", length: int) -> str:
     if isinstance(c, UPSet):
-        return "".join(str(c.bit(k)) for k in range(length))
+        reps = -(-max(length - len(c.prefix), 0) // len(c.period))
+        return "".join(map(str, (c.prefix + c.period * reps)[:length]))
     if len(c) < length:
         raise ValueError(f"bit string of length {len(c)} does not reach {length}")
     return c

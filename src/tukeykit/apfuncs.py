@@ -4,16 +4,38 @@ An ``APFunc`` has finitely many prefix values, then repeats a base block
 of length p shifted upward by a constant drift on every pass, so the
 value at ``n0 + q*p + i`` is ``base[i] + q*drift``.  Identity is
 ``APFunc((), (0,), 1)``.  Eventual domination and pointwise maxima are
-computed exactly: rational slopes decide the generic case and a finite
-window over the lcm of the periods settles ties.
+computed exactly: slopes ``drift/p``, compared by cross-multiplying,
+decide the generic case and a finite window over the lcm of the periods
+settles ties.
+
+Nothing on the hot paths evaluates one index at a time.  ``window``
+reads a run of values as the prefix slice followed by whole passes of
+the block, each pass one comprehension over ``base``; the two-function
+algorithms read two windows and combine them with ``map``/``zip``.  The
+canonical form counts, in one pass from the end, how many prefix values
+continue the block backward, then slices the prefix and rotates the
+block once.  The scans that stop at their first answer read bounded
+spans; the algorithms that build a window as long as a crossover refuse,
+before allocating, one longer than ``_PREFIX_GUARD``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import eq, floordiv, le, ne, sub
 
 from .upsets import UPSet, almost_subset, lcm
+
+# the longest window of values (a pre-canonical prefix included) that
+# pointwise_max and _crossover build; a 10^6-value window takes about a
+# second and some 100 MB
+_PREFIX_GUARD = 2_000_000
+
+
+class PrefixBudget(RuntimeError):
+    """A window of values would exceed ``_PREFIX_GUARD``."""
 
 
 @dataclass(frozen=True)
@@ -30,14 +52,18 @@ class APFunc:
         drift = self.drift
         if not base:
             raise ValueError("base block must be nonempty")
-        if drift < 0 or any(v < 0 for v in prefix + base):
+        if drift < 0 or min(prefix, default=0) < 0 or min(base) < 0:
             raise ValueError("values and drift must be naturals")
         base, drift = _reduce_block(base, drift)
-        # Pull prefix values into the block when they continue its
-        # arithmetic pattern one step earlier.
-        while prefix and base[-1] - drift == prefix[-1]:
-            base = (base[-1] - drift,) + base[:-1]
-            prefix = prefix[:-1]
+        # Pull into the block the prefix values that continue its
+        # arithmetic pattern backward: value m-1-j must read
+        # base[p-1-j%p] - (j//p+1)*drift.  Count that run from the end,
+        # then cut the prefix and rotate the block once.
+        if prefix and prefix[-1] == base[-1] - drift:
+            back = reversed(_run(base, drift, -len(prefix), 0))
+            k = next(compress(count(), map(ne, reversed(prefix), back)), len(prefix))
+            prefix = prefix[: len(prefix) - k]
+            base = tuple(_run(base, drift, -k, len(base) - k))
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "drift", drift)
@@ -52,8 +78,21 @@ class APFunc:
         q, i = divmod(k - len(self.prefix), len(self.base))
         return self.base[i] + q * self.drift
 
+    def window(self, start: int, stop: int) -> list[int]:
+        """The values f(k) for start <= k < stop: the prefix slice, then
+        whole passes of the block."""
+        if start < 0:
+            raise ValueError("domain is omega")
+        if stop <= start:
+            return []
+        n0 = len(self.prefix)
+        out = list(self.prefix[start:stop])
+        if stop > n0:
+            out += _run(self.base, self.drift, max(start, n0) - n0, stop - n0)
+        return out
+
     def values(self, n: int) -> list[int]:
-        return [self(k) for k in range(n)]
+        return self.window(0, n)
 
     @property
     def period_start(self) -> int:
@@ -80,6 +119,18 @@ class APFunc:
         return self.literal()
 
 
+def _run(base: tuple[int, ...], drift: int, lo: int, hi: int) -> list[int]:
+    """Offsets lo <= t < hi of the block's affine run, where offset
+    q*p + i reads base[i] + q*drift; negative offsets run it backward."""
+    q0, i0 = divmod(lo, len(base))
+    q1 = -(-hi // len(base))
+    if drift:
+        passes = [b + q * drift for q in range(q0, q1) for b in base]
+    else:
+        passes = list(base) * (q1 - q0)
+    return passes[i0 : i0 + hi - lo]
+
+
 def _reduce_block(base: tuple[int, ...], drift: int) -> tuple[tuple[int, ...], int]:
     """Reduce the block to the shortest divisor length compatible with
     the affine repetition; minimality propagates backward through the
@@ -89,11 +140,8 @@ def _reduce_block(base: tuple[int, ...], drift: int) -> tuple[tuple[int, ...], i
         if p % d or (drift * d) % p:
             continue
         step = drift * d // p
-        if all(
-            base[i + j * d] == base[i] + j * step
-            for j in range(p // d)
-            for i in range(d)
-        ):
+        # period d with step: each value is the one d earlier plus step
+        if all(map(eq, map(sub, base[d:], base), repeat(step))):
             return base[:d], step
     return base, drift
 
@@ -126,12 +174,38 @@ def _aligned(f: APFunc, g: APFunc) -> tuple[int, int]:
     return max(f.period_start, g.period_start), lcm(f.period_len, g.period_len)
 
 
+def _slope_order(f: APFunc, g: APFunc) -> int:
+    """The sign of slope(f) - slope(g), by cross-multiplying."""
+    a, b = f.drift * g.period_len, g.drift * f.period_len
+    return (a > b) - (a < b)
+
+
+def _guarded(n: int, what: str) -> int:
+    if n > _PREFIX_GUARD:
+        raise PrefixBudget(
+            f"{what} needs a window of {n} values, above the guard of {_PREFIX_GUARD}"
+        )
+    return n
+
+
+def _spans(start: int, stop: int):
+    """[start, stop) in spans that double from 64 values up to 65,536,
+    so a scan that stops early reads at most about twice what it needed
+    and a scan of any length holds one bounded span at a time."""
+    size = 64
+    while start < stop:
+        yield start, min(start + size, stop)
+        start, size = start + size, min(2 * size, 1 << 16)
+
+
 def eventually_dominates(f: APFunc, g: APFunc) -> bool:
     """True when g(k) <= f(k) for all but finitely many k."""
-    if g.slope != f.slope:
-        return g.slope < f.slope
+    order = _slope_order(f, g)
+    if order:
+        return order > 0
     start, width = _aligned(f, g)
-    return all(g(k) <= f(k) for k in range(start, start + width))
+    spans = _spans(start, start + width)
+    return all(all(map(le, g.window(lo, hi), f.window(lo, hi))) for lo, hi in spans)
 
 
 def _crossover(hi: APFunc, lo: APFunc) -> int:
@@ -139,50 +213,62 @@ def _crossover(hi: APFunc, lo: APFunc) -> int:
 
     Requires slope(hi) > slope(lo); per residue class of the common
     block the difference grows by a fixed positive step, so the last
-    class to turn permanently nonnegative determines K.
+    class to turn permanently nonnegative determines K: class i turns
+    after t = -(diff // step) more blocks.
     """
     start, width = _aligned(hi, lo)
     step = hi.drift * (width // hi.period_len) - lo.drift * (width // lo.period_len)
     if step <= 0:
         raise ValueError("crossover needs strictly larger slope")
-    out = start
-    for i in range(width):
-        diff = hi(start + i) - lo(start + i)
-        t = 0 if diff >= 0 else (-diff + step - 1) // step
-        out = max(out, start + i + t * width)
-    return out
+    stop = _guarded(start + width, "crossover")
+    floors = list(
+        map(floordiv, map(sub, hi.window(start, stop), lo.window(start, stop)), repeat(step))
+    )
+    least = min(floors)
+    if least >= 0:
+        return stop - 1
+    # the latest class among those that turn last
+    return stop - 1 - floors[::-1].index(least) - least * width
+
+
+def _maxima(xs: list[int], ys: list[int]) -> list[int]:
+    # a comparison per pair runs about four times faster than map(max, ...)
+    return [x if x >= y else y for x, y in zip(xs, ys)]
 
 
 def pointwise_max(f: APFunc, g: APFunc) -> APFunc:
     """The pointwise maximum, re-expressed as an APFunc."""
-    if f.slope == g.slope:
+    order = _slope_order(f, g)
+    if order == 0:
         start, width = _aligned(f, g)
-        block = tuple(max(f(start + i), g(start + i)) for i in range(width))
+        stop = _guarded(start + width, "pointwise_max")
+        both = _maxima(f.window(0, stop), g.window(0, stop))
         drift = f.drift * (width // f.period_len)
-        return APFunc(tuple(max(f(k), g(k)) for k in range(start)), block, drift)
-    hi, lo = (f, g) if f.slope > g.slope else (g, f)
-    cross = _crossover(hi, lo)
-    # Align the tail with hi's own block so the result is exactly hi
-    # from some index onward.
-    n = max(cross, hi.period_start)
-    n += (-(n - hi.period_start)) % hi.period_len
-    prefix = tuple(max(f(k), g(k)) for k in range(n))
-    block = tuple(hi(n + i) for i in range(hi.period_len))
-    return APFunc(prefix, block, hi.drift)
+        return APFunc(tuple(both[:start]), tuple(both[start:]), drift)
+    hi, lo = (f, g) if order > 0 else (g, f)
+    # from n on the maximum is hi, so hi's next block continues it
+    n = max(_crossover(hi, lo), hi.period_start)
+    _guarded(n + hi.period_len, "pointwise_max")
+    prefix = tuple(_maxima(f.window(0, n), g.window(0, n)))
+    return APFunc(prefix, tuple(hi.window(n, n + hi.period_len)), hi.drift)
 
 
 def first_difference(f: APFunc, g: APFunc) -> int | None:
-    """Least k with f(k) != g(k), or None when the functions are equal."""
+    """Least k with f(k) != g(k), or None when the functions are equal.
+
+    Past the common start each residue class of the common block changes
+    its difference by one fixed step per block, zero exactly when the
+    slopes agree; so distinct functions differ within one block past the
+    start at equal slopes and within two otherwise.
+    """
     if f == g:
         return None
     start, width = _aligned(f, g)
-    if f.slope == g.slope:
-        bound = start + width
-    else:
-        hi, lo = (f, g) if f.slope > g.slope else (g, f)
-        bound = _crossover(hi, lo) + 2 * width
-    for k in range(bound):
-        if f(k) != g(k):
+    blocks = 1 if _slope_order(f, g) == 0 else 2
+    for lo, hi in _spans(0, start + blocks * width):
+        differ = map(ne, f.window(lo, hi), g.window(lo, hi))
+        k = next(compress(count(lo), differ), None)
+        if k is not None:
             return k
     raise AssertionError("distinct canonical forms must differ within the bound")
 
@@ -209,9 +295,8 @@ def value_parity_set(f: APFunc) -> UPSet:
     period at most 2 in the pass count."""
     n0, p = f.period_start, f.period_len
     width = p if f.drift % 2 == 0 else 2 * p
-    prefix = tuple(f(k) % 2 for k in range(n0))
-    block = tuple(f(n0 + i) % 2 for i in range(width))
-    return UPSet(prefix, block)
+    bits = bytes([v & 1 for v in f.window(0, n0 + width)])
+    return UPSet(bits[:n0], bits[n0:])
 
 
 def bit_coloring(f: APFunc, i: int) -> UPSet:

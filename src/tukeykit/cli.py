@@ -14,7 +14,7 @@ import sys
 
 from . import adversary as adv
 from . import branchmap, gadgets, splitorder, wire
-from .apfuncs import parse_apfunc
+from .apfuncs import PrefixBudget, parse_apfunc
 from .catalog import catalog as triple_catalog
 from .catalog import vd_diagram
 from .triples import (
@@ -396,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, gadgets.ContractBreach, adv.MachineFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MachineBudgetError, SearchBoundExceeded, branchmap.EnumerationBudget) as exc:
+    except (
+        MachineBudgetError, SearchBoundExceeded, branchmap.EnumerationBudget, PrefixBudget
+    ) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

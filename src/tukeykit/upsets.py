@@ -7,15 +7,19 @@ the representation (primitive period, then shortest prefix), so two
 of the naturals.  All the usual mod-finite relations (almost inclusion,
 almost disjointness, splitting) are decided exactly on this fragment.
 
-The bits stay tuples of 0/1 ints; only the algebra packs them.  ``&``,
-``|`` and ``-`` read both operands over the common window (the longer
-prefix, then the lcm of the periods) as one Python int each, apply one
-int operation and unpack the result.  The relations build no set at all:
-past both prefixes, offset i of a period p1 and offset j of a period p2
-are read together infinitely often iff the positions they stand for
-agree mod gcd(p1, p2) (Chinese remainder theorem).  So each relation
-folds both periods into residue classes mod the gcd and costs
-O(p1 + p2), never the lcm.
+The stored bits are tuples of 0/1 ints, but the constructor takes them
+as bytes or as a tuple and canonicalizes on bytes: the primitive root,
+then the prefix bits that the period continues backward, each found by
+a few bytes or int operations, not a walk per bit.  ``&``, ``|`` and
+``-`` read both operands over the common window (the longer prefix,
+then the lcm of the periods) as one Python int each, apply one int
+operation and hand the unpacked bytes straight to the constructor, so
+the only per-bit conversion is the final one into the stored tuples.
+The relations build no set at all: past both prefixes, offset i of a
+period p1 and offset j of a period p2 are read together infinitely
+often iff the positions they stand for agree mod gcd(p1, p2) (Chinese
+remainder theorem).  So each relation folds both periods into residue
+classes mod the gcd and costs O(p1 + p2), never the lcm.
 """
 
 from __future__ import annotations
@@ -51,6 +55,18 @@ def _pack(bits: bytes) -> int:
     return int(b"0" + bits.translate(_TO_ASCII), 2)
 
 
+def _as_bits(bits) -> bytes:
+    """Membership bits, given as bytes or as an iterable of 0/1 ints,
+    as bytes; anything else raises ValueError."""
+    try:
+        out = bits if isinstance(bits, bytes) else bytes(tuple(bits))
+    except (TypeError, ValueError):  # entries that are no small ints
+        out = b"\x02"
+    if out.translate(None, b"\x00\x01"):
+        raise ValueError("membership bits must be 0 or 1")
+    return out
+
+
 @dataclass(frozen=True)
 class UPSet:
     """An ultimately periodic subset of omega, always in canonical form."""
@@ -59,33 +75,22 @@ class UPSet:
     period: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prefix = tuple(self.prefix)
-        period = tuple(self.period)
-        if not period:
+        word = _as_bits(self.period)
+        if not word:
             raise ValueError("period must be nonempty")
-        try:
-            head, word = bytes(prefix), bytes(period)
-            valid = not (
-                head.translate(None, b"\x00\x01") or word.translate(None, b"\x00\x01")
-            )
-        except (TypeError, ValueError):  # entries that are no small ints
-            valid = False
-        if not valid:
-            raise ValueError("membership bits must be 0 or 1")
+        head = _as_bits(self.prefix)
         word = _primitive_root(word)
-        period = period[: len(word)]
         # Absorb the trailing prefix bits that already match the period
-        # (each bit against the one a period later); this yields the
-        # shortest possible prefix for the denoted set.
-        if prefix and prefix[-1] == period[-1]:
-            m, p = len(prefix), len(period)
-            x = _pack(head + word)
-            diff = (x >> p) ^ (x & ((1 << m) - 1))
+        # run backward over the prefix; this yields the shortest possible
+        # prefix for the denoted set.
+        if head and head[-1] == word[-1]:
+            m, p = len(head), len(word)
+            diff = _pack(head) ^ _pack((word * (m // p + 1))[-m:])
             k = (diff & -diff).bit_length() - 1 if diff else m
             r = p - k % p
-            prefix, period = prefix[: m - k], period[r:] + period[:r]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
+            head, word = head[: m - k], word[r:] + word[:r]
+        object.__setattr__(self, "prefix", tuple(head))
+        object.__setattr__(self, "period", tuple(word))
 
     # -- construction ------------------------------------------------
 
@@ -160,17 +165,20 @@ class UPSet:
     # -- boolean algebra ----------------------------------------------
 
     def _window(self, width: int) -> int:
-        """Membership bits over [0, width) packed into one int."""
-        reps = -(-(width - len(self.prefix)) // len(self.period))
-        bits = bytes(self.prefix) + bytes(self.period) * reps
-        return _pack(bits[:width])
+        """Membership bits over [0, width), width past the prefix, packed
+        into one int: the packed period doubles until it covers the rest."""
+        tail = width - len(self.prefix)
+        word, bits = _pack(bytes(self.period)), len(self.period)
+        while bits < tail:
+            word, bits = (word << bits) | word, 2 * bits
+        return (_pack(bytes(self.prefix)) << tail) | (word >> (bits - tail))
 
     def _combine(self, other: "UPSet", op) -> "UPSet":
         m = max(len(self.prefix), len(other.prefix))
         width = m + lcm(len(self.period), len(other.period))
         z = op(self._window(width), other._window(width))
         bits = format(z, f"0{width}b").encode().translate(_FROM_ASCII)
-        return UPSet(tuple(bits[:m]), tuple(bits[m:]))
+        return UPSet(bits[:m], bits[m:])
 
     def __and__(self, other: "UPSet") -> "UPSet":
         return self._combine(other, int.__and__)
@@ -183,8 +191,7 @@ class UPSet:
 
     def complement(self) -> "UPSet":
         return UPSet(
-            tuple(1 - b for b in self.prefix),
-            tuple(1 - b for b in self.period),
+            bytes(self.prefix).translate(_FLIP), bytes(self.period).translate(_FLIP)
         )
 
     # -- literals -----------------------------------------------------
@@ -323,12 +330,11 @@ def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:
     # After t periods the position phase and the member count mod t
     # both return, so t periods are always a valid (possibly
     # non-primitive) period for the slice.
-    word = b.prefix + b.period * t
-    bits = [0] * len(word)
-    members = [k for k, x in enumerate(word) if x]
-    for k in members[j::t]:
+    word = bytes(b.prefix) + bytes(b.period) * t
+    bits = bytearray(len(word))
+    for k in list(itertools.compress(itertools.count(), word))[j::t]:
         bits[k] = 1
-    return UPSet(tuple(bits[:n0]), tuple(bits[n0:]))
+    return UPSet(bytes(bits[:n0]), bytes(bits[n0:]))
 
 
 def partition_upset(b: UPSet, parts: int) -> list[UPSet]:

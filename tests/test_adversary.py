@@ -4,12 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tukeykit
 from tukeykit import wire
 from tukeykit.adversary import (
     AdversaryCertificate,
     BudgetExhausted,
+    _bits_of,
     DecidedFact,
     IntervalPartition,
     MachineFault,
@@ -120,6 +122,16 @@ class TestPartitionAndPredictor:
             Predictor(p, ({"": "1"}, {"0": "1"}))  # level 1 misses history "1"
         good = Predictor(p, ({"": "1"}, {"0": "1", "1": "0"}))
         assert good.forecast("0", 1) == "1"
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=6).map(tuple),
+        st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=150)
+    def test_bits_of_a_set_match_the_per_bit_read(self, prefix, period, length):
+        c = UPSet(prefix, period)
+        assert _bits_of(c, length) == "".join(str(c.bit(k)) for k in range(length))
 
     def test_predicts_literal_comparison(self):
         p = IntervalPartition((0, 2, 4))

@@ -1,9 +1,14 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import reference_apfuncs as ref
 from tukeykit.apfuncs import (
     APFunc,
     IDENTITY,
+    PrefixBudget,
+    _PREFIX_GUARD,
+    _crossover,
+    _run,
     almost_constant_on,
     bit_coloring,
     constant,
@@ -242,3 +247,198 @@ class TestEnumeratorFunctions:
         members = a.elements_below(len(a.prefix) + 12 * len(a.period) + 12)
         for i in range(len(members) - 1):
             assert gaps(i) == members[i + 1] - members[i]
+
+
+def fields(f: APFunc) -> tuple:
+    return f.prefix, f.base, f.drift
+
+
+prefixes = st.lists(naturals, max_size=4).map(tuple)
+blocks = st.lists(st.integers(0, 30), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def backward_runs(draw):
+    """A (prefix, base, drift) whose prefix ends with a run, up to 60
+    values long, that continues the block backward."""
+    base, drift = draw(blocks), draw(st.integers(0, 5))
+    length = draw(st.integers(0, 60))
+    run = [base[t % len(base)] + (t // len(base)) * drift for t in range(-length, 0)]
+    # keep the longest tail of naturals
+    negative = [i for i, v in enumerate(run) if v < 0]
+    run = run[negative[-1] + 1 :] if negative else run
+    return draw(prefixes) + tuple(run), base, drift
+
+
+@st.composite
+def function_pairs(draw, same_slope: bool):
+    """Two functions, at one slope or (after a filter) at two."""
+    s = draw(st.integers(0, 3))
+    out = []
+    for _ in range(2):
+        base = draw(st.lists(naturals, min_size=1, max_size=4).map(tuple))
+        drift = len(base) * s if same_slope else draw(st.integers(0, 6))
+        out.append(APFunc(draw(prefixes), base, drift))
+    return out
+
+
+def steep_pair(p: int) -> tuple[APFunc, APFunc]:
+    """Base lengths p and p - 1 at drift 3, blocks falling by 3: the
+    maximum's crossover sits near p * (p - 1) * p."""
+    def block(n):
+        return APFunc((), tuple(3 * i for i in range(n))[::-1], 3)
+
+    return block(p), block(p - 1)
+
+
+class TestAgainstReference:
+    """The block-evaluated paths against the per-index walk in
+    ``reference_apfuncs``."""
+
+    @given(backward_runs())
+    @settings(max_examples=150)
+    def test_canonical_form(self, raw):
+        assert fields(APFunc(*raw)) == ref.canonical(*raw)
+
+    @given(prefixes, blocks, st.integers(0, 5))
+    @settings(max_examples=150)
+    def test_canonical_form_of_plain_input(self, prefix, base, drift):
+        assert fields(APFunc(prefix, base, drift)) == ref.canonical(prefix, base, drift)
+
+    def test_long_backward_prefix_is_linear(self, monkeypatch):
+        # the block (40000,) at drift 1 continues backward through the
+        # whole prefix 0..39999; absorbed one value at a time this copied
+        # the prefix once per value.  The canonical form reads the
+        # backward run once and the rotated block once.
+        built = []
+
+        def counted(*args):
+            out = _run(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr("tukeykit.apfuncs._run", counted)
+        f = APFunc(tuple(range(40000)), (40000,), 1)
+        assert f == IDENTITY
+        assert built == [40000, 1]
+        g = APFunc((7,) + tuple(range(1, 30000)), (30000,), 1)
+        assert fields(g) == ((7,), (1,), 1)
+
+    @given(apfuncs, st.integers(0, 40), st.integers(-3, 80))
+    @settings(max_examples=150)
+    def test_window(self, f, start, stop):
+        assert f.window(start, stop) == ref.window(f, start, stop)
+        assert f.values(stop) == ref.window(f, 0, stop)
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_two_function_algorithms(self, same_slope, data):
+        f, g = data.draw(function_pairs(same_slope))
+        assume((f.slope == g.slope) == same_slope)
+        assert eventually_dominates(f, g) == ref.eventually_dominates(f, g)
+        assert eventually_dominates(g, f) == ref.eventually_dominates(g, f)
+        assert fields(pointwise_max(f, g)) == ref.pointwise_max(f, g)
+        assert first_difference(f, g) == ref.first_difference(f, g)
+        if not same_slope:
+            hi, lo = (f, g) if f.slope > g.slope else (g, f)
+            assert _crossover(hi, lo) == ref.crossover(hi, lo)
+
+    def test_scans_past_their_first_span(self):
+        # the scans read doubling spans from 64 values; a violation or a
+        # difference at any one index must be seen
+        g = APFunc((), (5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5), 11)
+        lifted = [v + 1 for v in g.window(0, 143)]
+        for j in range(143):
+            f = APFunc((), tuple(lifted[:j] + [lifted[j] - 2] + lifted[j + 1 :]), 143)
+            assert not eventually_dominates(f, g)
+            assert first_difference(f, APFunc((), tuple(lifted), 143)) == j
+        for agree in range(300):
+            h = APFunc(tuple(g.window(0, agree)), (0,), 0)
+            assert first_difference(g, h) == ref.first_difference(g, h)
+
+    @given(apfuncs, st.integers(0, 12))
+    @settings(max_examples=150)
+    def test_level_set(self, f, v):
+        s = level_set(f, v)
+        assert (s.prefix, s.period) == ref.level_set(f, v)
+
+    @given(apfuncs)
+    @settings(max_examples=150)
+    def test_value_parity_set(self, f):
+        s = value_parity_set(f)
+        assert (s.prefix, s.period) == ref.value_parity_set(f)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The lengths of the windows ``APFunc.window`` is asked for."""
+    read = []
+    window = APFunc.window
+
+    def counted(self, start, stop):
+        read.append(stop - start)
+        return window(self, start, stop)
+
+    monkeypatch.setattr(APFunc, "window", counted)
+    return read
+
+
+class TestPrefixGuard:
+    def test_steep_maximum_raises_before_building(self, windows):
+        # a window of about 3.4 * 10^6 values; the guard must refuse it
+        # before allocating: the only windows read are the crossover's
+        # one common block of 151 * 150 values
+        f, g = steep_pair(151)
+        with pytest.raises(PrefixBudget):
+            pointwise_max(f, g)
+        assert windows == [151 * 150] * 2
+
+    def test_scans_stop_before_the_guard(self, windows):
+        # the common block of lengths 1500 and 1501 is 2,251,500 long,
+        # past the guard, but the scans stop at their first answer;
+        # pointwise_max, at equal and at unequal slopes, refuses it
+        # before reading a window
+        f = APFunc((), (1,) * 1499 + (0,), 0)
+        g = APFunc((), (0,) * 1500 + (1,), 0)
+        assert first_difference(f, g) == 0
+        assert not eventually_dominates(g, f)
+        read = len(windows)
+        steeper = APFunc((), (1,) * 1499 + (0,), 1500)
+        for h in (f, steeper):
+            with pytest.raises(PrefixBudget):
+                pointwise_max(h, g)
+        assert len(windows) == read
+
+    def test_scans_answer_past_the_guard(self, windows):
+        # f is 1 except at residue 7 mod 1500, g is 0 except at residue
+        # 11 mod 1501; the two meet, and g rises above f, only at the
+        # index k below, past the guard.  Each scan holds one span of at
+        # most 65,536 values and reads the whole common block.
+        k = next(k for k in range(7, 1500 * 1501, 1500) if k % 1501 == 11)
+        assert k > _PREFIX_GUARD
+        f = APFunc((), tuple(0 if i == 7 else 1 for i in range(1500)), 0)
+        g = APFunc((), tuple(1 if j == 11 else 0 for j in range(1501)), 0)
+        raised = APFunc((), (2,) + (1,) * 1499, 0)
+        assert not eventually_dominates(f, g)
+        assert max(windows) == 1 << 16
+        assert k < sum(windows) // 2 <= k + (1 << 16)
+        windows.clear()
+        assert eventually_dominates(raised, g)
+        assert max(windows) == 1 << 16
+        assert sum(windows) // 2 == 1500 * 1501
+
+    def test_first_difference_past_the_guard(self):
+        # a common start past the guard: the prefixes agree on their
+        # first 2,000,000 values
+        zeros = (0,) * _PREFIX_GUARD
+        f = APFunc(zeros + (1,), (0,) * 1499 + (1,), 0)
+        g = APFunc(zeros + (2,), (0,) * 1500 + (1,), 0)
+        assert first_difference(f, g) == _PREFIX_GUARD
+        assert first_difference(g, f) == _PREFIX_GUARD
+
+    def test_smaller_steep_maximum_is_exact(self):
+        # the crossover of lengths 31 and 30 is past 27,000 values
+        f, g = steep_pair(31)
+        m = pointwise_max(f, g)
+        assert len(m.prefix) > 27000
+        assert fields(m) == ref.pointwise_max(f, g)

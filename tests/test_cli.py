@@ -209,6 +209,27 @@ class TestSubprocessVerbs:
         assert data["verified"] is True
         assert data["side"] == "E"
 
+    def test_refute_budget_on_a_steep_maximum(self, capsys, tmp_path):
+        # the push map answers the two halves with base lengths 151 and
+        # 150 at drift 3, whose maximum needs about 3.4 * 10^6 values
+        phi = tmp_path / "phi.py"
+        phi.write_text(PHI_CONST_EVENS)
+        steep = [f";{','.join(str(3 * i) for i in reversed(range(n)))};3" for n in (151, 150)]
+        psi = tmp_path / "psi.py"
+        psi.write_text(
+            "import itertools, sys\n"
+            f"answers = itertools.cycle({steep!r})\n"
+            "for line in sys.stdin:\n"
+            "    print(next(answers)); sys.stdout.flush()\n"
+        )
+        code = main(
+            ["refute", "a2b", "--phi", f"{sys.executable} {phi}",
+             "--psi", f"{sys.executable} {psi}"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget: pointwise_max needs a window of")
+
     def test_adversary_external_machine(self, capsys, tmp_path):
         script = tmp_path / "machine.py"
         script.write_text(IDENTITY_MACHINE)

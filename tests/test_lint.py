@@ -44,16 +44,27 @@ def test_tracer_patches_resolve():
     assert not missing, f"tracer hooks that do not resolve: {missing}"
 
 
-def test_branchmap_oracle_uses_no_private_names():
-    # the reference image reads must not share the fast path's helpers,
-    # or a fault in a helper would pass the differential tests
-    oracle = Path(__file__).resolve().parent / "reference_branchmap.py"
+def private_imports(oracle_name: str) -> list[str]:
+    """Underscore names the oracle file imports from the package."""
+    oracle = Path(__file__).resolve().parent / oracle_name
     tree = ast.parse(oracle.read_text(), filename=str(oracle))
-    private = [
-        alias.name
+    return [
+        f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "tukeykit.branchmap"
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tukeykit")
         for alias in node.names
         if alias.name.startswith("_")
     ]
+
+
+def test_branchmap_oracle_uses_no_private_names():
+    # the reference image reads must not share the fast path's helpers,
+    # or a fault in a helper would pass the differential tests
+    private = private_imports("reference_branchmap.py")
+    assert not private, f"the oracle imports private names {private}"
+
+
+def test_apfuncs_oracle_uses_no_private_names():
+    # likewise the per-index walk must not borrow the block helpers
+    private = private_imports("reference_apfuncs.py")
     assert not private, f"the oracle imports private names {private}"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,3 +284,55 @@ class TestAgainstReference:
     def test_slice_by_index(self, b, t, data):
         j = data.draw(st.integers(0, t - 1))
         assert fields(slice_by_index(b, t, j)) == ref.slice_by_index(b, t, j)
+
+    @given(st.sampled_from(((101, 103), (127, 131), (89, 113), (300, 196))), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_operations_at_large_lcm(self, periods, data):
+        # lcm 10,057 to 16,637, where the packed walk hands its bytes
+        # straight to the constructor
+        seed = data.draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        a, b = (
+            UPSet(
+                tuple(rng.randrange(2) for _ in range(rng.randrange(12))),
+                tuple(rng.randrange(2) for _ in range(period)),
+            )
+            for period in periods
+        )
+        assert lcm(len(a.period), len(b.period)) >= 10**4
+        for name, op in (("and", a.__and__), ("or", a.__or__), ("minus", a.__sub__)):
+            assert fields(op(b)) == ref.combine(a, b, ref.OPS[name])
+
+    def test_slice_by_index_at_large_period(self):
+        rng = random.Random(7)
+        b = UPSet((1, 0, 1), tuple(rng.randrange(2) for _ in range(499)))
+        for t, j in ((41, 0), (41, 40), (13, 5), (1, 0)):
+            assert fields(slice_by_index(b, t, j)) == ref.slice_by_index(b, t, j)
+
+
+class TestBytesConstructor:
+    """Bits given as bytes take the same constructor path as tuples."""
+
+    @given(raw_words())
+    @settings(max_examples=150)
+    def test_bytes_equal_tuples(self, word):
+        prefix, period = word
+        from_bytes, from_tuples = UPSet(bytes(prefix), bytes(period)), UPSet(prefix, period)
+        assert from_bytes == from_tuples
+        assert hash(from_bytes) == hash(from_tuples)
+        assert fields(from_bytes) == fields(from_tuples)
+        assert all(type(bit) is int for bit in from_bytes.prefix + from_bytes.period)
+
+    def test_mixed_inputs(self):
+        assert UPSet(b"\x01", (0, 1)) == UPSet((1,), b"\x00\x01") == EVENS
+
+    def test_rejects_bytes_that_are_not_bits(self):
+        for prefix, period in (
+            (b"", b"01"),
+            (b"1", b"\x01"),
+            (b"", b"\x00\x02"),
+            (b"\xff", b"\x00"),
+            (b"", b""),
+        ):
+            with pytest.raises(ValueError):
+                UPSet(prefix, period)
