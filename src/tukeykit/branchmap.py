@@ -32,6 +32,13 @@ untouched rows.  ``image_prefix`` walks each column's rows in (level,
 code, tails) order, so a restriction is computed once per level, the
 matching slots once per code, and a code whose rows miss the head is
 skipped whole; a prefix of the image below N costs close to O(N).
+
+Separation and witnesses.  ``divergence_level`` restricts no branch:
+the separation level comes from the first differing value, either as an
+identity entry or inside that value's block.  ``witness_stream`` builds
+each tuple once from one restriction per branch and level; the tuples
+are admissible by construction, since they start above the shared
+prefix code and their components are those very restrictions.
 """
 
 from __future__ import annotations
@@ -157,12 +164,6 @@ class Branch:
             u += 1
         return u
 
-    def entry_length_through(self, k: int) -> int:
-        """Entry count produced by the first k+1 function values."""
-        if k < self.n:
-            return k + 1
-        return self.n + sum(self.func(i) + 1 for i in range(self.n, k + 1))
-
 
 def branch_of(f: APFunc, n: int) -> Branch:
     return Branch(n, func=f)
@@ -170,22 +171,24 @@ def branch_of(f: APFunc, n: int) -> Branch:
 
 def divergence_level(a: Branch, b: Branch) -> int | None:
     """Least level where the two branch restrictions differ, or None
-    when the branches are equal."""
+    when the branches are equal.
+
+    Read off the first differing value k.  Below n, values are entries.
+    Past n, both branches share the blocks of values n..k-1, and value k
+    is coded as 1^v 0, so the shorter block's 0 is the first differing
+    entry.
+    """
     if a.n != b.n:
         raise ValueError("branches live in different trees")
     k = first_difference(a.func, b.func)
     if k is None:
         return None
-    # both agree up to value k, so they separate within the block coding
-    # of value k; this bounds the search
-    ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
-    # a deeper restriction extends every shallower one, so the first
-    # differing entry at the ceiling gives the least differing level
-    ra, rb = a.restrict(ceiling), b.restrict(ceiling)
-    for i, (x, y) in enumerate(zip(ra, rb)):
-        if x != y:
-            return i + 1
-    raise AssertionError("branches must separate below the computed ceiling")
+    if k < a.n:
+        return k + 1
+    # value k's block starts after n identity entries and one block of
+    # f(i) + 1 entries per value n <= i < k
+    start = k + sum(a.func.window(a.n, k))
+    return start + min(a.func(k), b.func(k)) + 1
 
 
 # -- admissible tuples ---------------------------------------------------
@@ -327,12 +330,6 @@ def column_level_set(n: int, branch: Branch, level: int) -> list[ColumnTuple]:
     )
 
 
-def tuple_in_column_image(n: int, branch: Branch, t: ColumnTuple) -> bool:
-    if t.n != n:
-        raise ValueError("column mismatch")
-    return branch.restrict(t.level) in t.nodes
-
-
 def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """A node's first n entries, and its bits past n read as a binary
     word (first bit most significant, as in the tails of ``tuple_index``)."""
@@ -470,8 +467,9 @@ def witness_stream(
         raise ValueError("need between 1 and n branches")
     if any(b.n != n for b in branches):
         raise ValueError("branches must live in column n's tree")
-    padded = list(branches) + [branches[0]] * (n - len(branches))
-    code = tuple_code([b.restrict(n) for b in padded])
+    pad = n - len(branches)
+    heads = [b.restrict(n) for b in branches]
+    code = tuple_code(heads + heads[:1] * pad)
     if code > _CODE_GUARD:
         raise EnumerationBudget(
             f"shared tuples start only above level {code}; "
@@ -480,11 +478,8 @@ def witness_stream(
     out = []
     level = max(n, code) + 1
     while len(out) < count:
-        t = ColumnTuple(n, tuple(b.restrict(level) for b in padded))
-        for b in branches:
-            if not tuple_in_column_image(n, b, t):
-                raise AssertionError(f"witness at level {level} misses a branch")
-        out.append(t)
+        nodes = [b.restrict(level) for b in branches]
+        out.append(ColumnTuple(n, tuple(nodes + nodes[:1] * pad)))
         level += 1
     return out
 

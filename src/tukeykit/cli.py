@@ -243,16 +243,10 @@ BUILTIN_MACHINES = {
 def cmd_adversary(args) -> int:
     if args.builtin:
         machine = BUILTIN_MACHINES[args.builtin]()
-    elif args.machine:
-        machine = wire.subprocess_machine(shlex.split(args.machine))
     else:
-        print("adversary: need --machine or --builtin", file=sys.stderr)
-        return EXIT_USAGE
+        machine = wire.subprocess_machine(shlex.split(args.machine))
     try:
         cert = adv.build_adversary(machine, args.depth, args.budget)
-    except adv.BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     finally:
         if args.machine:
             machine.process.close()
@@ -287,17 +281,7 @@ def _load_finite_triple(path: str) -> tuple[FiniteTriple, object]:
 
 def cmd_norm(args) -> int:
     t, file_prop = _load_finite_triple(args.triple)
-    prop = None
-    if args.property == "from-file":
-        prop = file_prop
-    elif args.property != "none":
-        print(f"unknown property {args.property!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        value = finite_norm(t, prop)
-    except SearchBoundExceeded as exc:
-        print(f"search bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    value = finite_norm(t, file_prop if args.property == "from-file" else None)
     if value is None:
         print("norm: infinity (no dominating family)")
         return EXIT_NEGATIVE
@@ -371,15 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="build a predictor against a machine")
     adv_sub = p.add_subparsers(dest="subverb", required=True)
     run = adv_sub.add_parser("run")
-    run.add_argument("--machine", help="external machine command (shell quoted)")
-    run.add_argument("--builtin", choices=sorted(BUILTIN_MACHINES))
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--machine", help="external machine command (shell quoted)")
+    source.add_argument("--builtin", choices=sorted(BUILTIN_MACHINES))
     run.add_argument("--depth", type=int, default=5)
     run.add_argument("--budget", type=int, default=10**6)
     run.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("norm", help="exact norm of a finite triple from JSON")
     p.add_argument("--triple", required=True)
-    p.add_argument("--property", default="none", help="none or from-file")
+    p.add_argument("--property", choices=("none", "from-file"), default="none")
     p.set_defaults(fn=cmd_norm)
 
     return parser
@@ -393,11 +378,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, OSError, gadgets.ContractBreach, adv.MachineFault) as exc:
+    except (ValueError, OSError, adv.MachineFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        MachineBudgetError, SearchBoundExceeded, branchmap.EnumerationBudget, PrefixBudget
+        MachineBudgetError,
+        SearchBoundExceeded,
+        branchmap.EnumerationBudget,
+        PrefixBudget,
+        adv.BudgetExhausted,
     ) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -193,28 +193,24 @@ class MorphismCandidate:
     name: str = ""
 
     def apply_pull(self, x: Any) -> Any:
-        # an OSError (say, a map executable that cannot be started) is
-        # a usage error, not a map that gave no answer
-        try:
-            out = self.pull(x)
-        except (MachineBudgetError, OSError):
-            raise
-        except Exception as exc:
-            raise MachineBudgetError("pull map", x) from exc
-        if out is None:
-            raise MachineBudgetError("pull map", x)
-        return out
+        return _apply("pull map", self.pull, x)
 
     def apply_push(self, y: Any) -> Any:
-        try:
-            out = self.push(y)
-        except (MachineBudgetError, OSError):
-            raise
-        except Exception as exc:
-            raise MachineBudgetError("push map", y) from exc
-        if out is None:
-            raise MachineBudgetError("push map", y)
-        return out
+        return _apply("push map", self.push, y)
+
+
+def _apply(role: str, fn: Callable[[Any], Any], value: Any) -> Any:
+    # an OSError (say, a map executable that cannot be started) is
+    # a usage error, not a map that gave no answer
+    try:
+        out = fn(value)
+    except (MachineBudgetError, OSError):
+        raise
+    except Exception as exc:
+        raise MachineBudgetError(role, value) from exc
+    if out is None:
+        raise MachineBudgetError(role, value)
+    return out
 
 
 def identity_candidate(kinds: tuple[str, str], name: str = "identity") -> MorphismCandidate:

@@ -1,6 +1,6 @@
 """Reference implementations of the glued map's codec and image reads:
-the full n^2 pairing walk, a ``ColumnTuple`` per read, and a level scan
-for divergence.  The differential tests compare the library's fast
+the full n^2 pairing walk, a ``ColumnTuple`` per read, and an entry
+scan of two restrictions for divergence.  The differential tests compare the library's fast
 paths against these."""
 
 from typing import Sequence
@@ -90,14 +90,24 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     return ImagePrefix(tuple(elements), bound, depth)
 
 
+def entry_length_through(b: Branch, k: int) -> int:
+    """Entry count produced by the first k+1 function values."""
+    if k < b.n:
+        return k + 1
+    return b.n + sum(b.func(i) + 1 for i in range(b.n, k + 1))
+
+
 def divergence_level(a: Branch, b: Branch) -> int | None:
     if a.n != b.n:
         raise ValueError("branches live in different trees")
     k = first_difference(a.func, b.func)
     if k is None:
         return None
-    ceiling = max(a.entry_length_through(k), b.entry_length_through(k)) + 2
-    for level in range(1, ceiling + 1):
-        if a.restrict(level) != b.restrict(level):
-            return level
+    ceiling = max(entry_length_through(a, k), entry_length_through(b, k)) + 2
+    # a deeper restriction extends every shallower one, so the first
+    # differing entry at the ceiling gives the least differing level
+    ra, rb = a.restrict(ceiling), b.restrict(ceiling)
+    for i, (x, y) in enumerate(zip(ra, rb)):
+        if x != y:
+            return i + 1
     raise AssertionError("branches must separate below the computed ceiling")

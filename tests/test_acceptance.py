@@ -23,7 +23,6 @@ from tukeykit.branchmap import (
     divergence_level,
     exact_intersection,
     image_contains,
-    tuple_in_column_image,
     tuple_index,
     witness_stream,
 )
@@ -52,6 +51,7 @@ from helpers import (
     scripted_three_sets_candidates,
     zero_headed_apfunc,
 )
+from reference_branchmap import tuple_in_column_image
 
 # the edge set of the definable-morphism figure over the eight shared
 # nodes, plus the tower edge stated in the surrounding text

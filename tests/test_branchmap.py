@@ -31,7 +31,6 @@ from tukeykit.branchmap import (
     tuple_at,
     tuple_code,
     tuple_decode,
-    tuple_in_column_image,
     tuple_index,
     unpair,
     witness_stream,
@@ -39,6 +38,7 @@ from tukeykit.branchmap import (
 from tukeykit.upsets import UPSet
 
 from helpers import naive_level_tuples, zero_headed_apfunc
+from reference_branchmap import tuple_in_column_image
 
 
 def small_apfunc(rng: random.Random) -> APFunc:
@@ -141,11 +141,38 @@ class TestBranches:
 
     def test_divergence_level_matches_level_scan(self):
         rng = random.Random(12)
-        for _ in range(300):
-            n = rng.randrange(1, 5)
+        pairs = [(small_apfunc(rng), small_apfunc(rng)) for _ in range(300)]
+        # long agreements: a shared prefix of 200 to 2,000 values, then a
+        # first difference in the prefix or in the periodic part
+        for _ in range(40):
+            common = tuple(rng.randrange(4) for _ in range(rng.randrange(200, 2001)))
             f, g = small_apfunc(rng), small_apfunc(rng)
+            pairs.append(
+                (APFunc(common + f.prefix, f.base, f.drift),
+                 APFunc(common + g.prefix, g.base, g.drift))
+            )
+        for f, g in pairs:
+            n = rng.randrange(1, 5)
             bf, bg = branch_of(f, n), branch_of(g, n)
             assert divergence_level(bf, bg) == ref.divergence_level(bf, bg)
+
+    def test_divergence_level_builds_no_restriction(self, monkeypatch):
+        def refuse(self, level):
+            raise RuntimeError("divergence_level restricted a branch")
+
+        monkeypatch.setattr(branchmap.Branch, "restrict", refuse)
+        common = (0, 2, 1) * 1000
+        cases = [
+            (ZERO, ZERO, 2, None),
+            # first difference at value 1, an identity entry
+            (APFunc((0, 1), (0,), 0), ZERO, 2, 2),
+            # values 0 and 1 fill 2 entries and values 2..2,999 fill
+            # 2,998 + 2,998, so value 3,000's blocks, 10 and 0, start at
+            # entry 5,998 and differ there
+            (APFunc(common, (1,), 0), APFunc(common, (0,), 0), 2, 5999),
+        ]
+        for f, g, n, level in cases:
+            assert divergence_level(branch_of(f, n), branch_of(g, n)) == level
 
 
 class TestTupleEnumeration:
@@ -390,10 +417,9 @@ class TestWitnesses:
         found = common_witnesses([ZERO, ZERO], 5)
         assert found.column == 1
 
-    @pytest.mark.parametrize("check", ["tuple_in_column_image", "image_contains"])
+    @pytest.mark.parametrize("check", ["image_contains"])
     def test_membership_checks_survive_optimize(self, check):
-        # the first breaks witness_stream's check, the second only
-        # common_witnesses' own re-check
+        # a broken image read must trip common_witnesses' own re-check
         script = (
             "import sys\n"
             "import tukeykit.branchmap as bm\n"
@@ -444,6 +470,23 @@ class TestExactIntersection:
         fs = [ZERO, APFunc(zeros, (1,), 0), APFunc(zeros, (2,), 0)]
         with pytest.raises(EnumerationBudget, match="level 15 of column 2"):
             exact_intersection(2, [branch_of(f, 2) for f in fs])
+
+    def test_long_agreement_stops_at_the_size_guard(self, monkeypatch):
+        # a 3,000-value agreement separates past level 6,000, but column
+        # 1's scan stops at level 26, the first whose tails exceed 2^24
+        levels = []
+        restrict = branchmap.Branch.restrict
+
+        def recording(self, level):
+            levels.append(level)
+            return restrict(self, level)
+
+        monkeypatch.setattr(branchmap.Branch, "restrict", recording)
+        common = (0, 2, 1) * 1000
+        fs = [APFunc(common, (1,), 0), APFunc(common, (0,), 0)]
+        with pytest.raises(EnumerationBudget, match="level 26 of column 1"):
+            exact_intersection(1, [branch_of(f, 1) for f in fs])
+        assert max(levels) == 26
 
     def test_equal_branches_rejected(self):
         with pytest.raises(ValueError):

@@ -257,18 +257,11 @@ class TestSubprocessVerbs:
         assert "error:" in capsys.readouterr().err
 
     def test_adversary_builtin_budget_exhaustion(self, capsys):
-        code, _ = run_cli(
-            capsys,
-            "adversary",
-            "run",
-            "--builtin",
-            "zeros",
-            "--depth",
-            "2",
-            "--budget",
-            "500",
+        code = main(
+            ["adversary", "run", "--builtin", "zeros", "--depth", "2", "--budget", "500"]
         )
         assert code == 3
+        assert capsys.readouterr().err.startswith("budget:")
 
     def test_adversary_builtin_identity(self, capsys):
         code, out = run_cli(
@@ -326,6 +319,17 @@ class TestNorm:
         assert "norm: 2" in out
 
 
+    def test_norm_past_the_search_bound(self, capsys, tmp_path):
+        plus = [str(i) for i in range(21)]
+        path = self.write_triple(
+            tmp_path,
+            {"minus": ["x"], "plus": plus, "relation": [[0] * 21]},
+        )
+        code = main(["norm", "--triple", path])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("budget:")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, content",
@@ -373,3 +377,8 @@ class TestUsageErrors:
 
     def test_missing_machine(self, capsys):
         assert main(["adversary", "run", "--depth", "2"]) == 2
+
+    def test_machine_and_builtin_together(self, capsys):
+        argv = ["adversary", "run", "--machine", "/nonexistent", "--builtin", "identity"]
+        assert main(argv) == 2
+        assert "not allowed with" in capsys.readouterr().err
