@@ -20,11 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
+from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
 from .upsets import UPSet
-
-
-class MachineFault(RuntimeError):
-    """A machine contradicted one of its recorded decided answers."""
 
 
 @dataclass
@@ -32,16 +29,6 @@ class PartialProgress:
     level: int
     history: str
     pivot_tried: int
-
-
-class BudgetExhausted(RuntimeError):
-    def __init__(self, progress: PartialProgress, certificate: "AdversaryCertificate | None"):
-        self.progress = progress
-        self.partial = certificate
-        super().__init__(
-            f"query budget exhausted at level {progress.level}, "
-            f"history {progress.history!r}, pivot {progress.pivot_tried}"
-        )
 
 
 class ContinuousMachine(Protocol):
@@ -91,13 +78,14 @@ class MeteredMachine:
 
     def query(self, prefix: str, m: int) -> int | None:
         if self.used >= self.budget:
-            raise _BudgetSignal()
+            raise _BudgetSignal("metered machine", (prefix, m))
         self.used += 1
         return self.inner.query(prefix, m)
 
 
-class _BudgetSignal(Exception):
-    pass
+class _BudgetSignal(MachineBudgetError):
+    """The metered machine's budget ran out; ``build_adversary`` turns
+    this into a ``BudgetExhausted`` with its progress."""
 
 
 @dataclass(frozen=True)
@@ -389,7 +377,7 @@ def splitter_from_free_class(
     hits = tuple((p, assignment[p]) for p in free)
     for p, b in hits:
         if int(element[p]) != b:
-            raise AssertionError(f"predicted element misses bit {b} at free point {p}")
+            raise CertificateError(f"predicted element misses bit {b} at free point {p}")
     return SplitterTrace(element, n, r, hits)
 
 

@@ -22,20 +22,16 @@ before allocating, one longer than ``_PREFIX_GUARD``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import eq, floordiv, le, ne, sub
 
+from .errors import CertificateError, PrefixBudget
 from .upsets import UPSet, almost_subset, lcm
 
 # the longest window of values (a pre-canonical prefix included) that
 # pointwise_max and _crossover build; a 10^6-value window takes about a
 # second and some 100 MB
 _PREFIX_GUARD = 2_000_000
-
-
-class PrefixBudget(RuntimeError):
-    """A window of values would exceed ``_PREFIX_GUARD``."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,9 @@ class APFunc:
 
     @property
     def slope(self) -> Fraction:
+        # the only use of fractions, which takes a few ms to import
+        from fractions import Fraction
+
         return Fraction(self.drift, len(self.base))
 
     # -- literals -----------------------------------------------------
@@ -270,7 +269,7 @@ def first_difference(f: APFunc, g: APFunc) -> int | None:
         k = next(compress(count(lo), differ), None)
         if k is not None:
             return k
-    raise AssertionError("distinct canonical forms must differ within the bound")
+    raise CertificateError("distinct canonical forms must differ within the bound")
 
 
 def level_set(f: APFunc, v: int) -> UPSet:

@@ -49,11 +49,8 @@ from math import isqrt
 from typing import Sequence
 
 from .apfuncs import APFunc, first_difference
+from .errors import CertificateError, EnumerationBudget
 from .upsets import UPSet
-
-
-class EnumerationBudget(RuntimeError):
-    """An enumeration would exceed its size guard."""
 
 
 # -- pairing and tuple coding ------------------------------------------
@@ -509,7 +506,7 @@ def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
     for x in elements:
         for f in fs:
             if not image_contains(f, x):
-                raise AssertionError(f"witness {x} is not in the image of {f.literal()}")
+                raise CertificateError(f"witness {x} is not in the image of {f.literal()}")
     return CommonWitnesses(n, tuple(tuples), elements)
 
 

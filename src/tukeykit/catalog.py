@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from . import branchmap
 from .apfuncs import (
     APFunc,
     IDENTITY,
@@ -28,6 +27,8 @@ from .apfuncs import (
     next_element_func,
     pointwise_max,
 )
+from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
+from .errors import CertificateError
 from .splitorder import SplitSpec, bt_edge, column_sizes
 from .triples import (
     CodedTriple,
@@ -146,20 +147,20 @@ class GluedImage:
     func: APFunc
 
     def __contains__(self, x: int) -> bool:
-        return branchmap.image_contains(self.func, x)
+        return image_contains(self.func, x)
 
     def _infinite_trace_column(self, a: UPSet) -> int:
         d = len(a.period)
         n0 = len(a.prefix)
         for col in range(0, 2 * d + 2):
             m0 = 0
-            while branchmap.pair(col, m0) < n0:
+            while pair(col, m0) < n0:
                 m0 += 1
             if any(
-                branchmap.pair(col, m) in a for m in range(m0, m0 + 2 * d)
+                pair(col, m) in a for m in range(m0, m0 + 2 * d)
             ):
                 return col
-        raise AssertionError("every infinite periodic set has an infinite column trace")
+        raise CertificateError("every infinite periodic set has an infinite column trace")
 
     def missing_elements(self, a: UPSet, count: int) -> list[int]:
         """Concrete members of ``a`` outside this image."""
@@ -168,10 +169,10 @@ class GluedImage:
         col = self._infinite_trace_column(a)
         out: list[int] = []
         for m in range(_MISSING_SCAN):
-            x = branchmap.pair(col, m)
+            x = pair(col, m)
             if x not in a:
                 continue
-            if col == 0 or not branchmap.image_contains(self.func, x):
+            if col == 0 or not image_contains(self.func, x):
                 out.append(x)
                 if len(out) >= count:
                     return out
@@ -202,7 +203,7 @@ def _centered_check(family: list) -> bool:
     if all(isinstance(s, UPSet) for s in family):
         return is_centered(family)
     if all(isinstance(s, GluedImage) for s in family):
-        witnesses = branchmap.common_witnesses([s.func for s in family], 12)
+        witnesses = common_witnesses([s.func for s in family], 12)
         return all(x in s for s in family for x in witnesses.elements)
     raise TypeError("centeredness needs a homogeneous family")
 
@@ -578,7 +579,7 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
             (tuple(dyadic_family(4)), (EVENS,))),
         row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
         row("b", "p", "b->p glued map / trace bound",
-            branchmap.trace_bound_func, GluedImage,
+            trace_bound_func, GluedImage,
             ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3)))),
         row("r_sigma", "r", "r_sigma->r constant sequence", lambda c: (c,)),
         BuiltinMorphism("r_sigma", "r_4", sigma_unsplitting_to_n_unsplitting(4)),

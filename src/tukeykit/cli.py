@@ -2,7 +2,11 @@
 
 Exit codes: 0 success (or positive verdict), 1 negative mathematical
 verdict or certified violation, 2 usage error, 3 budget or resource
-exhaustion.
+exhaustion; ``errors`` says which error takes which code.
+
+Each handler imports what it runs from the submodules themselves, never
+through the package namespace (whose first read loads every submodule),
+so a verb loads only its own modules.
 """
 
 from __future__ import annotations
@@ -11,19 +15,8 @@ import argparse
 import json
 import shlex
 import sys
+from importlib import import_module
 
-from . import adversary as adv
-from . import branchmap, gadgets, splitorder, wire
-from .apfuncs import PrefixBudget, parse_apfunc
-from .catalog import catalog as triple_catalog
-from .catalog import vd_diagram
-from .triples import (
-    FiniteTriple,
-    MachineBudgetError,
-    MorphismCandidate,
-    SearchBoundExceeded,
-    finite_norm,
-)
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -35,7 +28,9 @@ def _emit(data) -> None:
 
 
 def cmd_catalog(args) -> int:
-    cat = triple_catalog()
+    from .catalog import catalog
+
+    cat = catalog()
     if args.format == "json":
         _emit(
             [
@@ -59,15 +54,19 @@ def cmd_catalog(args) -> int:
 
 def cmd_diagram(args) -> int:
     if args.kind == "splitting":
+        from .splitorder import order_digraph, order_digraph_dot, order_digraph_json
+
         if args.format == "dot":
-            print(splitorder.order_digraph_dot(args.limit, hasse=args.hasse))
+            print(order_digraph_dot(args.limit, hasse=args.hasse))
         elif args.format == "json":
-            _emit(splitorder.order_digraph_json(args.limit, hasse=args.hasse))
+            _emit(order_digraph_json(args.limit, hasse=args.hasse))
         else:
-            _, edges = splitorder.order_digraph(args.limit, hasse=args.hasse)
+            _, edges = order_digraph(args.limit, hasse=args.hasse)
             for a, b in edges:
                 print(f"{a} -> {b}")
         return EXIT_OK
+    from .catalog import vd_diagram
+
     d = vd_diagram(args.kind)
     if args.format == "dot":
         print(d.to_dot())
@@ -80,15 +79,17 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_edge(args) -> int:
-    verdict = splitorder.bt_edge(
-        splitorder.SplitSpec(args.n, args.m), splitorder.SplitSpec(args.n2, args.m2)
-    )
+    from .splitorder import SplitSpec, bt_edge
+
+    verdict = bt_edge(SplitSpec(args.n, args.m), SplitSpec(args.n2, args.m2))
     print(verdict.describe())
     return EXIT_OK if verdict.morphism else EXIT_NEGATIVE
 
 
 def cmd_antichain(args) -> int:
-    report = splitorder.antichain(args.top)
+    from .splitorder import antichain
+
+    report = antichain(args.top)
     for (m, m2), (fwd, back) in zip(report.pairs, report.verdicts):
         print(
             f"(2^{m},{m}) vs (2^{m2},{m2}): "
@@ -108,7 +109,9 @@ def _parse_index_set(text: str) -> list[int]:
 
 
 def cmd_embed(args) -> int:
-    verdict = splitorder.x_order(_parse_index_set(args.x), _parse_index_set(args.y))
+    from .splitorder import x_order
+
+    verdict = x_order(_parse_index_set(args.x), _parse_index_set(args.y))
     if verdict.morphism:
         print(f"morphism: {sorted(verdict.x)} contains {sorted(verdict.y)}")
         return EXIT_OK
@@ -121,8 +124,11 @@ def cmd_embed(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    from .apfuncs import parse_apfunc
+    from .branchmap import image_prefix
+
     f = parse_apfunc(args.f)
-    result = branchmap.image_prefix(f, args.N)
+    result = image_prefix(f, args.N)
     _emit(
         {
             "function": f.literal(),
@@ -135,8 +141,11 @@ def cmd_psi(args) -> int:
 
 
 def cmd_witnesses(args) -> int:
+    from .apfuncs import parse_apfunc
+    from .branchmap import common_witnesses
+
     fs = [parse_apfunc(text) for text in args.fs]
-    found = branchmap.common_witnesses(fs, args.count)
+    found = common_witnesses(fs, args.count)
     _emit(
         {
             "column": found.column,
@@ -149,9 +158,12 @@ def cmd_witnesses(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    from .apfuncs import parse_apfunc
+    from .branchmap import branch_of, exact_intersection
+
     fs = [parse_apfunc(text) for text in args.fs]
-    branches = [branchmap.branch_of(f, args.n) for f in fs]
-    result = branchmap.exact_intersection(args.n, branches)
+    branches = [branch_of(f, args.n) for f in fs]
+    result = exact_intersection(args.n, branches)
     _emit(
         {
             "column": result.column,
@@ -163,7 +175,9 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
-def _load_observations(path: str, column: int) -> list[branchmap.ColumnTuple]:
+def _load_observations(path: str, column: int) -> list:
+    from .branchmap import ColumnTuple
+
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, list):
@@ -178,13 +192,15 @@ def _load_observations(path: str, column: int) -> list[branchmap.ColumnTuple]:
             raise ValueError(
                 f"{path}: observation {i} needs 'nodes', a list of integer lists"
             )
-        observed.append(branchmap.ColumnTuple(column, tuple(tuple(n) for n in nodes)))
+        observed.append(ColumnTuple(column, tuple(tuple(n) for n in nodes)))
     return observed
 
 
 def cmd_bound(args) -> int:
+    from .branchmap import bound_from_trace
+
     observed = _load_observations(args.obs, args.column)
-    cert = branchmap.bound_from_trace(args.column, observed)
+    cert = bound_from_trace(args.column, observed)
     _emit(
         {
             "column": cert.column,
@@ -198,12 +214,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    pull = wire.subprocess_map(shlex.split(args.phi))
-    push = wire.subprocess_map(shlex.split(args.psi))
+    from .gadgets import refute_filterclass_to_unbounded, refute_pseudo_intersection_to_tower
+    from .triples import MorphismCandidate
+    from .wire import subprocess_map
+
+    pull = subprocess_map(shlex.split(args.phi))
+    push = subprocess_map(shlex.split(args.psi))
     candidate = MorphismCandidate(pull=pull, push=push, name="external candidate")
     try:
         if args.gadget == "a2b":
-            violation = gadgets.refute_filterclass_to_unbounded(candidate)
+            violation = refute_filterclass_to_unbounded(candidate)
             _emit(
                 {
                     "violation": "relation",
@@ -215,7 +235,7 @@ def cmd_refute(args) -> int:
                 }
             )
         else:
-            violation = gadgets.refute_pseudo_intersection_to_tower(candidate)
+            violation = refute_pseudo_intersection_to_tower(candidate)
             out = {"violation": violation.kind, "detail": violation.detail,
                    "verified": violation.verify()}
             if violation.kind == "family":
@@ -232,21 +252,26 @@ def cmd_refute(args) -> int:
     return EXIT_NEGATIVE  # a certified violation is the negative verdict
 
 
+# --builtin name -> the ``adversary`` factory and its arguments
 BUILTIN_MACHINES = {
-    "identity": adv.identity_machine,
-    "ones": lambda: adv.constant_machine(1),
-    "zeros": lambda: adv.constant_machine(0),
-    "flip": adv.flip_machine,
+    "identity": ("identity_machine",),
+    "ones": ("constant_machine", 1),
+    "zeros": ("constant_machine", 0),
+    "flip": ("flip_machine",),
 }
 
 
 def cmd_adversary(args) -> int:
+    adversary = import_module(".adversary", __package__)
     if args.builtin:
-        machine = BUILTIN_MACHINES[args.builtin]()
+        factory, *factory_args = BUILTIN_MACHINES[args.builtin]
+        machine = getattr(adversary, factory)(*factory_args)
     else:
-        machine = wire.subprocess_machine(shlex.split(args.machine))
+        from .wire import subprocess_machine
+
+        machine = subprocess_machine(shlex.split(args.machine))
     try:
-        cert = adv.build_adversary(machine, args.depth, args.budget)
+        cert = adversary.build_adversary(machine, args.depth, args.budget)
     finally:
         if args.machine:
             machine.process.close()
@@ -254,7 +279,9 @@ def cmd_adversary(args) -> int:
     return EXIT_OK
 
 
-def _load_finite_triple(path: str) -> tuple[FiniteTriple, object]:
+def _load_finite_triple(path: str) -> tuple:
+    from .triples import FiniteTriple
+
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -280,6 +307,8 @@ def _load_finite_triple(path: str) -> tuple[FiniteTriple, object]:
 
 
 def cmd_norm(args) -> int:
+    from .triples import finite_norm
+
     t, file_prop = _load_finite_triple(args.triple)
     value = finite_norm(t, file_prop if args.property == "from-file" else None)
     if value is None:
@@ -378,18 +407,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, OSError, adv.MachineFault) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        MachineBudgetError,
-        SearchBoundExceeded,
-        branchmap.EnumerationBudget,
-        PrefixBudget,
-        adv.BudgetExhausted,
-    ) as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except Exception as exc:
+        # imported here, so that parsing the arguments loads no other module
+        from .errors import BUDGET_ERRORS, USAGE_ERRORS
+
+        if isinstance(exc, USAGE_ERRORS):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if isinstance(exc, BUDGET_ERRORS):
+            print(f"budget: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        raise
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apfuncs import APFunc, eventually_dominates, pointwise_max
+from .errors import CertificateError, ContractBreach
 from .triples import MorphismCandidate
 from .upsets import (
     EVENS,
@@ -21,10 +22,6 @@ from .upsets import (
     intersection_of,
     is_linearly_ordered,
 )
-
-
-class ContractBreach(ValueError):
-    """A candidate map returned a value outside its declared carrier."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,9 @@ def refute_filterclass_to_unbounded(
         if (pulled & half).is_infinite:
             violation = MaxPairViolation(combined, name, half, pulled, pushed[name])
             if not violation.verify():
-                raise AssertionError("max-pair certificate failed re-verification")
+                raise CertificateError("max-pair certificate failed re-verification")
             return violation
-    raise AssertionError("an infinite set meets one half of a complementary pair")
+    raise CertificateError("an infinite set meets one half of a complementary pair")
 
 
 @dataclass(frozen=True)
@@ -164,11 +161,11 @@ def refute_pseudo_intersection_to_tower(
                 images=(ix, iy),
             )
             if not violation.verify():
-                raise AssertionError("three-sets family certificate failed re-verification")
+                raise CertificateError("three-sets family certificate failed re-verification")
             return violation
     common = intersection_of(list(images.values()))
     if not common.is_infinite:
-        raise AssertionError("a chain of infinite sets meets in an infinite set")
+        raise CertificateError("a chain of infinite sets meets in an infinite set")
     pulled = candidate.apply_pull(common)
     if not isinstance(pulled, UPSet) or not pulled.is_infinite:
         raise ContractBreach(f"pull map must produce infinite sets, got {pulled!r}")
@@ -184,9 +181,9 @@ def refute_pseudo_intersection_to_tower(
                 pulled=pulled,
             )
             if not violation.verify():
-                raise AssertionError("three-sets relation certificate failed re-verification")
+                raise CertificateError("three-sets relation certificate failed re-verification")
             return violation
-    raise AssertionError(
+    raise CertificateError(
         "an infinite set cannot be almost inside three sets with finite "
         "triple intersection"
     )

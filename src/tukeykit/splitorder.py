@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import CertificateError
 from .upsets import UPSet, splits
 
 
@@ -138,17 +139,17 @@ def antichain(top: int) -> AntichainReport:
         fwd = bt_edge(lo, hi)
         back = bt_edge(hi, lo)
         if fwd.reason != "m_increase":
-            raise AssertionError(f"({2**m},{m}) -> ({2**m2},{m2}) must fail by m increase")
+            raise CertificateError(f"({2**m},{m}) -> ({2**m2},{m2}) must fail by m increase")
         # the bound fails in the backward direction because
         # 2^(m2-m) * (m-1) >= (m2-m+1)(m-1) >= m2; both steps are
         # instances of AB >= A+B for A, B >= 2
         a_, b_ = m2 - m + 1, m - 1
         if not 2 ** (m2 - m) * (m - 1) >= a_ * b_:
-            raise AssertionError(f"2^{m2 - m} * {m - 1} < {a_} * {b_}")
+            raise CertificateError(f"2^{m2 - m} * {m - 1} < {a_} * {b_}")
         if not a_ * b_ >= a_ + b_ == m2:
-            raise AssertionError(f"{a_} * {b_} >= {a_} + {b_} == {m2} fails")
+            raise CertificateError(f"{a_} * {b_} >= {a_} + {b_} == {m2} fails")
         if not (back.reason == "bound_fails" and back.lhs >= m2):
-            raise AssertionError(f"({2**m2},{m2}) -> ({2**m},{m}) must fail the bound")
+            raise CertificateError(f"({2**m2},{m2}) -> ({2**m},{m}) must fail the bound")
         pairs.append((m, m2))
         verdicts.append((fwd, back))
     return AntichainReport(top, tuple(pairs), tuple(verdicts))

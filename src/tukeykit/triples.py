@@ -15,22 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-
-class KindMismatch(ValueError):
-    pass
-
-
-class SearchBoundExceeded(RuntimeError):
-    pass
-
-
-class MachineBudgetError(RuntimeError):
-    """A candidate map failed to answer within its budget."""
-
-    def __init__(self, role: str, value: Any):
-        self.role = role
-        self.value = value
-        super().__init__(f"{role} gave no answer on {value!r}")
+from .errors import KindMismatch, MachineBudgetError, SearchBoundExceeded
 
 
 # -- finite triples ------------------------------------------------------

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
+from .errors import CertificateError
+
 
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
@@ -160,7 +162,7 @@ class UPSet:
         for j in range(k + 1, stop):
             if j in self:
                 return j
-        raise AssertionError("unreachable for infinite sets")
+        raise CertificateError("unreachable for infinite sets")
 
     # -- boolean algebra ----------------------------------------------
 

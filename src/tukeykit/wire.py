@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .apfuncs import APFunc, parse_apfunc
-from .triples import MachineBudgetError
+from .errors import MachineBudgetError
 from .upsets import UPSet, parse_upset
 
 

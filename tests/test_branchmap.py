@@ -424,12 +424,13 @@ class TestWitnesses:
             "import sys\n"
             "import tukeykit.branchmap as bm\n"
             "from tukeykit.apfuncs import ZERO, constant\n"
+            "from tukeykit.errors import CertificateError\n"
             "if __debug__:\n"
             "    sys.exit('assertions are enabled')\n"
             f"bm.{check} = lambda *args: False\n"
             "try:\n"
             "    bm.common_witnesses([ZERO, constant(2)], 3)\n"
-            "except AssertionError as exc:\n"
+            "except CertificateError as exc:\n"
             "    print(exc)\n"
             "    sys.exit(0)\n"
             "sys.exit('membership failure went unnoticed')\n"

@@ -6,6 +6,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from tukeykit import cli, errors
+from tukeykit.adversary import PartialProgress, _BudgetSignal
 from tukeykit.cli import main
 
 PHI_CONST_EVENS = (
@@ -382,3 +384,45 @@ class TestUsageErrors:
         argv = ["adversary", "run", "--machine", "/nonexistent", "--builtin", "identity"]
         assert main(argv) == 2
         assert "not allowed with" in capsys.readouterr().err
+
+
+# Every exception class defined in the package, and the builtin ones main
+# maps, with the exit status it takes and the start of its stderr line.
+# tests/test_lint.py fails when a class defined in the package is missing.
+EXIT_STATUS = [
+    (ValueError("bad literal"), 2, "error:"),
+    (OSError("no such file"), 2, "error:"),
+    (errors.KindMismatch("carrier kinds differ"), 2, "error:"),
+    (errors.ContractBreach("value outside the carrier"), 2, "error:"),
+    (errors.MachineFault("decided answer contradicted"), 2, "error:"),
+    (errors.CertificateError("certificate failed re-verification"), 2, "error:"),
+    (errors.SearchBoundExceeded("family search bound"), 3, "budget:"),
+    (errors.MachineBudgetError("push map", "x"), 3, "budget:"),
+    (errors.BudgetExhausted(PartialProgress(1, "01", 4), None), 3, "budget:"),
+    (errors.PrefixBudget("window too long"), 3, "budget:"),
+    (errors.EnumerationBudget("size guard"), 3, "budget:"),
+    (_BudgetSignal("metered machine", ("01", 4)), 3, "budget:"),
+]
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize(
+        "exc, code, prefix", EXIT_STATUS, ids=[type(row[0]).__name__ for row in EXIT_STATUS]
+    )
+    def test_every_error_class(self, capsys, monkeypatch, exc, code, prefix):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_edge", handler)
+        assert main(["edge", "2", "1", "2", "1"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix} {exc}\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def handler(args):
+            raise KeyError("not an error the command line reports")
+
+        monkeypatch.setattr(cli, "cmd_edge", handler)
+        with pytest.raises(KeyError):
+            main(["edge", "2", "1", "2", "1"])

@@ -67,6 +67,7 @@ class TestMaxPairGadget:
         script = (
             "import sys\n"
             "from tukeykit.apfuncs import ZERO\n"
+            "from tukeykit.errors import CertificateError\n"
             "from tukeykit.gadgets import MaxPairViolation, refute_filterclass_to_unbounded\n"
             "from tukeykit.triples import MorphismCandidate\n"
             "from tukeykit.upsets import EVENS\n"
@@ -76,7 +77,7 @@ class TestMaxPairGadget:
             "cand = MorphismCandidate(pull=lambda f: EVENS, push=lambda a: ZERO)\n"
             "try:\n"
             "    refute_filterclass_to_unbounded(cand)\n"
-            "except AssertionError as exc:\n"
+            "except CertificateError as exc:\n"
             "    print(exc)\n"
             "    sys.exit(0)\n"
             "sys.exit('a certificate failing re-verification was returned')\n"

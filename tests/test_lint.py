@@ -1,10 +1,12 @@
 """Source checks that keep the package's guarantees visible to tools."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
 import tukeykit
+from test_cli import EXIT_STATUS
 
 
 def test_no_assert_statements():
@@ -19,6 +21,54 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements at {found}"
+
+
+def exception_classes() -> set[str]:
+    """``module.Class`` for every class in the package that derives, by
+    the name of a base, from a builtin exception or from another such
+    class of the package."""
+    classes = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                }
+                classes.append((f"{path.stem}.{node.name}", node.name, bases))
+    known = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qualified, name, bases in classes:
+            if qualified not in found and bases & known:
+                found.add(qualified)
+                known.add(name)
+                grew = True
+    return found
+
+
+def test_every_exception_class_has_an_exit_status():
+    # the lazy cli.main maps errors through tukeykit.errors; a new class
+    # must show in test_cli's table, which checks its status end to end
+    tabled = {
+        f"{type(exc).__module__.removeprefix('tukeykit.')}.{type(exc).__name__}"
+        for exc, *_ in EXIT_STATUS
+        if type(exc).__module__.startswith("tukeykit.")
+    }
+    defined = exception_classes()
+    assert "errors.CertificateError" in defined
+    assert defined == tabled, (
+        f"missing from tests/test_cli.py EXIT_STATUS: {sorted(defined - tabled)}; "
+        f"listed but not defined: {sorted(tabled - defined)}"
+    )
 
 
 def test_tracer_patches_resolve():
