@@ -203,9 +203,30 @@ def verify_certificate(cert: AdversaryCertificate, machine: ContinuousMachine) -
     return len(cert.facts)
 
 
-def _histories(width: int):
-    for bits in itertools.product("01", repeat=width):
-        yield "".join(bits)
+# _WORDS[n]: the words of length n, lexicographically, for n <= 8 (511
+# strings); _UP_TO[n]: the words of length at most n, shortest first and
+# then lexicographically, sharing those strings
+_WORDS = [
+    tuple(map("".join, itertools.product("01", repeat=n))) for n in range(9)
+]
+_UP_TO = list(itertools.accumulate(_WORDS))
+
+
+def _words(length: int):
+    """The words of the given length, lexicographically; longer ones
+    than the table holds are streamed, never listed."""
+    if length < len(_WORDS):
+        return _WORDS[length]
+    return map("".join, itertools.product("01", repeat=length))
+
+
+def _long_extensions(max_len: int):
+    """Every word of length at most ``max_len``, past the table's
+    lengths, shortest first and then lexicographically, streamed."""
+    longer = range(len(_WORDS), max_len + 1)
+    return itertools.chain(
+        _UP_TO[-1], itertools.chain.from_iterable(map(_words, longer))
+    )
 
 
 def build_adversary(
@@ -214,18 +235,25 @@ def build_adversary(
     """Run the level construction to the requested depth.
 
     Per level the engine dovetails over pivots; for each pivot every
-    history searches extensions in (length, lexicographic) order, with
-    the allowed extension length growing with the pivot.  The first
-    pivot where every history succeeds becomes the level's pivot, and
-    the per-history extensions (padded to a common length) become the
-    next interval and the forecasts.  Exhaustion raises with the failing
-    frontier; it is never retried silently.
+    history, in lexicographic order, takes its first extension, in
+    (length, lexicographic) order, on which the machine decides 1 at
+    the pivot, with the allowed extension length growing with the
+    pivot.  The first pivot where every history succeeds becomes the
+    level's pivot, and the per-history extensions (padded to a common
+    length) become the next interval and the forecasts.  Exhaustion
+    raises with the failing frontier; it is never retried silently.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be a natural, got {depth}")
+    if budget < 0:
+        raise ValueError(f"budget must be a natural, got {budget}")
     metered = MeteredMachine(machine, budget)
+    query = metered.query
     cuts = [0]
     pivots: list[int] = []
     tables: list[dict[str, str]] = []
     facts: list[DecidedFact] = []
+    histories = [""]
 
     def fail(level: int, history: str, pivot: int):
         partial = None
@@ -241,42 +269,46 @@ def build_adversary(
 
     for level in range(depth):
         width = cuts[-1]
-        histories = list(_histories(width))
+        if level:
+            block = width - cuts[-2]
+            histories = [h + tail for h in histories for tail in _words(block)]
         pivot = (pivots[-1] + 1) if pivots else 0
-        found: dict[str, str] | None = None
-        while found is None:
-            attempt: dict[str, str] = {}
-            try:
+        try:
+            while True:
+                # candidate extensions, shortest first and then
+                # lexicographically; a stream past the table's lengths is
+                # used up by one history, so each history starts its own.
+                # max_len >= 1: a level's first pivot is at least its
+                # width - 1, as the previous block ends at most 2 past
+                # the previous pivot
+                max_len = pivot + 2 - width
+                short = _UP_TO[max_len] if max_len < len(_UP_TO) else None
+                # exts[i] is the extension found for histories[i]
+                exts: list[str] = []
                 for history in histories:
-                    ext = _find_extension(metered, history, pivot, pivot + 2 - width)
-                    if ext is None:
-                        attempt = {}
+                    for ext in short or _long_extensions(max_len):
+                        if query(history + ext, pivot) == 1:
+                            exts.append(ext)
+                            break
+                    else:
                         break
-                    attempt[history] = ext
-                else:
-                    found = attempt
+                if len(exts) == len(histories):
                     break
-            except _BudgetSignal:
-                raise fail(level, history, pivot) from None
-            pivot += 1
-        block = max(1, max(len(v) for v in found.values()))
-        table = {}
-        for history, ext in found.items():
-            padded = ext + "0" * (block - len(ext))
-            table[history] = padded
-            try:
-                answer = metered.query(history + padded, pivot)
-            except _BudgetSignal:
-                raise fail(level, history, pivot) from None
-            if answer != 1:
-                raise MachineFault(
-                    "a decided answer did not persist under padding; the "
-                    "machine is not monotone"
-                )
-            facts.append(DecidedFact(level, history, pivot))
-        cuts.append(cuts[-1] + block)
+                pivot += 1
+            block = max(1, max(map(len, exts)))
+            padded = [ext + "0" * (block - len(ext)) for ext in exts]
+            for history, ext in zip(histories, padded):
+                if query(history + ext, pivot) != 1:
+                    raise MachineFault(
+                        "a decided answer did not persist under padding; the "
+                        "machine is not monotone"
+                    )
+                facts.append(DecidedFact(level, history, pivot))
+        except _BudgetSignal:
+            raise fail(level, history, pivot) from None
+        cuts.append(width + block)
         pivots.append(pivot)
-        tables.append(table)
+        tables.append(dict(zip(histories, padded)))
 
     return AdversaryCertificate(
         machine.name,
@@ -285,19 +317,6 @@ def build_adversary(
         tuple(facts),
         metered.used,
     )
-
-
-def _find_extension(
-    machine: MeteredMachine, stem: str, pivot: int, max_len: int
-) -> str | None:
-    """Shortest-then-lexicographically-least extension making the
-    machine decide 1 at the pivot."""
-    for length in range(max(0, max_len) + 1):
-        for bits in itertools.product("01", repeat=length):
-            ext = "".join(bits)
-            if machine.query(stem + ext, pivot) == 1:
-                return ext
-    return None
 
 
 # -- predicted families -------------------------------------------------------

@@ -347,9 +347,9 @@ def gap_func(a: UPSet) -> APFunc:
     n0 = len(a.prefix)
     d = len(a.period)
     ones = sum(a.period)
-    settled = sum(1 for k in range(n0) if k in a)
-    # members per period block is ``ones``, so this horizon covers one
-    # full gap cycle past the prefix with room to spare
-    members = a.elements_below(n0 + (settled + ones + 3) * d + 1)
+    settled = sum(a.prefix)
+    # each period block past the prefix holds ``ones`` members, so two
+    # blocks give the ones + 1 members that close one full gap cycle
+    members = a.elements_below(n0 + 2 * d)
     gaps = [b - x for x, b in zip(members, members[1:])]
     return APFunc(tuple(gaps[:settled]), tuple(gaps[settled : settled + ones]), 0)

@@ -665,8 +665,8 @@ def bound_from_trace(
     return BoundCertificate(n, tuple(observed), False, bound, len(unions))
 
 
-# the columns read, the elements scanned and the observations kept per
-# column when a set's trace is turned into a bound
+# the columns read, the bound on the codes read and the observations kept
+# per column when a set's trace is turned into a bound
 _TRACE_COLUMNS = 4
 _TRACE_SCAN = 4000
 _TRACE_OBSERVATIONS = 12
@@ -676,20 +676,25 @@ def trace_bound_func(a: UPSet) -> APFunc:
     """A concrete function bound extracted from a set's trace through
     the glued map's columns.
 
-    For each low column, the set's first few elements there are decoded
-    to observed tuples; the chain bounds they force are translated back
-    through the block coding into value bounds, combined coordinatewise,
-    and finished with a strictly growing tail.
+    For each low column, the set's first few elements there, found by
+    walking the column's codes upward, are decoded to observed tuples;
+    the chain bounds they force are translated back through the block
+    coding into value bounds, combined coordinatewise, and finished with
+    a strictly growing tail.
     """
     claims: list[list[int]] = []
     for col in range(1, _TRACE_COLUMNS + 1):
         observed = []
-        for x in a.elements_below(_TRACE_SCAN):
-            c, m = unpair(x)
-            if c == col:
+        # x = pair(col, m) grows with m, so the members come in the order
+        # a scan of the set below the bound would meet them
+        x, m = pair(col, 0), 0
+        while x < _TRACE_SCAN:
+            if x in a:
                 observed.append(tuple_at(col, m))
                 if len(observed) >= _TRACE_OBSERVATIONS:
                     break
+            m += 1
+            x += col + m + 1  # pair(col, m) - pair(col, m - 1)
         if not observed:
             continue
         cert = bound_from_trace(col, observed)

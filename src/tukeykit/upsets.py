@@ -152,7 +152,16 @@ class UPSet:
                 return
 
     def elements_below(self, n: int) -> list[int]:
-        return [k for k in range(n) if k in self]
+        """The members below ``n`` in increasing order: the prefix's, then
+        the period's offsets shifted by each repetition."""
+        start = len(self.prefix)
+        out = [k for k, bit in enumerate(self.prefix[: max(n, 0)]) if bit]
+        offsets = [i for i, bit in enumerate(self.period) if bit]
+        p = len(self.period)
+        full = start + max(n - start, 0) // p * p
+        out += [base + i for base in range(start, full, p) for i in offsets]
+        out += [full + i for i in offsets if full + i < n]
+        return out
 
     def next_element(self, k: int) -> int:
         """Least member strictly above ``k`` (set must be infinite)."""

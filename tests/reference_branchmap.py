@@ -1,7 +1,8 @@
 """Reference implementations of the glued map's codec and image reads:
-the full n^2 pairing walk, a ``ColumnTuple`` per read, and an entry
-scan of two restrictions for divergence.  The differential tests compare the library's fast
-paths against these."""
+the full n^2 pairing walk, a ``ColumnTuple`` per read, an entry scan
+of two restrictions for divergence, and a set's trace read by scanning
+every natural below the bound.  The differential tests compare the
+library's fast paths against these."""
 
 from typing import Sequence
 
@@ -10,11 +11,14 @@ from tukeykit.branchmap import (
     Branch,
     ColumnTuple,
     ImagePrefix,
+    bound_from_trace,
     branch_of,
+    decode_blocks,
     level_count,
     pair,
     unpair,
 )
+from tukeykit.upsets import UPSet
 
 
 def tuple_code(matrix: Sequence[Sequence[int]]) -> int:
@@ -111,3 +115,31 @@ def divergence_level(a: Branch, b: Branch) -> int | None:
         if x != y:
             return i + 1
     raise AssertionError("branches must separate below the computed ceiling")
+
+
+def trace_bound_func(a: UPSet) -> APFunc:
+    claims: list[list[int]] = []
+    members = [x for x in range(4000) if x in a]
+    for col in range(1, 5):
+        observed = []
+        for x in members:
+            c, m = unpair(x)
+            if c == col:
+                observed.append(tuple_at(col, m))
+                if len(observed) >= 12:
+                    break
+        if not observed:
+            continue
+        cert = bound_from_trace(col, observed)
+        if cert.empty:
+            continue
+        values = decode_blocks(col, cert.bound)
+        if values:
+            claims.append(values)
+    if not claims:
+        return APFunc((), (0,), 1)
+    dom = max(len(v) for v in claims)
+    combined = [
+        max((v[k] for v in claims if k < len(v)), default=0) for k in range(dom)
+    ]
+    return APFunc(tuple(combined), (combined[-1] + 1,), 1)

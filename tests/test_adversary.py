@@ -1,11 +1,14 @@
 import os
+import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_adversary as ref
 import tukeykit
 from tukeykit import wire
 from tukeykit.adversary import (
@@ -13,8 +16,10 @@ from tukeykit.adversary import (
     BudgetExhausted,
     _bits_of,
     DecidedFact,
+    FunctionMachine,
     IntervalPartition,
     MachineFault,
+    MeteredMachine,
     Predictor,
     build_adversary,
     constant_machine,
@@ -213,6 +218,121 @@ class TestBuildAdversary:
         )
         with pytest.raises(MachineFault):
             verify_certificate(tampered, identity_machine())
+
+
+def table_machine(seed: int, odds: int, slack: int = 3) -> FunctionMachine:
+    """A random monotone machine: at m < 40 it answers once the prefix
+    has reach(m) < m + slack bits, from a seeded table of those bits (1
+    but for about one in ``odds``), and never decides at m >= 40."""
+    rng = random.Random(seed)
+    reach = [rng.randrange(m + slack) for m in range(40)]
+
+    def rule(prefix: str, m: int) -> int | None:
+        if m >= len(reach) or len(prefix) < reach[m]:
+            return None
+        return int(zlib.crc32(f"{seed}:{m}:{prefix[: reach[m]]}".encode()) % odds != 0)
+
+    return FunctionMachine(f"table-{seed}", rule)
+
+
+# decides 1 only on prefixes ending in 1 with an odd number of ones, so
+# a decided answer does not survive zero padding
+NONMONOTONE = FunctionMachine(
+    "nonmonotone",
+    lambda prefix, m: 1
+    if m < len(prefix) and prefix.endswith("1") and prefix.count("1") % 2
+    else None,
+)
+
+
+def outcome(engine, machine, depth: int, budget: int) -> tuple:
+    """What one engine run shows: the certificate, the exhaustion or the
+    fault, with the (prefix, m) queries in the order the machine saw them."""
+    asked = []
+
+    def rule(prefix: str, m: int) -> int | None:
+        asked.append((prefix, m))
+        return machine.query(prefix, m)
+
+    recorder = FunctionMachine(machine.name, rule)
+    try:
+        cert = engine(recorder, depth, budget)
+    except BudgetExhausted as exc:
+        partial = exc.partial and (exc.partial.to_json(), exc.partial.queries_used)
+        return "budget", str(exc), exc.progress, partial, asked
+    except MachineFault as exc:
+        return "fault", str(exc), asked
+    return "certificate", cert.to_json(), cert.queries_used, asked
+
+
+class TestEngineAgainstReference:
+    """The engine's search loop against ``reference_adversary``'s one
+    search call per history."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from((2, 3, 4, 8)),
+        # past a slack of 3 a pivot can need more bits than its search
+        # allows, so the dovetail moves on to the next pivot
+        st.sampled_from((3, 6)),
+        st.integers(0, 6),
+        st.one_of(st.integers(0, 300), st.integers(300, 3000)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_monotone_machines(self, seed, odds, slack, depth, budget):
+        machine = table_machine(seed, odds, slack)
+        got = outcome(build_adversary, machine, depth, budget)
+        assert got == outcome(ref.build_adversary, machine, depth, budget)
+        assert got[0] in ("certificate", "budget")
+
+    @pytest.mark.parametrize(
+        "machine, depth, budget",
+        [
+            (identity_machine(), 7, 10**6),
+            (flip_machine(), 5, 10**6),
+            (constant_machine(1), 6, 10**6),
+            # pivots past 6 search words longer than the engine's table
+            (constant_machine(0), 1, 6000),
+            (identity_machine(), 6, 100),
+            (identity_machine(), 0, 0),
+        ],
+        ids=["identity", "flip", "ones", "zeros-long-words", "mid-level", "depth-0"],
+    )
+    def test_builtin_machines(self, machine, depth, budget):
+        got = outcome(build_adversary, machine, depth, budget)
+        assert got == outcome(ref.build_adversary, machine, depth, budget)
+
+    def test_long_words_reach_past_the_table(self):
+        # a machine that reads only the tenth bit makes the level-0
+        # search stream words of length 9 and 10
+        machine = FunctionMachine(
+            "tenth-bit", lambda prefix, m: int(prefix[9]) if len(prefix) >= 10 else None
+        )
+        got = outcome(build_adversary, machine, 1, 10**5)
+        assert got == outcome(ref.build_adversary, machine, 1, 10**5)
+        assert got[0] == "certificate" and got[1]["cuts"] == [0, 10]
+
+    def test_nonmonotone_machine_faults_in_both(self):
+        got = outcome(build_adversary, NONMONOTONE, 4, 10**6)
+        assert got == outcome(ref.build_adversary, NONMONOTONE, 4, 10**6)
+        assert got[0] == "fault"
+
+    def test_queries_used_counts_every_metered_query(self, monkeypatch):
+        calls = []
+        query = MeteredMachine.query
+
+        def counted(self, prefix, m):
+            calls.append(m)
+            return query(self, prefix, m)
+
+        monkeypatch.setattr(MeteredMachine, "query", counted)
+        cert = build_adversary(identity_machine(), 6)
+        assert len(calls) == cert.queries_used == 4 * 2**6 - 4
+
+    @pytest.mark.parametrize("depth, budget", [(-1, 10), (3, -1)])
+    def test_negative_depth_or_budget_rejected(self, depth, budget):
+        with pytest.raises(ValueError):
+            build_adversary(identity_machine(), depth, budget)
 
 
 class TestPredictedFamilies:

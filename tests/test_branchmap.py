@@ -646,7 +646,48 @@ class TestBoundFromTrace:
             trials += 1
 
 
+@st.composite
+def trace_sets(draw) -> UPSet:
+    """Sets for the trace walk: periodic ones, ones whose prefix reaches
+    past the scan bound of 4,000, and finite ones living on a few
+    columns only, so that other columns have no members."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("periodic", "long prefix", "columns")))
+    density = rng.random()
+    if kind == "columns":
+        cols = draw(st.sets(st.integers(0, 6), max_size=3))
+        return UPSet.from_finite(
+            pair(c, m)
+            for c in cols
+            for m in range(120)
+            if rng.random() < density
+        )
+    length = rng.randrange(60) if kind == "periodic" else rng.randrange(3950, 4150)
+    prefix = tuple(int(rng.random() < density) for _ in range(length))
+    period = tuple(int(rng.random() < density) for _ in range(rng.randrange(1, 40)))
+    return UPSet(prefix, period)
+
+
 class TestTraceBound:
+    @given(trace_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_column_walk_matches_the_scan(self, a):
+        assert trace_bound_func(a) == ref.trace_bound_func(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            UPSet.from_finite(range(4000, 4100)),
+            UPSet.from_finite([pair(0, m) for m in range(80)]),
+            UPSet.from_finite([pair(2, m) for m in range(0, 80, 3)]),
+            UPSet((0,) * 3999, (1,)),
+            UPSet.from_residues(7, {2, 5}),
+        ],
+        ids=["above-bound", "column-0-only", "one-column", "from-3999", "residues"],
+    )
+    def test_column_walk_edge_cases(self, a):
+        assert trace_bound_func(a) == ref.trace_bound_func(a)
+
     def test_returns_growing_function(self):
         f = trace_bound_func(UPSet.from_residues(3, {0}))
         assert f.drift >= 1

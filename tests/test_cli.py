@@ -265,6 +265,19 @@ class TestSubprocessVerbs:
         assert code == 3
         assert capsys.readouterr().err.startswith("budget:")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--depth", "-1"), ("--budget", "-1")], ids=["depth", "budget"]
+    )
+    def test_adversary_negative_depth_or_budget_is_usage_error(self, capsys, flag, value):
+        code = main(["adversary", "run", "--builtin", "identity", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_adversary_depth_zero_is_allowed(self, capsys):
+        code, out = run_cli(capsys, "adversary", "run", "--builtin", "identity", "--depth", "0")
+        assert code == 0
+        assert json.loads(out)["cuts"] == [0]
+
     def test_adversary_builtin_identity(self, capsys):
         code, out = run_cli(
             capsys, "adversary", "run", "--builtin", "identity", "--depth", "4"

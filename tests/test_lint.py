@@ -118,3 +118,9 @@ def test_apfuncs_oracle_uses_no_private_names():
     # likewise the per-index walk must not borrow the block helpers
     private = private_imports("reference_apfuncs.py")
     assert not private, f"the oracle imports private names {private}"
+
+
+def test_adversary_oracle_uses_no_private_names():
+    # the reference engine must not share the search loop's word tables
+    private = private_imports("reference_adversary.py")
+    assert not private, f"the oracle imports private names {private}"

@@ -303,6 +303,12 @@ class TestAgainstReference:
         for name, op in (("and", a.__and__), ("or", a.__or__), ("minus", a.__sub__)):
             assert fields(op(b)) == ref.combine(a, b, ref.OPS[name])
 
+    @given(wide_upsets, st.integers(-3, 200))
+    @settings(max_examples=200)
+    def test_elements_below(self, s, n):
+        # the members read off the bits against the per-integer test
+        assert s.elements_below(n) == [k for k in range(n) if k in s]
+
     def test_slice_by_index_at_large_period(self):
         rng = random.Random(7)
         b = UPSet((1, 0, 1), tuple(rng.randrange(2) for _ in range(499)))
