@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
 from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
-from .upsets import UPSet
+from .upsets import _TO_ASCII, UPSet
 
 
 @dataclass
@@ -143,8 +143,8 @@ def predicts(predictor: Predictor, c: "str | UPSet", k: int) -> bool:
 
 def _bits_of(c: "str | UPSet", length: int) -> str:
     if isinstance(c, UPSet):
-        reps = -(-max(length - len(c.prefix), 0) // len(c.period))
-        return "".join(map(str, (c.prefix + c.period * reps)[:length]))
+        reps = -(-max(length - len(c.head), 0) // len(c.word))
+        return (c.head + c.word * reps)[:length].translate(_TO_ASCII).decode()
     if len(c) < length:
         raise ValueError(f"bit string of length {len(c)} does not reach {length}")
     return c

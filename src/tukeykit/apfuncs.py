@@ -278,10 +278,10 @@ def level_set(f: APFunc, v: int) -> UPSet:
     With zero drift the block repeats verbatim; with positive drift each
     residue class hits v at most once, leaving a finite set.
     """
-    hits_prefix = [1 if x == v else 0 for x in f.prefix]
+    hits_prefix = bytes([x == v for x in f.prefix])
     n0, p = f.period_start, f.period_len
     if f.drift == 0:
-        return UPSet(tuple(hits_prefix), tuple(1 if b == v else 0 for b in f.base))
+        return UPSet(hits_prefix, bytes([b == v for b in f.base]))
     members = [k for k, bit in enumerate(hits_prefix) if bit]
     for i, b in enumerate(f.base):
         if v >= b and (v - b) % f.drift == 0:
@@ -302,8 +302,8 @@ def bit_coloring(f: APFunc, i: int) -> UPSet:
     """The 2-coloring reading bit i of each value (zero-drift only)."""
     if f.drift != 0:
         raise ValueError("bit colorings need an eventually bounded function")
-    prefix = tuple((v >> i) & 1 for v in f.prefix)
-    block = tuple((v >> i) & 1 for v in f.base)
+    prefix = bytes([(v >> i) & 1 for v in f.prefix])
+    block = bytes([(v >> i) & 1 for v in f.base])
     return UPSet(prefix, block)
 
 
@@ -329,8 +329,8 @@ def next_element_func(a: UPSet) -> APFunc:
     """
     if not a.is_infinite:
         raise ValueError("needs an infinite set")
-    n0 = len(a.prefix)
-    d = len(a.period)
+    n0 = len(a.head)
+    d = len(a.word)
     prefix = tuple(a.next_element(k) for k in range(n0))
     block = tuple(a.next_element(n0 + i) for i in range(d))
     return APFunc(prefix, block, d)
@@ -344,10 +344,10 @@ def gap_func(a: UPSet) -> APFunc:
     """
     if not a.is_infinite:
         raise ValueError("needs an infinite set")
-    n0 = len(a.prefix)
-    d = len(a.period)
-    ones = sum(a.period)
-    settled = sum(a.prefix)
+    n0 = len(a.head)
+    d = len(a.word)
+    ones = a.word.count(1)
+    settled = a.head.count(1)
     # each period block past the prefix holds ``ones`` members, so two
     # blocks give the ones + 1 members that close one full gap cycle
     members = a.elements_below(n0 + 2 * d)

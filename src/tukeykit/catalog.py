@@ -94,16 +94,16 @@ class IterateColoring:
             raise ValueError("only slope-1 iterations are eventually periodic")
         n0, p = step.period_start, step.period_len
         seen: dict[tuple[int, int], tuple[int, int]] = {}
-        bits: list[int] = []
+        bits = bytearray()
         t, j = 0, 0
         while True:
             nxt = step(t)
-            bits.extend([1 if j % 2 == 0 else 0] * (nxt - t))
+            bits += (b"\x01" if j % 2 == 0 else b"\x00") * (nxt - t)
             if t >= n0:
                 state = ((t - n0) % p, j % 2)
                 if state in seen:
                     t0, len0 = seen[state][0], t - seen[state][0]
-                    return UPSet(tuple(bits[:t0]), tuple(bits[t0 : t0 + len0]))
+                    return UPSet(bits[:t0], bits[t0 : t0 + len0])
                 seen[state] = (t, j)
             t, j = nxt, j + 1
 
@@ -150,8 +150,8 @@ class GluedImage:
         return image_contains(self.func, x)
 
     def _infinite_trace_column(self, a: UPSet) -> int:
-        d = len(a.period)
-        n0 = len(a.prefix)
+        d = len(a.word)
+        n0 = len(a.head)
         for col in range(0, 2 * d + 2):
             m0 = 0
             while pair(col, m0) < n0:

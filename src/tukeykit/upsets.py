@@ -7,29 +7,29 @@ the representation (primitive period, then shortest prefix), so two
 of the naturals.  All the usual mod-finite relations (almost inclusion,
 almost disjointness, splitting) are decided exactly on this fragment.
 
-The stored bits are tuples of 0/1 ints, but the constructor takes them
-as bytes or as a tuple and canonicalizes on bytes: the primitive root,
-then the prefix bits that the period continues backward, each found by
-a few bytes or int operations, not a walk per bit.  ``&``, ``|`` and
-``-`` read both operands over the common window (the longer prefix,
-then the lcm of the periods) as one Python int each, apply one int
-operation and hand the unpacked bytes straight to the constructor, so
-the only per-bit conversion is the final one into the stored tuples.
-The relations build no set at all: past both prefixes, offset i of a
-period p1 and offset j of a period p2 are read together infinitely
-often iff the positions they stand for agree mod gcd(p1, p2) (Chinese
-remainder theorem).  So each relation folds both periods into residue
-classes mod the gcd and costs O(p1 + p2), never the lcm.
+The stored bits are two ``bytes`` of 0/1, ``head`` (the prefix) and
+``word`` (the period), and every operation reads them directly.  The
+``prefix`` and ``period`` tuples of ints are views for callers, built on
+first read.  The constructor takes bytes or any iterable of 0/1 ints and
+canonicalizes on bytes: the primitive root, then the prefix bits that
+the period continues backward, each found by a few bytes or int
+operations, not a walk per bit.  ``&``, ``|`` and ``-`` read both
+operands over the common window (the longer prefix, then the lcm of the
+periods) as one Python int each, apply one int operation and hand the
+unpacked bytes straight to the constructor, so no bit is converted one
+at a time.  The relations build no set at all: past both prefixes,
+offset i of a period p1 and offset j of a period p2 are read together
+infinitely often iff the positions they stand for agree mod
+gcd(p1, p2) (Chinese remainder theorem).  So each relation folds both
+periods into residue classes mod the gcd and costs O(p1 + p2), never
+the lcm.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Iterator
-
-from .errors import CertificateError
 
 
 def lcm(a: int, b: int) -> int:
@@ -58,10 +58,10 @@ def _pack(bits: bytes) -> int:
 
 
 def _as_bits(bits) -> bytes:
-    """Membership bits, given as bytes or as an iterable of 0/1 ints,
-    as bytes; anything else raises ValueError."""
+    """Membership bits, given as bytes, a bytearray or an iterable of 0/1
+    ints, as bytes; anything else raises ValueError."""
     try:
-        out = bits if isinstance(bits, bytes) else bytes(tuple(bits))
+        out = bytes(bits if isinstance(bits, (bytes, bytearray)) else tuple(bits))
     except (TypeError, ValueError):  # entries that are no small ints
         out = b"\x02"
     if out.translate(None, b"\x00\x01"):
@@ -69,18 +69,27 @@ def _as_bits(bits) -> bytes:
     return out
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class UPSet:
-    """An ultimately periodic subset of omega, always in canonical form."""
+    """An ultimately periodic subset of omega, always in canonical form.
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    ``head`` and ``word`` hold the canonical prefix and period as bytes
+    of 0/1; ``prefix`` and ``period`` are the same bits as tuples of
+    ints, built on first read and kept.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        word = _as_bits(self.period)
+    __slots__ = ("head", "word", "_prefix", "_period", "_hash")
+
+    def __init__(self, prefix, period) -> None:
+        self.__post_init__(prefix, period)
+
+    def __post_init__(self, prefix, period) -> None:
+        word = _as_bits(period)
         if not word:
             raise ValueError("period must be nonempty")
-        head = _as_bits(self.prefix)
+        head = _as_bits(prefix)
         word = _primitive_root(word)
         # Absorb the trailing prefix bits that already match the period
         # run backward over the prefix; this yields the shortest possible
@@ -91,8 +100,50 @@ class UPSet:
             k = (diff & -diff).bit_length() - 1 if diff else m
             r = p - k % p
             head, word = head[: m - k], word[r:] + word[:r]
-        object.__setattr__(self, "prefix", tuple(head))
-        object.__setattr__(self, "period", tuple(word))
+        _set(self, "head", head)
+        _set(self, "word", word)
+
+    @property
+    def prefix(self) -> tuple[int, ...]:
+        try:
+            return self._prefix
+        except AttributeError:
+            _set(self, "_prefix", tuple(self.head))
+            return self._prefix
+
+    @property
+    def period(self) -> tuple[int, ...]:
+        try:
+            return self._period
+        except AttributeError:
+            _set(self, "_period", tuple(self.word))
+            return self._period
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UPSet is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UPSet is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.head, self.word))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.head == other.head and self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # the hash of the (prefix, period) tuple pair, as when they were
+        # the stored fields, so set and dict orders stay as they were
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((tuple(self.head), tuple(self.word))))
+            return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(prefix={self.prefix!r}, period={self.period!r})"
 
     # -- construction ------------------------------------------------
 
@@ -101,63 +152,66 @@ class UPSet:
         """The set of k with k mod ``modulus`` in ``residues``."""
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        rs = {r % modulus for r in residues}
-        return cls((), tuple(1 if i in rs else 0 for i in range(modulus)))
+        bits = bytearray(modulus)
+        for r in residues:
+            bits[r % modulus] = 1
+        return cls(b"", bits)
 
     @classmethod
     def from_finite(cls, members: Iterable[int]) -> "UPSet":
         ms = sorted(set(members))
         if ms and ms[0] < 0:
             raise ValueError("members must be naturals")
-        top = ms[-1] + 1 if ms else 0
-        bits = [0] * top
+        bits = bytearray(ms[-1] + 1 if ms else 0)
         for m in ms:
             bits[m] = 1
-        return cls(tuple(bits), (0,))
+        return cls(bits, b"\x00")
 
     # -- queries -----------------------------------------------------
 
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
-        if k < len(self.prefix):
-            return self.prefix[k] == 1
-        return self.period[(k - len(self.prefix)) % len(self.period)] == 1
+        head = self.head
+        if k < len(head):
+            return head[k] == 1
+        word = self.word
+        return word[(k - len(head)) % len(word)] == 1
 
     def bit(self, k: int) -> int:
         return 1 if k in self else 0
 
     @property
     def is_finite(self) -> bool:
-        return 1 not in self.period
+        return 1 not in self.word
 
     @property
     def is_infinite(self) -> bool:
-        return 1 in self.period
+        return 1 in self.word
 
     @property
     def is_cofinite(self) -> bool:
-        return 0 not in self.period
+        return 0 not in self.word
 
     @property
     def is_ic(self) -> bool:
         """Infinite and co-infinite."""
-        return 1 in self.period and 0 in self.period
+        return 1 in self.word and 0 in self.word
 
     def elements(self) -> Iterator[int]:
         for k in itertools.count():
             if k in self:
                 yield k
-            elif k >= len(self.prefix) and self.is_finite:
+            elif k >= len(self.head) and self.is_finite:
                 return
 
     def elements_below(self, n: int) -> list[int]:
         """The members below ``n`` in increasing order: the prefix's, then
         the period's offsets shifted by each repetition."""
-        start = len(self.prefix)
-        out = [k for k, bit in enumerate(self.prefix[: max(n, 0)]) if bit]
-        offsets = [i for i, bit in enumerate(self.period) if bit]
-        p = len(self.period)
+        head, word = self.head, self.word
+        start, p = len(head), len(word)
+        out = list(itertools.compress(itertools.count(), head[: max(n, 0)]))
+        offsets = list(itertools.compress(itertools.count(), word))
         full = start + max(n - start, 0) // p * p
         out += [base + i for base in range(start, full, p) for i in offsets]
         out += [full + i for i in offsets if full + i < n]
@@ -167,26 +221,34 @@ class UPSet:
         """Least member strictly above ``k`` (set must be infinite)."""
         if not self.is_infinite:
             raise ValueError("finite set has no next element eventually")
-        stop = max(k + 1, len(self.prefix)) + len(self.period) + 1
-        for j in range(k + 1, stop):
-            if j in self:
-                return j
-        raise CertificateError("unreachable for infinite sets")
+        head, word = self.head, self.word
+        j = max(k + 1, 0)
+        if j < len(head):
+            found = head.find(1, j)
+            if found >= 0:
+                return found
+            j = len(head)
+        # the next 1 of the period at or after offset r, wrapping once
+        r = (j - len(head)) % len(word)
+        found = word.find(1, r)
+        if found < 0:
+            found = word.find(1) + len(word)
+        return j + found - r
 
     # -- boolean algebra ----------------------------------------------
 
     def _window(self, width: int) -> int:
         """Membership bits over [0, width), width past the prefix, packed
         into one int: the packed period doubles until it covers the rest."""
-        tail = width - len(self.prefix)
-        word, bits = _pack(bytes(self.period)), len(self.period)
+        tail = width - len(self.head)
+        word, bits = _pack(self.word), len(self.word)
         while bits < tail:
             word, bits = (word << bits) | word, 2 * bits
-        return (_pack(bytes(self.prefix)) << tail) | (word >> (bits - tail))
+        return (_pack(self.head) << tail) | (word >> (bits - tail))
 
     def _combine(self, other: "UPSet", op) -> "UPSet":
-        m = max(len(self.prefix), len(other.prefix))
-        width = m + lcm(len(self.period), len(other.period))
+        m = max(len(self.head), len(other.head))
+        width = m + lcm(len(self.word), len(other.word))
         z = op(self._window(width), other._window(width))
         bits = format(z, f"0{width}b").encode().translate(_FROM_ASCII)
         return UPSet(bits[:m], bits[m:])
@@ -201,15 +263,13 @@ class UPSet:
         return self._combine(other, lambda a, b: a & ~b)
 
     def complement(self) -> "UPSet":
-        return UPSet(
-            bytes(self.prefix).translate(_FLIP), bytes(self.period).translate(_FLIP)
-        )
+        return UPSet(self.head.translate(_FLIP), self.word.translate(_FLIP))
 
     # -- literals -----------------------------------------------------
 
     def literal(self) -> str:
-        pre = "".join(map(str, self.prefix)) or "ε"
-        return pre + "|" + "".join(map(str, self.period))
+        text = (self.head + b"|" + self.word).translate(_TO_ASCII).decode()
+        return text if self.head else "ε" + text
 
     def __str__(self) -> str:
         return self.literal()
@@ -230,7 +290,7 @@ def parse_upset(text: str) -> UPSet:
         pre = ""
     if not per or set(pre + per) - {"0", "1"}:
         raise ValueError(f"not an UPSet literal: {text!r}")
-    return UPSet(tuple(int(c) for c in pre), tuple(int(c) for c in per))
+    return UPSet(pre.encode().translate(_FROM_ASCII), per.encode().translate(_FROM_ASCII))
 
 
 def upset_algebra(a: UPSet, b: UPSet | None, op: str) -> UPSet:
@@ -250,23 +310,26 @@ def upset_algebra(a: UPSet, b: UPSet | None, op: str) -> UPSet:
 
 def _fold(s: UPSet, g: int, bit: int) -> int:
     """Bit c is set iff s reads ``bit`` at infinitely many k = c mod g,
-    for g dividing the period: min(g, period/g) slices, no per-bit walk."""
-    word = bytes(s.period) if bit else bytes(s.period).translate(_FLIP)
-    p = len(word)
-    if g * g <= p:  # few classes: one slice per class of offsets
-        mask = sum(1 << r for r in range(g) if 1 in word[r::g])
-    else:  # few blocks: OR them, reversed so that offset r lands on bit r
-        mask = 0
-        word = word[::-1]
-        for q in range(0, p, g):
-            mask |= _pack(word[q : q + g])
-    shift = len(s.prefix) % g
-    return ((mask << shift) | (mask >> (g - shift))) & ((1 << g) - 1)
+    for g dividing the period.  The period is packed into one int,
+    reversed so that offset r lands on bit r, and its blocks of g bits
+    are ORed together by halving their number: no per-bit or per-block
+    walk."""
+    p = len(s.word)
+    x = _pack(s.word[::-1])
+    if not bit:
+        x ^= (1 << p) - 1
+    blocks = p // g
+    while blocks > 1:
+        low = blocks // 2 * g
+        x = (x >> low) | (x & ((1 << low) - 1))
+        blocks -= blocks // 2
+    shift = len(s.head) % g
+    return ((x << shift) | (x >> (g - shift))) & ((1 << g) - 1)
 
 
 def _recur_together(a: UPSet, abit: int, b: UPSet, bbit: int) -> bool:
     """Are there infinitely many k where a reads ``abit`` and b ``bbit``?"""
-    g = gcd(len(a.period), len(b.period))
+    g = gcd(len(a.word), len(b.word))
     return _fold(a, g, abit) & _fold(b, g, bbit) != 0
 
 
@@ -337,15 +400,15 @@ def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:
     """
     if t < 1 or not 0 <= j < t:
         raise ValueError("need t >= 1 and 0 <= j < t")
-    n0 = len(b.prefix)
+    n0 = len(b.head)
     # After t periods the position phase and the member count mod t
     # both return, so t periods are always a valid (possibly
     # non-primitive) period for the slice.
-    word = bytes(b.prefix) + bytes(b.period) * t
+    word = b.head + b.word * t
     bits = bytearray(len(word))
     for k in list(itertools.compress(itertools.count(), word))[j::t]:
         bits[k] = 1
-    return UPSet(bytes(bits[:n0]), bytes(bits[n0:]))
+    return UPSet(bits[:n0], bits[n0:])
 
 
 def partition_upset(b: UPSet, parts: int) -> list[UPSet]:

@@ -1,6 +1,7 @@
 """Reference implementations of the ``UPSet`` algebra: the per-bit walk
 over the lcm window, the primitive root by a scan over every length,
-the prefix absorbed one bit at a time, relations read off materialized
+the prefix absorbed one bit at a time, complements flipped bit by bit,
+literals joined from the tuples, relations read off materialized
 differences, and slices counted by membership tests.  The differential
 tests compare the library's packed and folded paths against these.
 
@@ -36,6 +37,16 @@ def combine(a: UPSet, b: UPSet, fn) -> tuple[Bits, Bits]:
     prefix = tuple(fn(a.bit(k), b.bit(k)) for k in range(m))
     period = tuple(fn(a.bit(k), b.bit(k)) for k in range(m, m + d))
     return canonical(prefix, period)
+
+
+def complement(a: UPSet) -> tuple[Bits, Bits]:
+    n0, p = len(a.prefix), len(a.period)
+    bits = tuple(1 - a.bit(k) for k in range(n0 + p))
+    return canonical(bits[:n0], bits[n0:])
+
+
+def literal(prefix: Bits, period: Bits) -> str:
+    return ("".join(map(str, prefix)) or "ε") + "|" + "".join(map(str, period))
 
 
 OPS = {

@@ -6,7 +6,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_adversary as ref
 import tukeykit
@@ -129,10 +129,11 @@ class TestPartitionAndPredictor:
         assert good.forecast("0", 1) == "1"
 
     @given(
-        st.lists(st.integers(0, 1), max_size=6).map(tuple),
+        st.lists(st.integers(0, 1), max_size=24).map(tuple),
         st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple),
         st.integers(0, 40),
     )
+    @example((1, 0, 1, 1, 0, 1, 1, 1), (0,), 3)  # a prefix longer than the read
     @settings(max_examples=150)
     def test_bits_of_a_set_match_the_per_bit_read(self, prefix, period, length):
         c = UPSet(prefix, period)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -342,3 +344,110 @@ class TestBytesConstructor:
         ):
             with pytest.raises(ValueError):
                 UPSet(prefix, period)
+
+
+class TestRepresentation:
+    """The bytes-stored set against a tuple-stored reference: what a
+    caller sees (repr, hash, equality, the tuple views, literals) is
+    what the canonical tuple pair gives."""
+
+    @given(raw_words())
+    @settings(max_examples=200)
+    def test_views_match_the_tuple_reference(self, word):
+        prefix, period = ref.canonical(*word)
+        expected_repr = f"UPSet(prefix={prefix!r}, period={period!r})"
+        for s in (UPSet(*word), UPSet(bytes(word[0]), bytes(word[1]))):
+            assert type(s.prefix) is tuple and type(s.period) is tuple
+            assert all(type(bit) is int for bit in s.prefix + s.period)
+            assert (s.prefix, s.period) == (prefix, period)
+            assert repr(s) == expected_repr
+            assert hash(s) == hash((prefix, period))
+            assert s == UPSet(prefix, period) and not s != UPSet(prefix, period)
+            assert s != (prefix, period)
+            assert s.literal() == str(s) == ref.literal(prefix, period)
+            assert pickle.loads(pickle.dumps(s)) == s
+            assert copy.copy(s) == s and copy.deepcopy(s) == s
+
+    def test_immutable(self):
+        s = UPSet((1, 0), (0, 1, 1))
+        for name in ("prefix", "period", "head", "word", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, (1,))
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert s == UPSet((1, 0), (0, 1, 1))
+
+    @given(st.sets(st.integers(0, 60), max_size=12), st.integers(1, 12), st.data())
+    @settings(max_examples=100)
+    def test_residue_and_finite_constructors(self, members, modulus, data):
+        residues = data.draw(st.sets(st.integers(-30, 30), max_size=6))
+        top = max(members, default=-1) + 1
+        assert fields(UPSet.from_finite(members)) == ref.canonical(
+            tuple(int(k in members) for k in range(top)), (0,)
+        )
+        rs = {r % modulus for r in residues}
+        assert fields(UPSet.from_residues(modulus, residues)) == ref.canonical(
+            (), tuple(int(i in rs) for i in range(modulus))
+        )
+
+    @given(wide_upsets, st.integers(-3, 120))
+    @settings(max_examples=200)
+    def test_next_element(self, s, k):
+        if not s.is_infinite:
+            with pytest.raises(ValueError):
+                s.next_element(k)
+            return
+        assert s.next_element(k) == next(j for j in itertools.count(k + 1) if j in s)
+
+
+# Pairwise coprime periods, so that results carry lcm periods up to a
+# few thousand; the third operand's period shares factors with them.
+CHAIN_PERIODS = (7, 9, 11, 13, 37, 40)
+THIRD_PERIODS = (4, 5, 6, 21, 26)
+
+
+class TestChainedOperations:
+    """Results of results: sets that the constructor only ever saw as
+    bytes from another operation, against the per-bit reference."""
+
+    @given(
+        st.sampled_from(list(itertools.combinations(CHAIN_PERIODS, 2))),
+        st.sampled_from(THIRD_PERIODS),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chains(self, periods, third, seed):
+        rng = random.Random(seed)
+
+        def draw(period):
+            return UPSet(
+                tuple(rng.randrange(2) for _ in range(rng.randrange(8))),
+                tuple(rng.randrange(2) for _ in range(period)),
+            )
+
+        a, b = (draw(p) for p in periods)
+        c = draw(third)
+        union = a | b
+        assert fields(union) == ref.combine(a, b, ref.OPS["or"])
+        combined = union - c
+        assert fields(combined) == ref.combine(
+            UPSet(*fields(union)), c, ref.OPS["minus"]
+        )
+        meet = (a & c) | (b - c)
+        assert fields(meet) == ref.combine(
+            UPSet(*ref.combine(a, c, ref.OPS["and"])),
+            UPSet(*ref.combine(b, c, ref.OPS["minus"])),
+            ref.OPS["or"],
+        )
+        flipped = combined.complement()
+        assert fields(flipped) == ref.complement(combined)
+        assert fields(flipped.complement()) == fields(combined)
+        for x, y in ((union, combined), (combined, union), (meet, flipped), (union, meet)):
+            assert almost_subset(x, y) == ref.almost_subset(x, y)
+            assert almost_disjoint(x, y) == ref.almost_disjoint(x, y)
+            if y.is_infinite:
+                assert splits(x, y) == ref.splits(x, y)
+        for s in (union, combined, meet):
+            t = rng.randrange(1, 4)
+            j = rng.randrange(t)
+            assert fields(slice_by_index(s, t, j)) == ref.slice_by_index(s, t, j)
