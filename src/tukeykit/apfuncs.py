@@ -289,15 +289,6 @@ def level_set(f: APFunc, v: int) -> UPSet:
     return UPSet.from_finite(members)
 
 
-def value_parity_set(f: APFunc) -> UPSet:
-    """The set {k : f(k) is odd}; periodic because parity cycles with
-    period at most 2 in the pass count."""
-    n0, p = f.period_start, f.period_len
-    width = p if f.drift % 2 == 0 else 2 * p
-    bits = bytes([v & 1 for v in f.window(0, n0 + width)])
-    return UPSet(bits[:n0], bits[n0:])
-
-
 def bit_coloring(f: APFunc, i: int) -> UPSet:
     """The 2-coloring reading bit i of each value (zero-drift only)."""
     if f.drift != 0:
@@ -334,22 +325,3 @@ def next_element_func(a: UPSet) -> APFunc:
     prefix = tuple(a.next_element(k) for k in range(n0))
     block = tuple(a.next_element(n0 + i) for i in range(d))
     return APFunc(prefix, block, d)
-
-
-def gap_func(a: UPSet) -> APFunc:
-    """k -> gap between the k-th and (k+1)-th member of ``a``.
-
-    Gaps repeat once the enumeration enters the periodic region, so the
-    sequence is eventually periodic with zero drift.
-    """
-    if not a.is_infinite:
-        raise ValueError("needs an infinite set")
-    n0 = len(a.head)
-    d = len(a.word)
-    ones = a.word.count(1)
-    settled = a.head.count(1)
-    # each period block past the prefix holds ``ones`` members, so two
-    # blocks give the ones + 1 members that close one full gap cycle
-    members = a.elements_below(n0 + 2 * d)
-    gaps = [b - x for x, b in zip(members, members[1:])]
-    return APFunc(tuple(gaps[:settled]), tuple(gaps[settled : settled + ones]), 0)

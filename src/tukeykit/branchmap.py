@@ -314,19 +314,6 @@ def _tuples_carrying(n: int, r: tuple[int, ...], level: int):
                 yield from itertools.product(*slot_pools)
 
 
-def column_level_set(n: int, branch: Branch, level: int) -> list[ColumnTuple]:
-    """All admissible tuples at one level having the branch restriction
-    among their components, in ``tuple_index`` order.  Raises
-    ``EnumerationBudget`` past 2^24 tails per level."""
-    if level <= n:
-        raise ValueError("levels start above the column index")
-    r = branch.restrict(level)
-    return sorted(
-        (ColumnTuple(n, nodes) for nodes in _tuples_carrying(n, r, level)),
-        key=tuple_index,
-    )
-
-
 def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """A node's first n entries, and its bits past n read as a binary
     word (first bit most significant, as in the tails of ``tuple_index``)."""

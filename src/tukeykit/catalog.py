@@ -28,7 +28,7 @@ from .apfuncs import (
     pointwise_max,
 )
 from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
-from .errors import CertificateError
+from .errors import CertificateError, EnumerationBudget
 from .splitorder import SplitSpec, bt_edge, column_sizes
 from .triples import (
     CodedTriple,
@@ -63,8 +63,9 @@ class IterateColoring:
 
     With slope above 1 the blocks outgrow every fixed gap bound, so the
     coloring splits every infinite ultimately periodic set; with slope
-    exactly 1 the block pattern is eventually periodic and the coloring
-    converts to an exact ``UPSet``.
+    exactly 1 the block pattern is eventually periodic and ``as_upset``
+    converts the coloring to an exact ``UPSet``.  ``splits_upset`` decides
+    both cases; nothing reads a coloring position by position.
     """
 
     g: APFunc
@@ -72,20 +73,6 @@ class IterateColoring:
     @property
     def step(self) -> APFunc:
         return pointwise_max(self.g, APFunc((), (1,), 1))
-
-    def boundaries(self, count: int) -> list[int]:
-        step = self.step
-        ts = [0]
-        while len(ts) <= count:
-            ts.append(step(ts[-1]))
-        return ts
-
-    def bit(self, k: int) -> int:
-        step = self.step
-        t, j = 0, 0
-        while step(t) <= k:
-            t, j = step(t), j + 1
-        return 1 if j % 2 == 0 else 0
 
     def as_upset(self) -> UPSet:
         """Exact conversion, available when the step has slope 1."""
@@ -163,7 +150,8 @@ class GluedImage:
         raise CertificateError("every infinite periodic set has an infinite column trace")
 
     def missing_elements(self, a: UPSet, count: int) -> list[int]:
-        """Concrete members of ``a`` outside this image."""
+        """Concrete members of ``a`` outside this image; fewer than
+        ``count`` within ``_MISSING_SCAN`` positions is an ``EnumerationBudget``."""
         if not a.is_infinite:
             raise ValueError("need an infinite set")
         col = self._infinite_trace_column(a)
@@ -176,7 +164,7 @@ class GluedImage:
                 out.append(x)
                 if len(out) >= count:
                     return out
-        raise RuntimeError(
+        raise EnumerationBudget(
             f"could not exhibit {count} missing elements within the scan window"
         )
 
@@ -553,7 +541,8 @@ class BuiltinMorphism:
 
 def builtin_morphisms() -> list[BuiltinMorphism]:
     """One candidate per positive edge; a row given by its maps takes
-    its kinds from the two catalog triples it connects."""
+    its kinds from the two catalog triples it connects.  The rows between
+    two Borel diagram nodes are that diagram's positive edges, in order."""
     cat = catalog()
 
     def row(source, target, name, pull, push=_same, families=()) -> BuiltinMorphism:
@@ -564,23 +553,23 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
         return BuiltinMorphism(source, target, candidate, families)
 
     return [
-        row("u", "r", "u->r identity", _as_infinite, families=(CHAIN_FAMILY,)),
         # the pull map must choose something for finite and cofinite
         # colorings; any infinite co-infinite set works there
         row("i", "r", "i->r identity", _as_ic),
+        row("u", "r", "u->r identity", _as_infinite, families=(CHAIN_FAMILY,)),
+        row("d", "s", "d->s next-element / block coloring",
+            _next_element_plus_one, IterateColoring),
         # +1 realizes "dominating families are unbounded": if x+1 is
         # eventually below y then x cannot eventually sit above y
         row("d", "b", "d->b successor", plus_one),
-        row("d", "s", "d->s next-element / block coloring",
-            _next_element_plus_one, IterateColoring),
         # the dual of d->s: the two maps swap sides
         row("r", "b", "r->b dual of d->s", IterateColoring, _next_element_plus_one),
-        row("a", "p", "a->p complement", _as_ic, UPSet.complement,
-            (tuple(dyadic_family(4)), (EVENS,))),
-        row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
         row("b", "p", "b->p glued map / trace bound",
             trace_bound_func, GluedImage,
             ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3)))),
+        row("a", "p", "a->p complement", _as_ic, UPSet.complement,
+            (tuple(dyadic_family(4)), (EVENS,))),
+        row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
         row("r_sigma", "r", "r_sigma->r constant sequence", lambda c: (c,)),
         BuiltinMorphism("r_sigma", "r_4", sigma_unsplitting_to_n_unsplitting(4)),
         BuiltinMorphism("r_4", "r_3", n_unsplitting_inclusion(4, 3)),
@@ -621,13 +610,6 @@ class Diagram:
     kind: str
     nodes: tuple[str, ...]
     edges: tuple[EdgeRecord, ...]
-
-    def positive_edges(self) -> set[tuple[str, str]]:
-        return {
-            (e.source, e.target)
-            for e in self.edges
-            if e.verdict in ("BT-morphism", "zfc-inequality")
-        }
 
     def to_json(self) -> dict:
         return {
@@ -670,17 +652,6 @@ CLASSICAL_EDGES: tuple[tuple[str, str], ...] = (
     ("a", "b"),
     ("s", "p"),
     ("b", "p"),
-)
-
-BOREL_POSITIVE_EDGES: tuple[tuple[str, str], ...] = (
-    ("i", "r"),
-    ("u", "r"),
-    ("d", "s"),
-    ("d", "b"),
-    ("r", "b"),
-    ("b", "p"),
-    ("a", "p"),
-    ("t", "p"),
 )
 
 # Edges of the classical picture that fail definably, plus the open and
@@ -742,15 +713,12 @@ def vd_diagram(kind: str) -> Diagram:
         return Diagram("classical", nodes, edges)
     if kind == "borel":
         nodes = ("i", "u", "d", "r", "a", "s", "b", "p", "t")
-        by_edge = {(b.source, b.target): b for b in builtin_morphisms()}
         positives = tuple(
             EdgeRecord(
-                s,
-                t,
-                "BT-morphism",
-                f"built-in candidate: {by_edge[(s, t)].candidate.name}",
+                b.source, b.target, "BT-morphism", f"built-in candidate: {b.candidate.name}"
             )
-            for s, t in BOREL_POSITIVE_EDGES
+            for b in builtin_morphisms()
+            if b.source in nodes and b.target in nodes
         )
         negatives = tuple(
             e for e in BOREL_NEGATIVE_EDGES if e.source in nodes and e.target in nodes

@@ -45,36 +45,28 @@ class MaxPairViolation:
         return meets and dominates
 
 
-def refute_filterclass_to_unbounded(
-    candidate: MorphismCandidate,
-    *,
-    halves: tuple[tuple[str, UPSet], tuple[str, UPSet]] = (("O", ODDS), ("E", EVENS)),
-) -> MaxPairViolation:
+def refute_filterclass_to_unbounded(candidate: MorphismCandidate) -> MaxPairViolation:
     """Defeat any candidate from a filter-style inclusion triple to the
     unbounded triple.
 
     The pull map takes functions to sets, the push map takes sets to
-    functions.  Pushing both halves of a complementary pair and taking
-    the pointwise maximum yields one function dominating both pushed
-    values; whichever half the pulled set meets infinitely gives the
-    violation.
+    functions.  Pushing both halves of the complementary pair (O, E) of
+    odd and even numbers and taking the pointwise maximum yields one
+    function dominating both pushed values; whichever half the pulled
+    set meets infinitely gives the violation.
     """
-    (name_a, set_a), (name_b, set_b) = halves
-    if not (set_a | set_b).is_cofinite or not (set_a & set_b).is_finite:
-        raise ValueError("the gadget needs an almost complementary pair")
-    if not set_a.is_infinite or not set_b.is_infinite:
-        raise ValueError("both halves must be infinite")
-    pushed = {name_a: candidate.apply_push(set_a), name_b: candidate.apply_push(set_b)}
+    halves = (("O", ODDS), ("E", EVENS))
+    pushed = {name: candidate.apply_push(half) for name, half in halves}
     for name, val in pushed.items():
         if not isinstance(val, APFunc):
             raise ContractBreach(f"push map must produce functions, got {val!r} on {name}")
-    combined = pointwise_max(pushed[name_a], pushed[name_b])
+    combined = pointwise_max(pushed["O"], pushed["E"])
     pulled = candidate.apply_pull(combined)
     if not isinstance(pulled, UPSet):
         raise ContractBreach(f"pull map must produce sets, got {pulled!r}")
     if pulled.is_finite:
         raise ContractBreach("pull map must land in infinite co-infinite sets")
-    for name, half in ((name_a, set_a), (name_b, set_b)):
+    for name, half in halves:
         if (pulled & half).is_infinite:
             violation = MaxPairViolation(combined, name, half, pulled, pushed[name])
             if not violation.verify():
@@ -116,18 +108,7 @@ class ThreeSetsViolation:
         )
 
 
-def _default_three_sets() -> tuple[UPSet, UPSet, UPSet]:
-    return (
-        UPSet.from_residues(3, {0, 1}),
-        UPSet.from_residues(3, {1, 2}),
-        UPSet.from_residues(3, {0, 2}),
-    )
-
-
-def refute_pseudo_intersection_to_tower(
-    candidate: MorphismCandidate,
-    sets: tuple[UPSet, UPSet, UPSet] | None = None,
-) -> ThreeSetsViolation:
+def refute_pseudo_intersection_to_tower(candidate: MorphismCandidate) -> ThreeSetsViolation:
     """Defeat any candidate from the pseudo-intersection triple to the
     tower triple.
 
@@ -135,16 +116,11 @@ def refute_pseudo_intersection_to_tower(
     intersection make the conditions collide: pairs are centered, so
     their images must be chains, so the full image intersection is an
     infinite set almost inside every image; pulling it back cannot stay
-    almost inside all three originals.
+    almost inside all three originals.  The three sets are the residue
+    pairs {0, 1}, {1, 2} and {0, 2} mod 3.
     """
-    trio = sets if sets is not None else _default_three_sets()
+    trio = tuple(UPSet.from_residues(3, r) for r in ({0, 1}, {1, 2}, {0, 2}))
     a, b, c = trio
-    if not intersection_of([a, b]).is_infinite or not intersection_of(
-        [a, c]
-    ).is_infinite or not intersection_of([b, c]).is_infinite:
-        raise ValueError("pairwise intersections must be infinite")
-    if intersection_of([a, b, c]).is_infinite:
-        raise ValueError("the triple intersection must be finite")
     images = {}
     for s in trio:
         out = candidate.apply_push(s)

@@ -44,18 +44,6 @@ class FiniteTriple:
     def holds(self, x: str, y: str) -> bool:
         return self.relation[self.minus.index(x)][self.plus.index(y)]
 
-    @classmethod
-    def from_pairs(
-        cls, minus: Sequence[str], plus: Sequence[str], pairs: set[tuple[str, str]]
-    ) -> "FiniteTriple":
-        return cls(
-            tuple(minus),
-            tuple(plus),
-            tuple(
-                tuple((x, y) in pairs for y in plus) for x in minus
-            ),
-        )
-
 
 # -- coded triples -------------------------------------------------------
 
@@ -185,27 +173,11 @@ class MorphismCandidate:
 
 
 def _apply(role: str, fn: Callable[[Any], Any], value: Any) -> Any:
-    # an OSError (say, a map executable that cannot be started) is
-    # a usage error, not a map that gave no answer
-    try:
-        out = fn(value)
-    except (MachineBudgetError, OSError):
-        raise
-    except Exception as exc:
-        raise MachineBudgetError(role, value) from exc
+    # only a map that gives no answer is a budget verdict; what it raises propagates
+    out = fn(value)
     if out is None:
         raise MachineBudgetError(role, value)
     return out
-
-
-def identity_candidate(kinds: tuple[str, str], name: str = "identity") -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda x: x,
-        push=lambda y: y,
-        source_kinds=kinds,
-        target_kinds=kinds,
-        name=name,
-    )
 
 
 def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:

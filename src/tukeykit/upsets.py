@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def lcm(a: int, b: int) -> int:
@@ -178,9 +178,6 @@ class UPSet:
         word = self.word
         return word[(k - len(head)) % len(word)] == 1
 
-    def bit(self, k: int) -> int:
-        return 1 if k in self else 0
-
     @property
     def is_finite(self) -> bool:
         return 1 not in self.word
@@ -190,32 +187,9 @@ class UPSet:
         return 1 in self.word
 
     @property
-    def is_cofinite(self) -> bool:
-        return 0 not in self.word
-
-    @property
     def is_ic(self) -> bool:
         """Infinite and co-infinite."""
         return 1 in self.word and 0 in self.word
-
-    def elements(self) -> Iterator[int]:
-        for k in itertools.count():
-            if k in self:
-                yield k
-            elif k >= len(self.head) and self.is_finite:
-                return
-
-    def elements_below(self, n: int) -> list[int]:
-        """The members below ``n`` in increasing order: the prefix's, then
-        the period's offsets shifted by each repetition."""
-        head, word = self.head, self.word
-        start, p = len(head), len(word)
-        out = list(itertools.compress(itertools.count(), head[: max(n, 0)]))
-        offsets = list(itertools.compress(itertools.count(), word))
-        full = start + max(n - start, 0) // p * p
-        out += [base + i for base in range(start, full, p) for i in offsets]
-        out += [full + i for i in offsets if full + i < n]
-        return out
 
     def next_element(self, k: int) -> int:
         """Least member strictly above ``k`` (set must be infinite)."""

@@ -5,7 +5,8 @@ representation literal.  Kinds are UPSET and APFUNC with the literal
 syntaxes of the core modules.
 
 Machines: ``QUERY <prefix-bits> <m>`` answered by ``0``, ``1`` or ``U``;
-an empty prefix is sent as ``-``.
+an empty prefix is sent as ``-``.  An answer that does not parse, like
+one that never comes, is a ``MachineBudgetError``.
 """
 
 from __future__ import annotations
@@ -121,7 +122,11 @@ class SubprocessMap:
     process: LineProcess
 
     def __call__(self, value):
-        return _parse(self.process.ask(_format(value)))
+        answer = self.process.ask(_format(value))
+        try:
+            return _parse(answer)
+        except ValueError as exc:
+            raise MachineBudgetError("external map (answer does not parse)", value) from exc
 
 
 def subprocess_map(command: list[str]) -> SubprocessMap:

@@ -9,15 +9,74 @@ from tukeykit.apfuncs import (
     IDENTITY,
     ZERO,
     constant,
-    gap_func,
     level_set,
     next_element_func,
     pointwise_max,
-    value_parity_set,
 )
 from tukeykit.branchmap import ColumnTuple, tuple_code, tuple_decode
-from tukeykit.triples import MorphismCandidate
+from tukeykit.catalog import IterateColoring
+from tukeykit.triples import FiniteTriple, MorphismCandidate
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, slice_by_index
+
+
+def value_parity_set(f: APFunc) -> UPSet:
+    """The set {k : f(k) is odd}; periodic because parity cycles with
+    period at most 2 in the pass count."""
+    n0, p = f.period_start, f.period_len
+    width = p if f.drift % 2 == 0 else 2 * p
+    bits = [v & 1 for v in f.window(0, n0 + width)]
+    return UPSet(bits[:n0], bits[n0:])
+
+
+def gap_func(a: UPSet) -> APFunc:
+    """k -> gap between the k-th and (k+1)-th member of ``a``.
+
+    Gaps repeat once the enumeration enters the periodic region, so the
+    sequence is eventually periodic with zero drift.
+    """
+    if not a.is_infinite:
+        raise ValueError("needs an infinite set")
+    n0, d = len(a.prefix), len(a.period)
+    ones = a.period.count(1)
+    settled = a.prefix.count(1)
+    # each period block past the prefix holds ``ones`` members, so two
+    # blocks give the ones + 1 members that close one full gap cycle
+    members = [k for k in range(n0 + 2 * d) if k in a]
+    gaps = [b - x for x, b in zip(members, members[1:])]
+    return APFunc(tuple(gaps[:settled]), tuple(gaps[settled : settled + ones]), 0)
+
+
+def coloring_boundaries(c: IterateColoring, count: int) -> list[int]:
+    """The first ``count`` + 1 block boundaries t_0 = 0, t_1, ... of the
+    coloring."""
+    step = c.step
+    ts = [0]
+    while len(ts) <= count:
+        ts.append(step(ts[-1]))
+    return ts
+
+
+def coloring_bit(c: IterateColoring, k: int) -> int:
+    """The colour of position ``k``: 1 on the even-numbered blocks,
+    found by walking the blocks one at a time."""
+    step = c.step
+    t, j = 0, 0
+    while step(t) <= k:
+        t, j = step(t), j + 1
+    return 1 if j % 2 == 0 else 0
+
+
+def finite_triple(minus, plus, pairs: set[tuple[str, str]]) -> FiniteTriple:
+    """The finite triple relating exactly the given label pairs."""
+    return FiniteTriple(
+        tuple(minus), tuple(plus), tuple(tuple((x, y) in pairs for y in plus) for x in minus)
+    )
+
+
+def identity_candidate(kinds: tuple[str, str], name: str = "identity") -> MorphismCandidate:
+    return MorphismCandidate(
+        pull=lambda x: x, push=lambda y: y, source_kinds=kinds, target_kinds=kinds, name=name
+    )
 
 
 def naive_level_tuples(n: int, level: int) -> list[ColumnTuple]:

@@ -34,14 +34,14 @@ def canonical(prefix: Bits, period: Bits) -> tuple[Bits, Bits]:
 def combine(a: UPSet, b: UPSet, fn) -> tuple[Bits, Bits]:
     m = max(len(a.prefix), len(b.prefix))
     d = lcm(len(a.period), len(b.period))
-    prefix = tuple(fn(a.bit(k), b.bit(k)) for k in range(m))
-    period = tuple(fn(a.bit(k), b.bit(k)) for k in range(m, m + d))
+    prefix = tuple(fn(int(k in a), int(k in b)) for k in range(m))
+    period = tuple(fn(int(k in a), int(k in b)) for k in range(m, m + d))
     return canonical(prefix, period)
 
 
 def complement(a: UPSet) -> tuple[Bits, Bits]:
     n0, p = len(a.prefix), len(a.period)
-    bits = tuple(1 - a.bit(k) for k in range(n0 + p))
+    bits = tuple(int(k not in a) for k in range(n0 + p))
     return canonical(bits[:n0], bits[n0:])
 
 

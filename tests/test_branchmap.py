@@ -15,9 +15,9 @@ from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.branchmap import (
     ColumnTuple,
     EnumerationBudget,
+    _tuples_carrying,
     bound_from_trace,
     branch_of,
-    column_level_set,
     common_witnesses,
     divergence_level,
     empty_columns_certificate,
@@ -191,6 +191,13 @@ class TestTupleEnumeration:
             ts = naive_level_tuples(n, n + 1) + naive_level_tuples(n, n + 2)
             indices = sorted(tuple_index(t) for t in ts)
             assert indices == list(range(len(ts)))
+
+
+def column_level_set(n, branch, level):
+    """The admissible tuples at one level carrying the branch's
+    restriction, in ``tuple_index`` order."""
+    nodes = _tuples_carrying(n, branch.restrict(level), level)
+    return sorted((ColumnTuple(n, t) for t in nodes), key=tuple_index)
 
 
 class TestColumnLevelSets:

@@ -6,7 +6,6 @@ from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.catalog import (
     AD_INFINITE,
     APFUNC,
-    BOREL_POSITIVE_EDGES,
     CLASSICAL_EDGES,
     CENTERED,
     COLORING,
@@ -28,8 +27,11 @@ from tukeykit.catalog import (
     upset_tuple_kind,
     vd_diagram,
 )
+from tukeykit.errors import EnumerationBudget
 from tukeykit.triples import KindMismatch, MorphismCandidate, check_morphism, compose
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
+
+from helpers import coloring_bit, coloring_boundaries
 
 
 class TestCatalogRelations:
@@ -138,11 +140,11 @@ class TestIterateColoring:
 
     def test_block_structure(self):
         c = IterateColoring(APFunc((), (2,), 2))  # step 2k beyond 0
-        ts = c.boundaries(5)
+        ts = coloring_boundaries(c, 5)
         assert ts[0] == 0 and all(a < b for a, b in zip(ts, ts[1:]))
         for j in range(4):
             for k in range(ts[j], ts[j + 1]):
-                assert c.bit(k) == (1 if j % 2 == 0 else 0)
+                assert coloring_bit(c, k) == (1 if j % 2 == 0 else 0)
 
     def test_splits_matches_bits_for_growing_blocks(self):
         c = IterateColoring(APFunc((), (0,), 2))
@@ -150,8 +152,8 @@ class TestIterateColoring:
         for a in (EVENS, ODDS, UPSet.from_residues(3, {1})):
             assert c.splits_upset(a)
             # sanity: within a window both colors really do meet the set
-            ts = c.boundaries(12)
-            hits = {c.bit(k) for k in range(ts[-1]) if k in a and k >= 20}
+            ts = coloring_boundaries(c, 12)
+            hits = {coloring_bit(c, k) for k in range(ts[-1]) if k in a and k >= 20}
             assert hits == {0, 1}
 
     def test_slope_one_exactness(self):
@@ -160,7 +162,7 @@ class TestIterateColoring:
         c = IterateColoring(g1)
         up = c.as_upset()
         for k in range(60):
-            assert (k in up) == (c.bit(k) == 1)
+            assert (k in up) == (coloring_bit(c, k) == 1)
 
     def test_splits_general_dispatch(self):
         assert splits_general(EVENS, FULL)
@@ -187,6 +189,10 @@ class TestGluedImage:
         assert len(missing) == 5
         for x in missing:
             assert x in EVENS and x not in img
+
+    def test_missing_elements_past_the_scan_is_a_budget_error(self):
+        with pytest.raises(EnumerationBudget, match="missing elements"):
+            GluedImage(IDENTITY).missing_elements(EVENS, 10**6)
 
 
 class TestBuiltinMorphisms:
@@ -296,20 +302,36 @@ class TestBuiltinMorphisms:
             nm_partition_candidate(8, 3, 16, 4)
 
 
+BOREL_POSITIVE_EDGES = [
+    ("i", "r"),
+    ("u", "r"),
+    ("d", "s"),
+    ("d", "b"),
+    ("r", "b"),
+    ("b", "p"),
+    ("a", "p"),
+    ("t", "p"),
+]
+
+
+def zfc_edges(d) -> set[tuple[str, str]]:
+    return {(e.source, e.target) for e in d.edges if e.verdict == "zfc-inequality"}
+
+
 class TestDiagram:
     def test_classical_edges(self):
         d = vd_diagram("classical")
-        assert d.positive_edges() == set(CLASSICAL_EDGES)
+        assert zfc_edges(d) == set(CLASSICAL_EDGES)
         assert len(d.nodes) == 8
 
     def test_borel_positive_edges(self):
         d = vd_diagram("borel")
-        assert {
+        assert [
             (e.source, e.target) for e in d.edges if e.verdict == "BT-morphism"
-        } == set(BOREL_POSITIVE_EDGES)
+        ] == BOREL_POSITIVE_EDGES
 
     def test_borel_vs_classical_differences(self):
-        classical = vd_diagram("classical").positive_edges()
+        classical = zfc_edges(vd_diagram("classical"))
         borel = {
             (e.source, e.target)
             for e in vd_diagram("borel").edges
@@ -333,9 +355,11 @@ class TestDiagram:
             assert verdicts[(y, x)] == "no-BT-morphism"
 
     def test_every_positive_edge_has_builtin(self):
-        by_edge = {(b.source, b.target) for b in builtin_morphisms()}
-        for edge in BOREL_POSITIVE_EDGES:
-            assert edge in by_edge
+        by_edge = {(b.source, b.target): b for b in builtin_morphisms()}
+        for e in vd_diagram("borel").edges:
+            if e.verdict == "BT-morphism":
+                name = by_edge[(e.source, e.target)].candidate.name
+                assert e.provenance == f"built-in candidate: {name}"
 
     def test_json_shape(self):
         d = vd_diagram("borel")

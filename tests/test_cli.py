@@ -20,6 +20,11 @@ PSI_CONST_ZERO = (
     "for line in sys.stdin:\n"
     "    print(';0;0'); sys.stdout.flush()\n"
 )
+GARBAGE_MAP = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print('garbage'); sys.stdout.flush()\n"
+)
 IDENTITY_MACHINE = (
     "import sys\n"
     "for line in sys.stdin:\n"
@@ -231,6 +236,15 @@ class TestSubprocessVerbs:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("budget: pointwise_max needs a window of")
+
+    def test_refute_garbage_answer_is_a_budget_error(self, capsys, tmp_path):
+        script = tmp_path / "garbage.py"
+        script.write_text(GARBAGE_MAP)
+        child = f"{sys.executable} {script}"
+        code = main(["refute", "a2b", "--phi", child, "--psi", child])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget: external map (answer does not parse) gave no answer")
 
     def test_adversary_external_machine(self, capsys, tmp_path):
         script = tmp_path / "machine.py"

@@ -13,7 +13,7 @@ from tukeykit.gadgets import (
     refute_pseudo_intersection_to_tower,
 )
 from tukeykit.triples import MorphismCandidate
-from tukeykit.upsets import EVENS, ODDS, UPSet, almost_subset
+from tukeykit.upsets import EVENS, UPSet, almost_subset
 
 from helpers import scripted_max_pair_candidates, scripted_three_sets_candidates
 
@@ -46,22 +46,6 @@ class TestMaxPairGadget:
         )
         with pytest.raises(ContractBreach):
             refute_filterclass_to_unbounded(cand)
-
-    def test_custom_halves_must_be_complementary(self):
-        cand = scripted_max_pair_candidates()[0]
-        with pytest.raises(ValueError):
-            refute_filterclass_to_unbounded(
-                cand, halves=(("A", EVENS), ("B", EVENS))
-            )
-
-    def test_custom_complementary_halves(self):
-        cand = scripted_max_pair_candidates()[0]
-        thirds = (
-            ("T0", UPSet.from_residues(3, {0})),
-            ("T12", UPSet.from_residues(3, {1, 2})),
-        )
-        violation = refute_filterclass_to_unbounded(cand, halves=thirds)
-        assert violation.verify()
 
     def test_reverification_survives_optimize(self):
         script = (
@@ -115,13 +99,6 @@ class TestThreeSetsGadget:
         assert v.pulled == EVENS
         assert not almost_subset(v.pulled, v.culprit)
 
-    def test_bad_custom_sets_rejected(self):
-        cand = MorphismCandidate(pull=lambda x: x, push=lambda y: y)
-        with pytest.raises(ValueError):
-            refute_pseudo_intersection_to_tower(
-                cand, sets=(EVENS, ODDS, UPSet.from_residues(4, {0}))
-            )
-
     def test_push_must_produce_infinite_sets(self):
         cand = MorphismCandidate(
             pull=lambda x: x, push=lambda y: UPSet.from_finite({3})
@@ -129,14 +106,3 @@ class TestThreeSetsGadget:
         with pytest.raises(ContractBreach):
             refute_pseudo_intersection_to_tower(cand)
 
-    def test_custom_sets(self):
-        # pairwise infinite meets, finite triple meet, over modulus 5
-        sets = (
-            UPSet.from_residues(5, {0, 1}),
-            UPSet.from_residues(5, {1, 2}),
-            UPSet.from_residues(5, {0, 2}),
-        )
-        v = refute_pseudo_intersection_to_tower(
-            MorphismCandidate(pull=lambda x: x, push=lambda y: y), sets=sets
-        )
-        assert v.verify()

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import importlib
+import re
 from pathlib import Path
 
 import tukeykit
@@ -124,3 +125,108 @@ def test_adversary_oracle_uses_no_private_names():
     # the reference engine must not share the search loop's word tables
     private = private_imports("reference_adversary.py")
     assert not private, f"the oracle imports private names {private}"
+
+
+# Definitions kept although nothing in the program reaches them, each with
+# its reason.
+REACHABILITY_ALLOWLIST = {
+    # the paper's even-partition map behind positive ``bt_edge`` verdicts;
+    # a built-in row for it would add a ``desk`` query with no golden digest
+    "catalog.nm_partition_candidate",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _reads(nodes) -> tuple[set[str], set[str]]:
+    """Names and attribute names read anywhere under ``nodes``.  A string
+    that spells a dotted name (a dispatch table entry, a tracer hook)
+    reads its first part as a name and the rest as attributes."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _DOTTED.fullmatch(node.value):
+                    first, *rest = node.value.split(".")
+                    names.add(first)
+                    attrs.update(rest)
+    return names, attrs
+
+
+def unreached(package: dict[str, ast.Module], roots: list[ast.AST]) -> list[str]:
+    """``module.name`` or ``module.Class.name`` for every top-level function
+    and method of the package that no root reaches.  Module top-level
+    code, ``cmd_*`` verbs, dunders and ``REACHABILITY_ALLOWLIST`` are roots
+    besides ``roots``.  A function is reached through any read of its
+    name, a method only through an attribute read."""
+    defs = {}  # qualified name -> (leaf, is_method, node)
+    top = list(roots)
+    for module, tree in package.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{module}.{stmt.name}"] = (stmt.name, False, stmt)
+                top += [*stmt.decorator_list, stmt.args]
+            elif isinstance(stmt, ast.ClassDef):
+                top += [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{module}.{stmt.name}.{item.name}"] = (item.name, True, item)
+                        top += [*item.decorator_list, item.args]
+                    else:
+                        top.append(item)
+            else:
+                top.append(stmt)
+    names, attrs = _reads(top)
+    pending = dict(defs)
+    grew = True
+    while grew:
+        grew = False
+        for qualified, (leaf, is_method, node) in list(pending.items()):
+            if (
+                leaf in (attrs if is_method else names | attrs)
+                or leaf.startswith("cmd_")
+                or (leaf.startswith("__") and leaf.endswith("__"))
+                or qualified in REACHABILITY_ALLOWLIST
+            ):
+                del pending[qualified]
+                more_names, more_attrs = _reads(node.body)
+                names |= more_names
+                attrs |= more_attrs
+                grew = True
+    return sorted(pending)
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    package = Path(tukeykit.__file__).resolve().parent
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def _root_trees() -> list[ast.Module]:
+    repo = Path(__file__).resolve().parents[1]
+    paths = [*sorted((repo / "perfbench").glob("*.py")), repo / "tests" / "test_acceptance.py"]
+    exports = ast.parse(repr(tukeykit.__all__))
+    return [exports, *(ast.parse(p.read_text(), filename=str(p)) for p in paths)]
+
+
+def test_every_definition_is_reached():
+    # the command line, ``tukeykit.__all__``, the benchmark and the
+    # acceptance suite are the program; a helper only unit tests call
+    # belongs in tests/helpers.py
+    dead = unreached(_package_trees(), _root_trees())
+    assert not dead, f"definitions nothing in the program reaches: {dead}"
+
+
+def test_reachability_lint_finds_an_unused_function():
+    package, roots = _package_trees(), _root_trees()
+    spare = ast.parse("def _spare_helper():\n    return 0\n").body
+    for module, tree in package.items():
+        grown = {**package, module: ast.Module(tree.body + spare, [])}
+        assert unreached(grown, roots) == [f"{module}._spare_helper"], module

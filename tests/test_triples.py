@@ -6,6 +6,7 @@ import pytest
 from tukeykit.triples import (
     FiniteTriple,
     KindMismatch,
+    MachineBudgetError,
     MorphismCandidate,
     SearchBoundExceeded,
     check_morphism,
@@ -13,9 +14,10 @@ from tukeykit.triples import (
     dual,
     dual_morphism,
     finite_norm,
-    identity_candidate,
     is_dominating,
 )
+
+from helpers import finite_triple, identity_candidate
 
 
 def all_finite_triples(max_minus: int, max_plus: int):
@@ -37,7 +39,7 @@ class TestDual:
             assert dual(dual(t)) == t
 
     def test_dual_relation(self):
-        t = FiniteTriple.from_pairs(("1", "2", "3"), ("a", "b"), {("1", "a")})
+        t = finite_triple(("1", "2", "3"), ("a", "b"), {("1", "a")})
         d = dual(t)
         assert d.minus == ("a", "b") and d.plus == ("1", "2", "3")
         for x in t.minus:
@@ -57,7 +59,7 @@ class TestDominating:
 
     def test_equality_relation(self):
         labels = ("1", "2", "3")
-        t = FiniteTriple.from_pairs(labels, labels, {(v, v) for v in labels})
+        t = finite_triple(labels, labels, {(v, v) for v in labels})
         assert not is_dominating(["1", "2"], t)
         assert is_dominating(["1", "2", "3"], t)
 
@@ -70,7 +72,7 @@ class TestFiniteNorm:
     def test_identity_needs_everything(self):
         for k in (1, 2, 3, 4):
             labels = tuple(str(i) for i in range(k))
-            t = FiniteTriple.from_pairs(labels, labels, {(v, v) for v in labels})
+            t = finite_triple(labels, labels, {(v, v) for v in labels})
             assert finite_norm(t) == k
 
     def test_no_family_is_none(self):
@@ -112,13 +114,13 @@ class TestFiniteNorm:
 
     def test_property_constrained(self):
         labels = ("1", "2", "3")
-        t = FiniteTriple.from_pairs(labels, labels, {(v, v) for v in labels})
+        t = finite_triple(labels, labels, {(v, v) for v in labels})
         assert finite_norm(t, prop=lambda fam: len(fam) != 3) is None
 
 
 class TestCheckMorphism:
     def test_identity_on_same_triple(self):
-        t = FiniteTriple.from_pairs(("1", "2"), ("a", "b"), {("1", "a"), ("2", "b")})
+        t = finite_triple(("1", "2"), ("a", "b"), {("1", "a"), ("2", "b")})
         report = check_morphism(identity_candidate(("", "")), t, t)
         assert report.consistent
 
@@ -128,6 +130,15 @@ class TestCheckMorphism:
         report = check_morphism(identity_candidate(("", "")), src, tgt)
         assert not report.consistent
         assert report.violations[0].condition == "relation"
+
+    def test_a_fault_in_an_in_process_map_propagates(self):
+        # only a map that gives no answer is a budget verdict
+        t = FiniteTriple(("x",), ("y",), ((True,),))
+        cand = MorphismCandidate(pull=lambda x: x.no_such_attribute, push=lambda y: y)
+        with pytest.raises(AttributeError):
+            check_morphism(cand, t, t)
+        with pytest.raises(MachineBudgetError):
+            check_morphism(MorphismCandidate(pull=lambda x: None, push=lambda y: y), t, t)
 
     def test_image_of_dominating_is_dominating_small_exhaustive(self):
         # whenever the relation condition holds everywhere, pushing a
