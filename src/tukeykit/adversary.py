@@ -39,13 +39,10 @@ class ContinuousMachine(Protocol):
 
 @dataclass
 class FunctionMachine:
-    """A machine computing its answers from a total bit-prefix rule."""
+    """A machine whose ``query`` is a total bit-prefix rule."""
 
     name: str
-    rule: Callable[[str, int], int | None]
-
-    def query(self, prefix: str, m: int) -> int | None:
-        return self.rule(prefix, m)
+    query: Callable[[str, int], int | None]
 
 
 def identity_machine() -> FunctionMachine:
@@ -107,9 +104,6 @@ class IntervalPartition:
     def interval(self, k: int) -> range:
         return range(self.cuts[k], self.cuts[k + 1])
 
-    def positions_of_levels(self, levels) -> list[int]:
-        return [p for k in levels for p in self.interval(k)]
-
 
 @dataclass(frozen=True)
 class Predictor:
@@ -156,16 +150,12 @@ class DecidedFact:
     history: str
     pivot: int
 
-    def prefix(self, predictor: Predictor) -> str:
-        return self.history + predictor.forecast(self.history, self.level)
-
 
 @dataclass(frozen=True)
 class AdversaryCertificate:
     machine_name: str
     predictor: Predictor
     pivots: tuple[int, ...]
-    facts: tuple[DecidedFact, ...]
     queries_used: int
 
     @property
@@ -175,6 +165,16 @@ class AdversaryCertificate:
     @property
     def depth(self) -> int:
         return self.partition.depth
+
+    @property
+    def facts(self) -> tuple[DecidedFact, ...]:
+        """The decided answers the tables record: at each level, every
+        history's cylinder decides 1 at that level's pivot."""
+        return tuple(
+            DecidedFact(level, history, pivot)
+            for level, (table, pivot) in enumerate(zip(self.predictor.tables, self.pivots))
+            for history in table
+        )
 
     def to_json(self) -> dict:
         return {
@@ -193,14 +193,17 @@ class AdversaryCertificate:
 def verify_certificate(cert: AdversaryCertificate, machine: ContinuousMachine) -> int:
     """Re-run every decided fact against a fresh machine; returns the
     number of confirmed facts and raises on any contradiction."""
-    for fact in cert.facts:
-        answer = machine.query(fact.prefix(cert.predictor), fact.pivot)
-        if answer != 1:
-            raise MachineFault(
-                f"machine answered {answer!r} at pivot {fact.pivot} on a "
-                f"recorded level-{fact.level} cylinder"
-            )
-    return len(cert.facts)
+    confirmed = 0
+    for level, (table, pivot) in enumerate(zip(cert.predictor.tables, cert.pivots)):
+        for history, block in table.items():
+            answer = machine.query(history + block, pivot)
+            if answer != 1:
+                raise MachineFault(
+                    f"machine answered {answer!r} at pivot {pivot} on a "
+                    f"recorded level-{level} cylinder"
+                )
+        confirmed += len(table)
+    return confirmed
 
 
 # _WORDS[n]: the words of length n, lexicographically, for n <= 8 (511
@@ -241,7 +244,8 @@ def build_adversary(
     pivot.  The first pivot where every history succeeds becomes the
     level's pivot, and the per-history extensions (padded to a common
     length) become the next interval and the forecasts.  Exhaustion
-    raises with the failing frontier; it is never retried silently.
+    raises with the failing frontier and the completed levels as a
+    partial certificate; it is never retried silently.
     """
     if depth < 0:
         raise ValueError(f"depth must be a natural, got {depth}")
@@ -252,20 +256,8 @@ def build_adversary(
     cuts = [0]
     pivots: list[int] = []
     tables: list[dict[str, str]] = []
-    facts: list[DecidedFact] = []
     histories = [""]
-
-    def fail(level: int, history: str, pivot: int):
-        partial = None
-        if level > 0:
-            partial = AdversaryCertificate(
-                machine.name,
-                Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
-                tuple(pivots),
-                tuple(facts),
-                metered.used,
-            )
-        return BudgetExhausted(PartialProgress(level, history, pivot), partial)
+    stop: PartialProgress | None = None
 
     for level in range(depth):
         width = cuts[-1]
@@ -303,20 +295,22 @@ def build_adversary(
                         "a decided answer did not persist under padding; the "
                         "machine is not monotone"
                     )
-                facts.append(DecidedFact(level, history, pivot))
         except _BudgetSignal:
-            raise fail(level, history, pivot) from None
+            stop = PartialProgress(level, history, pivot)
+            break
         cuts.append(width + block)
         pivots.append(pivot)
         tables.append(dict(zip(histories, padded)))
 
-    return AdversaryCertificate(
+    cert = AdversaryCertificate(
         machine.name,
         Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
         tuple(pivots),
-        tuple(facts),
         metered.used,
     )
+    if stop is not None:
+        raise BudgetExhausted(stop, cert if tables else None)
+    return cert
 
 
 # -- predicted families -------------------------------------------------------
@@ -349,13 +343,6 @@ def predicted_element(
     return out
 
 
-def free_positions(cert: AdversaryCertificate, n: int, r: int) -> list[int]:
-    """Positions in the intervals this residue class leaves free."""
-    return cert.partition.positions_of_levels(
-        k for k in range(cert.depth) if k % n != r
-    )
-
-
 @dataclass(frozen=True)
 class SplitterTrace:
     element: str
@@ -377,14 +364,19 @@ def splitter_from_free_class(
 ) -> SplitterTrace:
     """A predicted element alternating its free bits on the target, so
     both colors hit the target inside the free region."""
-    free = [p for p in free_positions(cert, n, r) if p in target]
+    free = [
+        p
+        for k in range(cert.depth)
+        if k % n != r
+        for p in cert.partition.interval(k)
+        if p in target
+    ]
     if len(free) < 2:
         raise ValueError(
             "target meets the free region fewer than twice within the "
             "constructed depth"
         )
     assignment = {p: (1 - i % 2) for i, p in enumerate(free)}
-    cuts = cert.partition.cuts
     free_bits = {}
     for k in range(cert.depth):
         if k % n == r:

@@ -97,15 +97,29 @@ def tuple_decode(code: int, n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1 or code < 0:
         raise ValueError("need n >= 1 and a natural code")
     entries = [0] * (n * n)
-    z = code
-    i = n * n - 1
-    while i > 0 and z > 1:
-        z, entries[i] = unpair(z)
-        i -= 1
-    entries[0] = z
+    for row, cols in _nonzero_rows(code, n).items():
+        for col, e in cols.items():
+            entries[row * n + col] = e
     # n references to one iterator: zip cuts n consecutive entries per row
     rows = [iter(entries)] * n
     return tuple(zip(*rows))
+
+
+def _nonzero_rows(code: int, n: int) -> dict[int, dict[int, int]]:
+    """The nonzero entries of ``tuple_decode(code, n)``, as row ->
+    column -> entry, rows in descending order."""
+    touched: dict[int, dict[int, int]] = {}
+    z = code
+    i = n * n - 1
+    while i > 0 and z > 1:
+        z, e = unpair(z)
+        if e:
+            row, col = divmod(i, n)
+            touched.setdefault(row, {})[col] = e
+        i -= 1
+    if z:
+        touched.setdefault(0, {})[0] = z
+    return touched
 
 
 # -- branches of the column trees ---------------------------------------
@@ -325,25 +339,11 @@ def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]
 
 def _slots_holding(code: int, n: int, head: tuple[int, ...]) -> list[int]:
     """Slots whose row of ``tuple_decode(code, n)`` equals ``head``,
-    read from the code's nonzero entries alone.
-
-    The fold is undone from its end as in ``tuple_decode`` and stops
-    once the remaining code is 0 or 1; only the nonzero entries are
-    kept, grouped by the row they touch.  A nonzero head can equal only
-    a touched row, and an all-zero head equals exactly the untouched
-    rows, so no n x n matrix is built.
+    read from the code's nonzero entries alone: a nonzero head can equal
+    only a touched row, and an all-zero head equals exactly the
+    untouched rows, so no n x n matrix is built.
     """
-    touched: dict[int, dict[int, int]] = {}
-    z = code
-    i = n * n - 1
-    while i > 0 and z > 1:
-        z, e = unpair(z)
-        if e:
-            row, col = divmod(i, n)
-            touched.setdefault(row, {})[col] = e
-        i -= 1
-    if z:
-        touched.setdefault(0, {})[0] = z
+    touched = _nonzero_rows(code, n)
     if any(head):
         want = {k: v for k, v in enumerate(head) if v}
         return sorted(j for j, row in touched.items() if row == want)

@@ -464,49 +464,6 @@ def _next_element_plus_one(a: UPSet) -> APFunc:
     return plus_one(next_element_func(a))
 
 
-def sigma_unsplitting_to_n_unsplitting(colors: int) -> MorphismCandidate:
-    bits = max(1, (colors - 1).bit_length())
-
-    def pull(c: APFunc) -> tuple[UPSet, ...]:
-        return tuple(bit_coloring(c, i) for i in range(bits))
-
-    return MorphismCandidate(
-        pull=pull,
-        push=_same,
-        source_kinds=(COLORING_TUPLE, UPSET),
-        target_kinds=(coloring_kind(colors), UPSET),
-        name=f"r_sigma->r_{colors} bit colorings",
-    )
-
-
-def n_unsplitting_inclusion(colors_from: int, colors_to: int) -> MorphismCandidate:
-    if colors_from < colors_to:
-        raise ValueError("inclusion goes from more colors to fewer")
-    return MorphismCandidate(
-        pull=_same,
-        push=_same,
-        source_kinds=(coloring_kind(colors_from), UPSET),
-        target_kinds=(coloring_kind(colors_to), UPSET),
-        name=f"r_{colors_from}->r_{colors_to} inclusion",
-    )
-
-
-def n_splitting_to_m_splitting(n: int, m: int) -> MorphismCandidate:
-    if m > n:
-        raise ValueError("splitting strength only drops")
-
-    def pull(xs: tuple[UPSet, ...]) -> tuple[UPSet, ...]:
-        return xs + (xs[-1],) * (n - len(xs))
-
-    return MorphismCandidate(
-        pull=pull,
-        push=_same,
-        source_kinds=(upset_tuple_kind(n), COLORING),
-        target_kinds=(upset_tuple_kind(m), COLORING),
-        name=f"s_{n}->s_{m} padding",
-    )
-
-
 def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCandidate:
     """The even-partition map behind positive verdicts in the
     (n, m)-splitting order: each incoming set is cut into almost equal
@@ -571,10 +528,15 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
             (tuple(dyadic_family(4)), (EVENS,))),
         row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
         row("r_sigma", "r", "r_sigma->r constant sequence", lambda c: (c,)),
-        BuiltinMorphism("r_sigma", "r_4", sigma_unsplitting_to_n_unsplitting(4)),
-        BuiltinMorphism("r_4", "r_3", n_unsplitting_inclusion(4, 3)),
+        # a 4-coloring's two bit colorings: each almost constant on a
+        # set makes the coloring almost constant there
+        row("r_sigma", "r_4", "r_sigma->r_4 bit colorings",
+            lambda c: (bit_coloring(c, 0), bit_coloring(c, 1))),
+        row("r_4", "r_3", "r_4->r_3 inclusion", _same),
         row("s_sigma", "s", "s_sigma->s singleton", lambda a: (a,)),
-        BuiltinMorphism("s_3", "s_2", n_splitting_to_m_splitting(3, 2)),
+        # a coloring splitting both sets of a pair splits the pair with
+        # its last set repeated
+        row("s_3", "s_2", "s_3->s_2 padding", lambda xs: xs + (xs[-1],) * (3 - len(xs))),
         row("s_finite", "s_3", "s_finite->s_3 inclusion", _same),
     ]
 

@@ -161,8 +161,9 @@ class MorphismCandidate:
 
     pull: Callable[[Any], Any]
     push: Callable[[Any], Any]
-    source_kinds: tuple[Kind | str, Kind | str] = ("", "")
-    target_kinds: tuple[Kind | str, Kind | str] = ("", "")
+    # None: the candidate declares no kinds, and composes with anything
+    source_kinds: tuple[Kind, Kind] | None = None
+    target_kinds: tuple[Kind, Kind] | None = None
     name: str = ""
 
     def apply_pull(self, x: Any) -> Any:
@@ -182,9 +183,7 @@ def _apply(role: str, fn: Callable[[Any], Any], value: Any) -> Any:
 
 def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:
     """Composite of a morphism source->mid with one mid->target."""
-    if c1.target_kinds != c2.source_kinds and all(
-        k != ("", "") for k in (c1.target_kinds, c2.source_kinds)
-    ):
+    if None not in (c1.target_kinds, c2.source_kinds) and c1.target_kinds != c2.source_kinds:
         raise KindMismatch(
             f"cannot compose: {c1.target_kinds} does not match {c2.source_kinds}"
         )
@@ -203,8 +202,8 @@ def dual_morphism(c: MorphismCandidate) -> MorphismCandidate:
     return MorphismCandidate(
         pull=c.push,
         push=c.pull,
-        source_kinds=(c.target_kinds[1], c.target_kinds[0]),
-        target_kinds=(c.source_kinds[1], c.source_kinds[0]),
+        source_kinds=None if c.target_kinds is None else c.target_kinds[::-1],
+        target_kinds=None if c.source_kinds is None else c.source_kinds[::-1],
         name=f"dual({c.name})",
     )
 

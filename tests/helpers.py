@@ -73,7 +73,7 @@ def finite_triple(minus, plus, pairs: set[tuple[str, str]]) -> FiniteTriple:
     )
 
 
-def identity_candidate(kinds: tuple[str, str], name: str = "identity") -> MorphismCandidate:
+def identity_candidate(kinds: tuple[str, str] | None = None, name: str = "identity") -> MorphismCandidate:
     return MorphismCandidate(
         pull=lambda x: x, push=lambda y: y, source_kinds=kinds, target_kinds=kinds, name=name
     )

@@ -8,7 +8,6 @@ import itertools
 from tukeykit.adversary import (
     AdversaryCertificate,
     ContinuousMachine,
-    DecidedFact,
     IntervalPartition,
     MeteredMachine,
     PartialProgress,
@@ -42,7 +41,6 @@ def build_adversary(
     cuts = [0]
     pivots: list[int] = []
     tables: list[dict[str, str]] = []
-    facts: list[DecidedFact] = []
 
     def fail(level: int, history: str, pivot: int):
         partial = None
@@ -51,7 +49,6 @@ def build_adversary(
                 machine.name,
                 Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
                 tuple(pivots),
-                tuple(facts),
                 metered.used,
             )
         return BudgetExhausted(PartialProgress(level, history, pivot), partial)
@@ -90,7 +87,6 @@ def build_adversary(
                     "a decided answer did not persist under padding; the "
                     "machine is not monotone"
                 )
-            facts.append(DecidedFact(level, history, pivot))
         cuts.append(cuts[-1] + block)
         pivots.append(pivot)
         tables.append(table)
@@ -99,6 +95,5 @@ def build_adversary(
         machine.name,
         Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
         tuple(pivots),
-        tuple(facts),
         metered.used,
     )

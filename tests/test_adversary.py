@@ -15,7 +15,6 @@ from tukeykit.adversary import (
     AdversaryCertificate,
     BudgetExhausted,
     _bits_of,
-    DecidedFact,
     FunctionMachine,
     IntervalPartition,
     MachineFault,
@@ -208,17 +207,29 @@ class TestBuildAdversary:
 
     def test_tampered_certificate_detected(self):
         cert = build_adversary(identity_machine(), 3)
-        fact = cert.facts[-1]
-        bad_fact = DecidedFact(fact.level, fact.history, fact.pivot + 1)
         tampered = AdversaryCertificate(
             cert.machine_name,
             cert.predictor,
-            cert.pivots,
-            cert.facts[:-1] + (bad_fact,),
+            cert.pivots[:-1] + (cert.pivots[-1] + 1,),
             cert.queries_used,
         )
         with pytest.raises(MachineFault):
             verify_certificate(tampered, identity_machine())
+
+    def test_partial_certificates_verify(self):
+        # a budget running out while a level is padded keeps only the
+        # completed levels, whose facts all verify
+        partials = []
+        for budget in range(1, 200):
+            try:
+                build_adversary(identity_machine(), 6, budget)
+            except BudgetExhausted as err:
+                if err.partial is not None:
+                    partials.append(err.partial)
+        assert partials
+        for partial in partials:
+            assert verify_certificate(partial, identity_machine()) == len(partial.facts)
+            assert all(f.level < partial.depth for f in partial.facts)
 
 
 def table_machine(seed: int, odds: int, slack: int = 3) -> FunctionMachine:

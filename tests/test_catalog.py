@@ -18,11 +18,8 @@ from tukeykit.catalog import (
     catalog,
     coloring_kind,
     default_probe_check,
-    n_splitting_to_m_splitting,
-    n_unsplitting_inclusion,
     nm_partition_candidate,
     nm_splitting_triple,
-    sigma_unsplitting_to_n_unsplitting,
     splits_general,
     upset_tuple_kind,
     vd_diagram,
@@ -32,6 +29,13 @@ from tukeykit.triples import KindMismatch, MorphismCandidate, check_morphism, co
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
 
 from helpers import coloring_bit, coloring_boundaries
+
+
+def builtin_candidate(source: str, target: str) -> MorphismCandidate:
+    (cand,) = (
+        e.candidate for e in builtin_morphisms() if (e.source, e.target) == (source, target)
+    )
+    return cand
 
 
 class TestCatalogRelations:
@@ -233,16 +237,14 @@ class TestBuiltinMorphisms:
         assert "sample" in AD_INFINITE.note
 
     def test_bit_extraction_example(self):
-        cand = sigma_unsplitting_to_n_unsplitting(4)
+        cand = builtin_candidate("r_sigma", "r_4")
         mod4 = APFunc((), (0, 1, 2, 3), 0)
         colorings = cand.apply_pull(mod4)
         assert colorings[0] == UPSet.from_residues(4, {1, 3})
         assert colorings[1] == UPSet.from_residues(4, {2, 3})
 
     def test_compose_sigma_chain(self):
-        chain = compose(
-            sigma_unsplitting_to_n_unsplitting(4), n_unsplitting_inclusion(4, 3)
-        )
+        chain = compose(builtin_candidate("r_sigma", "r_4"), builtin_candidate("r_4", "r_3"))
         cat = catalog()
         report = check_morphism(
             chain,
@@ -280,7 +282,7 @@ class TestBuiltinMorphisms:
             compose(by_edge[("r_4", "r_3")], by_edge[("r_4", "r_3")])
 
     def test_padding_candidate_condition(self):
-        cand = n_splitting_to_m_splitting(3, 2)
+        cand = builtin_candidate("s_3", "s_2")
         xs = (EVENS, ODDS)
         assert cand.apply_pull(xs) == (EVENS, ODDS, ODDS)
 

@@ -121,13 +121,13 @@ class TestFiniteNorm:
 class TestCheckMorphism:
     def test_identity_on_same_triple(self):
         t = finite_triple(("1", "2"), ("a", "b"), {("1", "a"), ("2", "b")})
-        report = check_morphism(identity_candidate(("", "")), t, t)
+        report = check_morphism(identity_candidate(), t, t)
         assert report.consistent
 
     def test_detects_violation(self):
         src = FiniteTriple(("x",), ("y",), ((True,),))
         tgt = FiniteTriple(("x",), ("y",), ((False,),))
-        report = check_morphism(identity_candidate(("", "")), src, tgt)
+        report = check_morphism(identity_candidate(), src, tgt)
         assert not report.consistent
         assert report.violations[0].condition == "relation"
 
@@ -181,6 +181,21 @@ class TestComposeAndDual:
         ident = identity_candidate(("k", "k"))
         d = dual_morphism(ident)
         assert d.apply_pull("v") == "v" and d.apply_push("w") == "w"
+
+    def test_undeclared_kinds_compose_with_any(self):
+        declared = identity_candidate(("k1", "k2"))
+        for a, b in ((identity_candidate(), declared), (declared, identity_candidate())):
+            c = compose(a, b)
+            assert (c.source_kinds, c.target_kinds) == (a.source_kinds, b.target_kinds)
+
+    def test_dual_swaps_declared_kinds_and_keeps_none(self):
+        cand = MorphismCandidate(
+            pull=lambda x: x, push=lambda y: y, source_kinds=("a", "b"), target_kinds=("c", "d")
+        )
+        d = dual_morphism(cand)
+        assert (d.source_kinds, d.target_kinds) == (("d", "c"), ("b", "a"))
+        undeclared = dual_morphism(identity_candidate())
+        assert undeclared.source_kinds is None and undeclared.target_kinds is None
 
     def test_dual_condition_exhaustive_small(self):
         # every morphism between small triples flips to a morphism
