@@ -44,7 +44,7 @@ _EXPORTS = {
     ),
     "upsets": (
         "EMPTY", "EVENS", "FULL", "ODDS", "UPSet", "almost_disjoint",
-        "almost_subset", "parse_upset", "splits", "upset_algebra",
+        "almost_subset", "parse_upset", "splits",
     ),
     "adversary": (
         "AdversaryCertificate", "build_adversary", "identity_machine",

@@ -98,13 +98,6 @@ class APFunc:
     def period_len(self) -> int:
         return len(self.base)
 
-    @property
-    def slope(self) -> Fraction:
-        # the only use of fractions, which takes a few ms to import
-        from fractions import Fraction
-
-        return Fraction(self.drift, len(self.base))
-
     # -- literals -----------------------------------------------------
 
     def literal(self) -> str:

@@ -59,55 +59,48 @@ from .upsets import (
 @dataclass(frozen=True)
 class IterateColoring:
     """The coloring that paints blocks [t_j, t_{j+1}) alternately, where
-    t_{j+1} = max(g(t_j), t_j + 1) iterates a function from 0.
-
-    With slope above 1 the blocks outgrow every fixed gap bound, so the
-    coloring splits every infinite ultimately periodic set; with slope
-    exactly 1 the block pattern is eventually periodic and ``as_upset``
-    converts the coloring to an exact ``UPSet``.  ``splits_upset`` decides
-    both cases; nothing reads a coloring position by position.
-    """
+    t_{j+1} = max(g(t_j), t_j + 1) iterates a function from 0, for a
+    ``g`` of slope above 1.  The blocks then outgrow every fixed gap
+    bound, so the coloring splits every infinite ultimately periodic set;
+    both colours recur forever, so it is infinite and co-infinite.  The
+    slope-1 case is periodic, and ``iterate_coloring`` gives its
+    ``UPSet``."""
 
     g: APFunc
+    is_infinite = is_ic = True
 
-    @property
-    def step(self) -> APFunc:
-        return pointwise_max(self.g, APFunc((), (1,), 1))
+    def __post_init__(self) -> None:
+        if self.g.drift <= len(self.g.base):
+            raise ValueError("a step of slope 1 gives a periodic coloring; use iterate_coloring")
 
-    def as_upset(self) -> UPSet:
-        """Exact conversion, available when the step has slope 1."""
-        step = self.step
-        if step.slope != 1:
-            raise ValueError("only slope-1 iterations are eventually periodic")
-        n0, p = step.period_start, step.period_len
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        bits = bytearray()
-        t, j = 0, 0
-        while True:
-            nxt = step(t)
-            bits += (b"\x01" if j % 2 == 0 else b"\x00") * (nxt - t)
-            if t >= n0:
-                state = ((t - n0) % p, j % 2)
-                if state in seen:
-                    t0, len0 = seen[state][0], t - seen[state][0]
-                    return UPSet(bits[:t0], bits[t0 : t0 + len0])
-                seen[state] = (t, j)
-            t, j = nxt, j + 1
 
-    def splits_upset(self, a: UPSet) -> bool:
-        """Exact splitting decision for ultimately periodic targets."""
-        if not a.is_infinite:
-            raise ValueError("splitting is only defined for infinite sets")
-        if self.step.slope == 1:
-            return splits(self.as_upset(), a)
-        # blocks strictly outgrow the target's eventual gap bound, so
-        # every late block of either color meets the target
-        return True
+def iterate_coloring(g: APFunc) -> UPSet | IterateColoring:
+    """The block coloring of ``g``: an exact ``UPSet`` when the step
+    max(g, k+1) has slope 1, an ``IterateColoring`` otherwise."""
+    if g.drift > len(g.base):
+        return IterateColoring(g)
+    step = pointwise_max(g, APFunc((), (1,), 1))
+    n0, p = step.period_start, step.period_len
+    seen: dict[tuple[int, int], int] = {}
+    bits = bytearray()
+    t, j = 0, 0
+    while True:
+        nxt = step(t)
+        bits += (b"\x01" if j % 2 == 0 else b"\x00") * (nxt - t)
+        if t >= n0:
+            state = ((t - n0) % p, j % 2)
+            if state in seen:
+                return UPSet(bits[: seen[state]], bits[seen[state] : t])
+            seen[state] = t
+        t, j = nxt, j + 1
 
 
 def splits_general(c: "UPSet | IterateColoring", a: UPSet) -> bool:
     if isinstance(c, IterateColoring):
-        return c.splits_upset(a)
+        if not a.is_infinite:
+            raise ValueError("splitting is only defined for infinite sets")
+        # late blocks of either colour are longer than the set's gaps
+        return True
     return splits(c, a)
 
 
@@ -191,8 +184,9 @@ def _centered_check(family: list) -> bool:
     if all(isinstance(s, UPSet) for s in family):
         return is_centered(family)
     if all(isinstance(s, GluedImage) for s in family):
-        witnesses = common_witnesses([s.func for s in family], 12)
-        return all(x in s for s in family for x in witnesses.elements)
+        # raises unless it finds members shared by every image
+        common_witnesses([s.func for s in family], 12)
+        return True
     raise TypeError("centeredness needs a homogeneous family")
 
 
@@ -321,13 +315,19 @@ IC = Kind(  # infinite, co-infinite subsets
 COLORING = Kind(  # 2-colorings, i.e. arbitrary subsets
     "coloring", lambda x: isinstance(x, (UPSet, IterateColoring)), COLORING_PROBES
 )
+# the minus sides that i->r, u->r and r_sigma->r pull r's colorings into
+# also hold IterateColorings
+IC_OR_COLORING = Kind("ic", lambda x: COLORING.validate(x) and x.is_ic, UPSET_PROBES)
+UPSET_OR_COLORING = Kind(
+    "upset", lambda x: COLORING.validate(x) and x.is_infinite, UPSET_PROBES
+)
 APFUNC = Kind("apfunc", lambda x: isinstance(x, APFunc), APFUNC_PROBES)
 UPSET_TUPLE = Kind(
     "upset_tuple", _is_upset_tuple, ((EVENS,), (EVENS, ODDS), UPSET_PROBES[:3])
 )
 COLORING_TUPLE = Kind(
     "coloring_tuple",
-    lambda xs: isinstance(xs, tuple) and all(isinstance(c, UPSet) for c in xs),
+    lambda xs: isinstance(xs, tuple) and all(map(COLORING.validate, xs)),
     ((EVENS,), (EVENS, UPSet.from_residues(4, {1})), (FULL,)),
 )
 
@@ -412,15 +412,15 @@ TRIPLES: tuple[CodedTriple, ...] = (
                 relation_name="is eventually dominated by"),
     CodedTriple("a", IC, IC, lambda x, y: not almost_disjoint(x, y), AD_INFINITE,
                 "meets infinitely"),
-    CodedTriple("i", IC, IC, lambda x, y: not splits(x, y), INDEPENDENCE_DERIVED,
-                "does not split"),
-    CodedTriple("u", UPSET, UPSET, lambda x, y: not splits(x, y), CENTERED,
-                "does not split"),
+    CodedTriple("i", IC_OR_COLORING, IC, lambda x, y: not splits_general(x, y),
+                INDEPENDENCE_DERIVED, "does not split"),
+    CodedTriple("u", UPSET_OR_COLORING, UPSET, lambda x, y: not splits_general(x, y),
+                CENTERED, "does not split"),
     replace(_PSEUDO_INTERSECTION, name="t", property=LINEARLY_ORDERED),
     n_unsplitting_triple(3),
     n_unsplitting_triple(4),
     CodedTriple("r_sigma", COLORING_TUPLE, UPSET,
-                lambda cs, b: all(not splits(c, b) for c in cs),
+                lambda cs, b: all(not splits_general(c, b) for c in cs),
                 relation_name="every listed coloring almost constant on"),
     n_splitting_triple(2),
     n_splitting_triple(3),
@@ -502,42 +502,40 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
     two Borel diagram nodes are that diagram's positive edges, in order."""
     cat = catalog()
 
-    def row(source, target, name, pull, push=_same, families=()) -> BuiltinMorphism:
+    def row(source, target, label, pull, push=_same, families=()) -> BuiltinMorphism:
         s, t = cat[source], cat[target]
         candidate = MorphismCandidate(
-            pull, push, (s.minus, s.plus), (t.minus, t.plus), name
+            pull, push, (s.minus, s.plus), (t.minus, t.plus), f"{source}->{target} {label}"
         )
         return BuiltinMorphism(source, target, candidate, families)
 
     return [
         # the pull map must choose something for finite and cofinite
         # colorings; any infinite co-infinite set works there
-        row("i", "r", "i->r identity", _as_ic),
-        row("u", "r", "u->r identity", _as_infinite, families=(CHAIN_FAMILY,)),
-        row("d", "s", "d->s next-element / block coloring",
-            _next_element_plus_one, IterateColoring),
+        row("i", "r", "identity", _as_ic),
+        row("u", "r", "identity", _as_infinite, families=(CHAIN_FAMILY,)),
+        row("d", "s", "next-element / block coloring", _next_element_plus_one, iterate_coloring),
         # +1 realizes "dominating families are unbounded": if x+1 is
         # eventually below y then x cannot eventually sit above y
-        row("d", "b", "d->b successor", plus_one),
+        row("d", "b", "successor", plus_one),
         # the dual of d->s: the two maps swap sides
-        row("r", "b", "r->b dual of d->s", IterateColoring, _next_element_plus_one),
-        row("b", "p", "b->p glued map / trace bound",
-            trace_bound_func, GluedImage,
+        row("r", "b", "dual of d->s", iterate_coloring, _next_element_plus_one),
+        row("b", "p", "glued map / trace bound", trace_bound_func, GluedImage,
             ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3)))),
-        row("a", "p", "a->p complement", _as_ic, UPSet.complement,
+        row("a", "p", "complement", _as_ic, UPSet.complement,
             (tuple(dyadic_family(4)), (EVENS,))),
-        row("t", "p", "t->p identity", _same, families=(CHAIN_FAMILY,)),
-        row("r_sigma", "r", "r_sigma->r constant sequence", lambda c: (c,)),
+        row("t", "p", "identity", _same, families=(CHAIN_FAMILY,)),
+        row("r_sigma", "r", "constant sequence", lambda c: (c,)),
         # a 4-coloring's two bit colorings: each almost constant on a
         # set makes the coloring almost constant there
-        row("r_sigma", "r_4", "r_sigma->r_4 bit colorings",
+        row("r_sigma", "r_4", "bit colorings",
             lambda c: (bit_coloring(c, 0), bit_coloring(c, 1))),
-        row("r_4", "r_3", "r_4->r_3 inclusion", _same),
-        row("s_sigma", "s", "s_sigma->s singleton", lambda a: (a,)),
+        row("r_4", "r_3", "inclusion", _same),
+        row("s_sigma", "s", "singleton", lambda a: (a,)),
         # a coloring splitting both sets of a pair splits the pair with
         # its last set repeated
-        row("s_3", "s_2", "s_3->s_2 padding", lambda xs: xs + (xs[-1],) * (3 - len(xs))),
-        row("s_finite", "s_3", "s_finite->s_3 inclusion", _same),
+        row("s_3", "s_2", "padding", lambda xs: xs + (xs[-1],) * (3 - len(xs))),
+        row("s_finite", "s_3", "inclusion", _same),
     ]
 
 

@@ -267,21 +267,6 @@ def parse_upset(text: str) -> UPSet:
     return UPSet(pre.encode().translate(_FROM_ASCII), per.encode().translate(_FROM_ASCII))
 
 
-def upset_algebra(a: UPSet, b: UPSet | None, op: str) -> UPSet:
-    """Named boolean combinations; ``complement`` ignores ``b``."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two sets")
-    if op == "intersect":
-        return a & b
-    if op == "union":
-        return a | b
-    if op == "minus":
-        return a - b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _fold(s: UPSet, g: int, bit: int) -> int:
     """Bit c is set iff s reads ``bit`` at infinitely many k = c mod g,
     for g dividing the period.  The period is packed into one int,

@@ -14,7 +14,6 @@ from tukeykit.apfuncs import (
     pointwise_max,
 )
 from tukeykit.branchmap import ColumnTuple, tuple_code, tuple_decode
-from tukeykit.catalog import IterateColoring
 from tukeykit.triples import FiniteTriple, MorphismCandidate
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, slice_by_index
 
@@ -46,23 +45,21 @@ def gap_func(a: UPSet) -> APFunc:
     return APFunc(tuple(gaps[:settled]), tuple(gaps[settled : settled + ones]), 0)
 
 
-def coloring_boundaries(c: IterateColoring, count: int) -> list[int]:
+def coloring_boundaries(g: APFunc, count: int) -> list[int]:
     """The first ``count`` + 1 block boundaries t_0 = 0, t_1, ... of the
-    coloring."""
-    step = c.step
+    block coloring of ``g``, t_{j+1} = max(g(t_j), t_j + 1)."""
     ts = [0]
     while len(ts) <= count:
-        ts.append(step(ts[-1]))
+        ts.append(max(g(ts[-1]), ts[-1] + 1))
     return ts
 
 
-def coloring_bit(c: IterateColoring, k: int) -> int:
-    """The colour of position ``k``: 1 on the even-numbered blocks,
-    found by walking the blocks one at a time."""
-    step = c.step
+def coloring_bit(g: APFunc, k: int) -> int:
+    """The colour of position ``k`` in the block coloring of ``g``: 1 on
+    the even-numbered blocks, found by walking the blocks one at a time."""
     t, j = 0, 0
-    while step(t) <= k:
-        t, j = step(t), j + 1
+    while (nxt := max(g(t), t + 1)) <= k:
+        t, j = nxt, j + 1
     return 1 if j % 2 == 0 else 0
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.catalog import (
     AD_INFINITE,
     APFUNC,
+    BuiltinMorphism,
     CLASSICAL_EDGES,
     CENTERED,
     COLORING,
@@ -18,6 +20,7 @@ from tukeykit.catalog import (
     catalog,
     coloring_kind,
     default_probe_check,
+    iterate_coloring,
     nm_partition_candidate,
     nm_splitting_triple,
     splits_general,
@@ -28,6 +31,7 @@ from tukeykit.errors import EnumerationBudget
 from tukeykit.triples import KindMismatch, MorphismCandidate, check_morphism, compose
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
 
+import reference_apfuncs as ref
 from helpers import coloring_bit, coloring_boundaries
 
 
@@ -136,41 +140,53 @@ class TestDominatingProbes:
 
 
 class TestIterateColoring:
+    SLOPE_TWO = (APFunc((), (0,), 2), APFunc((), (2,), 2), APFunc((3, 1), (5, 9), 5))
+
     def test_slope_one_is_eventually_periodic(self):
-        c = IterateColoring(constant(0))  # step becomes k+1
-        up = c.as_upset()
-        # unit blocks alternate, so this is the parity coloring
-        assert up == EVENS
+        # the step is k+1, so unit blocks alternate: the parity coloring
+        assert iterate_coloring(constant(0)) == EVENS
 
     def test_block_structure(self):
-        c = IterateColoring(APFunc((), (2,), 2))  # step 2k beyond 0
-        ts = coloring_boundaries(c, 5)
-        assert ts[0] == 0 and all(a < b for a, b in zip(ts, ts[1:]))
+        g = APFunc((), (2,), 2)  # step 2k + 2
+        ts = coloring_boundaries(g, 5)
+        assert ts == [0, 2, 6, 14, 30, 62]
         for j in range(4):
             for k in range(ts[j], ts[j + 1]):
-                assert coloring_bit(c, k) == (1 if j % 2 == 0 else 0)
+                assert coloring_bit(g, k) == (1 if j % 2 == 0 else 0)
 
     def test_splits_matches_bits_for_growing_blocks(self):
-        c = IterateColoring(APFunc((), (0,), 2))
-        assert c.step.slope == 2
-        for a in (EVENS, ODDS, UPSet.from_residues(3, {1})):
-            assert c.splits_upset(a)
-            # sanity: within a window both colors really do meet the set
-            ts = coloring_boundaries(c, 12)
-            hits = {coloring_bit(c, k) for k in range(ts[-1]) if k in a and k >= 20}
-            assert hits == {0, 1}
+        for g in self.SLOPE_TWO:
+            assert ref.slope(g) > 1
+            c = iterate_coloring(g)
+            assert isinstance(c, IterateColoring)
+            ts = coloring_boundaries(g, 12)
+            for a in (EVENS, ODDS, UPSet.from_residues(3, {1})):
+                assert splits_general(c, a)
+                # within a window both colours really do meet the set
+                hits = {coloring_bit(g, k) for k in range(20, ts[-1]) if k in a}
+                assert hits == {0, 1}
 
     def test_slope_one_exactness(self):
-        g = APFunc((), (3,), 2)  # slope 1 after the max with successor? no: 2/1=2
-        g1 = APFunc((5,), (1,), 1)  # slope 1
-        c = IterateColoring(g1)
-        up = c.as_upset()
-        for k in range(60):
-            assert (k in up) == (coloring_bit(c, k) == 1)
+        for g in (APFunc((5,), (1,), 1), APFunc((), (3,), 1), APFunc((0, 7), (2, 1), 2),
+                  constant(4), IDENTITY, APFunc((), (0, 1), 1)):
+            assert ref.slope(g) <= 1
+            up = iterate_coloring(g)
+            assert isinstance(up, UPSet)
+            for k in range(60):
+                assert (k in up) == (coloring_bit(g, k) == 1)
+
+    def test_only_slope_above_one_is_not_periodic(self):
+        for g in (APFunc((5,), (1,), 1), constant(0), APFunc((0, 7), (2, 1), 2)):
+            with pytest.raises(ValueError):
+                IterateColoring(g)
+        for g in self.SLOPE_TWO:
+            assert iterate_coloring(g) == IterateColoring(g)
 
     def test_splits_general_dispatch(self):
         assert splits_general(EVENS, FULL)
         assert splits_general(IterateColoring(APFunc((), (0,), 2)), EVENS)
+        with pytest.raises(ValueError):
+            splits_general(IterateColoring(APFunc((), (0,), 2)), UPSet.from_finite({1}))
 
 
 class TestGluedImage:
@@ -273,6 +289,27 @@ class TestBuiltinMorphisms:
             chain = compose(first.candidate, second.candidate)
             assert chain.source_kinds == first.candidate.source_kinds
             assert chain.target_kinds == second.candidate.target_kinds
+            composite = BuiltinMorphism(first.source, second.target, chain)
+            assert default_probe_check(composite).consistent, chain.name
+
+    @pytest.mark.parametrize(
+        "path", ["irb", "irbp", "urb", "urbp", "dbp", "rbp"], ids="->".join
+    )
+    def test_implied_borel_edges_compose_along_the_diagram(self, path):
+        chain = functools.reduce(compose, map(builtin_candidate, path, path[1:]))
+        report = default_probe_check(BuiltinMorphism(path[0], path[-1], chain))
+        assert report.consistent, report.summary()
+        assert report.nonvacuous_checks > 0
+
+    def test_r_to_b_builds_each_coloring_once(self, monkeypatch):
+        steps = []
+        real = iterate_coloring.__globals__["pointwise_max"]
+        monkeypatch.setitem(
+            iterate_coloring.__globals__, "pointwise_max", lambda f, g: steps.append(f) or real(f, g)
+        )
+        assert default_probe_check(BuiltinMorphism("r", "b", builtin_candidate("r", "b"))).consistent
+        # one step per slope-1 probe; the steeper ones build no step
+        assert len(steps) == len(set(steps)) == 5
 
     def test_builtins_refuse_composition_across_triples(self):
         by_edge = {(e.source, e.target): e.candidate for e in builtin_morphisms()}

@@ -47,7 +47,7 @@ ORIGIN = {
     ),
     **dict.fromkeys(
         ["EMPTY", "EVENS", "FULL", "ODDS", "UPSet", "almost_disjoint", "almost_subset",
-         "parse_upset", "splits", "upset_algebra"],
+         "parse_upset", "splits"],
         "upsets",
     ),
     **dict.fromkeys(
@@ -98,7 +98,7 @@ def fresh(script: str, *argv: str) -> dict:
 )
 def test_public_surface(first):
     seen = fresh(SURFACE, first, json.dumps(ORIGIN))
-    assert len(ORIGIN) == 67
+    assert len(ORIGIN) == 66
     assert seen["dir"] == sorted(ORIGIN)
     assert seen["all"] == sorted(ORIGIN)
     assert seen["star"] == sorted(ORIGIN)

@@ -26,7 +26,6 @@ from tukeykit.upsets import (
     partition_upset,
     slice_by_index,
     splits,
-    upset_algebra,
 )
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=6).map(tuple)
@@ -103,7 +102,7 @@ class TestAlgebra:
         assert (EVENS & ODDS) == EMPTY
 
     def test_complement_symmetry(self):
-        assert upset_algebra(EVENS, None, "complement") == ODDS
+        assert EVENS.complement() == ODDS
         assert ODDS.complement() == EVENS
 
     def test_membership_table_example(self):
