@@ -24,23 +24,22 @@ _EXPORTS = {
     ),
     "branchmap": (
         "Branch", "BoundCertificate", "ColumnTuple", "bound_from_trace",
-        "branch_of", "common_witnesses", "empty_columns_certificate",
-        "exact_intersection", "image_contains", "image_prefix", "tuple_code",
-        "tuple_decode", "witness_stream",
+        "branch_of", "common_witnesses", "exact_intersection",
+        "image_contains", "image_prefix", "tuple_code", "tuple_decode",
+        "witness_stream",
     ),
-    "catalog": ("builtin_morphisms", "catalog", "family_property", "vd_diagram"),
+    "catalog": ("builtin_morphisms", "catalog", "vd_diagram"),
     "gadgets": (
         "refute_filterclass_to_unbounded",
         "refute_pseudo_intersection_to_tower",
     ),
     "splitorder": (
         "SplitSpec", "antichain", "bt_edge", "bucket_count",
-        "bucket_count_by_filling", "is_nm_splitting", "min_columns_hit",
-        "x_order",
+        "bucket_count_by_filling", "min_columns_hit", "x_order",
     ),
     "triples": (
         "CodedTriple", "FiniteTriple", "MorphismCandidate", "check_morphism",
-        "compose", "dual", "dual_morphism", "finite_norm", "is_dominating",
+        "compose", "dual", "finite_norm", "is_dominating",
     ),
     "upsets": (
         "EMPTY", "EVENS", "FULL", "ODDS", "UPSet", "almost_disjoint",
@@ -48,7 +47,7 @@ _EXPORTS = {
     ),
     "adversary": (
         "AdversaryCertificate", "build_adversary", "identity_machine",
-        "predicted_element", "predicts", "splitter_from_free_class",
+        "predicted_element", "splitter_from_free_class",
         "verify_certificate",
     ),
 }

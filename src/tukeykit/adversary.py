@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
 from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
-from .upsets import _TO_ASCII, UPSet
+from .upsets import UPSet
 
 
 @dataclass
@@ -124,24 +124,6 @@ class Predictor:
 
     def forecast(self, history: str, k: int) -> str:
         return self.tables[k][history]
-
-
-def predicts(predictor: Predictor, c: "str | UPSet", k: int) -> bool:
-    """Does the predictor's forecast at level k match c?"""
-    cuts = predictor.partition.cuts
-    if k >= predictor.partition.depth:
-        raise ValueError(f"predictor depth {predictor.partition.depth} exceeded")
-    bits = _bits_of(c, cuts[k + 1])
-    return predictor.forecast(bits[: cuts[k]], k) == bits[cuts[k] : cuts[k + 1]]
-
-
-def _bits_of(c: "str | UPSet", length: int) -> str:
-    if isinstance(c, UPSet):
-        reps = -(-max(length - len(c.head), 0) // len(c.word))
-        return (c.head + c.word * reps)[:length].translate(_TO_ASCII).decode()
-    if len(c) < length:
-        raise ValueError(f"bit string of length {len(c)} does not reach {length}")
-    return c
 
 
 @dataclass(frozen=True)

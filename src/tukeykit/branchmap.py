@@ -14,7 +14,7 @@ Key exact facts made executable here:
   * any k <= n branches share admissible tuples at every sufficiently
     deep level (witness streams, hence a centered image),
   * n+1 branches with distinct level-n prefixes share nothing at all
-    (pigeonhole, emptiness certificates),
+    (pigeonhole; ``exact_intersection`` finds the empty set),
   * n+1 distinct branches share only tuples below their separation
     level, a finite set this module enumerates completely,
   * a finite trace of observed tuples forces per-coordinate bounds on
@@ -539,61 +539,6 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
             if all(r in nodes for r in rest):
                 found.append(ColumnTuple(n, nodes))
     return ExactIntersection(n, sep, tuple(sorted(found, key=tuple_index)))
-
-
-@dataclass(frozen=True)
-class ColumnEmptiness:
-    column: int
-    witnesses: tuple[int, ...]  # indices of the functions used
-    reason: str
-
-
-@dataclass(frozen=True)
-class EmptyColumnsCertificate:
-    covered: tuple[ColumnEmptiness, ...]
-    uncovered: tuple[tuple[int, str], ...]
-
-
-def empty_columns_certificate(
-    fs: Sequence[APFunc], max_column: int, level: int
-) -> EmptyColumnsCertificate:
-    """Certify that high columns contribute nothing to the intersection
-    of the glued images of ``fs``.
-
-    Column c is covered when c+1 of the functions already have pairwise
-    distinct value prefixes of length c: the embedding is the identity
-    there, so no c-slot tuple can match c+1 distinct prefixes.
-    """
-    vals = [tuple(f.values(level)) for f in fs]
-    for (i, a), (j, b) in itertools.combinations(enumerate(vals), 2):
-        if a == b:
-            raise ValueError(
-                f"functions {i} and {j} agree up to level {level}; hypothesis fails"
-            )
-    covered = []
-    uncovered = []
-    for col in range(1, max_column + 1):
-        if len(fs) < col + 1:
-            uncovered.append((col, f"needs {col + 1} functions, have {len(fs)}"))
-            continue
-        seen: dict[tuple[int, ...], int] = {}
-        for i, f in enumerate(fs):
-            seen.setdefault(tuple(f.values(col)), i)
-        if len(seen) >= col + 1:
-            witnesses = tuple(sorted(seen.values())[: col + 1])
-            covered.append(
-                ColumnEmptiness(
-                    col,
-                    witnesses,
-                    f"{col + 1} distinct length-{col} prefixes cannot share "
-                    f"a {col}-slot tuple",
-                )
-            )
-        else:
-            uncovered.append(
-                (col, f"only {len(seen)} distinct length-{col} prefixes")
-            )
-    return EmptyColumnsCertificate(tuple(covered), tuple(uncovered))
 
 
 # -- bounds from finite traces ---------------------------------------------

@@ -250,18 +250,6 @@ INDEPENDENCE_DERIVED = FamilyProperty(
 )
 
 
-FAMILY_PROPERTIES: dict[str, FamilyProperty] = {
-    prop.name: prop
-    for prop in (CENTERED, LINEARLY_ORDERED, AD_INFINITE, INDEPENDENCE_DERIVED)
-}
-
-
-def family_property(family: list, prop: str) -> bool:
-    if prop not in FAMILY_PROPERTIES:
-        raise ValueError(f"unknown family property {prop!r}")
-    return FAMILY_PROPERTIES[prop](family)
-
-
 # -- kinds and their probe suites ---------------------------------------------
 
 UPSET_PROBES: tuple[UPSet, ...] = (

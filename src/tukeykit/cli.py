@@ -279,6 +279,10 @@ def cmd_adversary(args) -> int:
     return EXIT_OK
 
 
+def _labels(values: object) -> bool:
+    return isinstance(values, list) and all(isinstance(v, (str, int, float)) for v in values)
+
+
 def _load_finite_triple(path: str) -> tuple:
     from .triples import FiniteTriple
 
@@ -291,6 +295,8 @@ def _load_finite_triple(path: str) -> tuple:
             raise ValueError(f"{path}: the finite triple needs a {key!r} list")
     if not all(isinstance(row, list) for row in data["relation"]):
         raise ValueError(f"{path}: each 'relation' row must be a list")
+    if not _labels(data["minus"] + data["plus"]):
+        raise ValueError(f"{path}: labels must be strings or numbers")
     t = FiniteTriple(
         tuple(data["minus"]),
         tuple(data["plus"]),
@@ -298,7 +304,10 @@ def _load_finite_triple(path: str) -> tuple:
     )
     prop = None
     if "allowed_families" in data:
-        allowed = [frozenset(f) for f in data["allowed_families"]]
+        families = data["allowed_families"]
+        if not isinstance(families, list) or not all(map(_labels, families)):
+            raise ValueError(f"{path}: 'allowed_families' must be a list of label lists")
+        allowed = [frozenset(f) for f in families]
 
         def prop(family, _allowed=allowed):  # noqa: ANN001
             return any(frozenset(family) <= a for a in _allowed)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CertificateError
-from .upsets import UPSet, splits
 
 
 @dataclass(frozen=True)
@@ -183,31 +182,6 @@ def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:
         spec = SplitSpec(2**m, m)
         seps.append((bt_edge(spec, miss_spec), bt_edge(miss_spec, spec)))
     return IndexSetVerdict(xs, ys, False, missing, tuple(seps))
-
-
-@dataclass(frozen=True)
-class SplittingWitness:
-    holds: bool
-    coloring: UPSet | None
-    split_targets: tuple[int, ...]
-
-
-def is_nm_splitting(
-    family: Sequence[UPSet], targets: Sequence[UPSet], m: int
-) -> SplittingWitness:
-    """Does some family member split at least m of the given targets?
-    Exact on ultimately periodic inputs; certifies only these targets.
-    """
-    if not 1 <= m <= len(targets):
-        raise ValueError("need 1 <= m <= number of targets")
-    for t in targets:
-        if not t.is_infinite:
-            raise ValueError("targets must be infinite")
-    for c in family:
-        hit = tuple(i for i, t in enumerate(targets) if splits(c, t))
-        if len(hit) >= m:
-            return SplittingWitness(True, c, hit)
-    return SplittingWitness(False, None, ())
 
 
 def order_digraph(limit: int, *, hasse: bool = False):

@@ -196,18 +196,6 @@ def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:
     )
 
 
-def dual_morphism(c: MorphismCandidate) -> MorphismCandidate:
-    """Swapping the maps turns a morphism between simple triples into a
-    morphism between the duals, in the opposite direction."""
-    return MorphismCandidate(
-        pull=c.push,
-        push=c.pull,
-        source_kinds=None if c.target_kinds is None else c.target_kinds[::-1],
-        target_kinds=None if c.source_kinds is None else c.source_kinds[::-1],
-        name=f"dual({c.name})",
-    )
-
-
 # -- probe-relative checking ----------------------------------------------
 
 

@@ -6,7 +6,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_adversary as ref
 import tukeykit
@@ -14,7 +14,6 @@ from tukeykit import wire
 from tukeykit.adversary import (
     AdversaryCertificate,
     BudgetExhausted,
-    _bits_of,
     FunctionMachine,
     IntervalPartition,
     MachineFault,
@@ -27,7 +26,6 @@ from tukeykit.adversary import (
     image_nonsplit_certificate,
     multiclass_family,
     predicted_element,
-    predicts,
     splitter_from_free_class,
     verify_certificate,
 )
@@ -126,46 +124,6 @@ class TestPartitionAndPredictor:
             Predictor(p, ({"": "1"}, {"0": "1"}))  # level 1 misses history "1"
         good = Predictor(p, ({"": "1"}, {"0": "1", "1": "0"}))
         assert good.forecast("0", 1) == "1"
-
-    @given(
-        st.lists(st.integers(0, 1), max_size=24).map(tuple),
-        st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple),
-        st.integers(0, 40),
-    )
-    @example((1, 0, 1, 1, 0, 1, 1, 1), (0,), 3)  # a prefix longer than the read
-    @settings(max_examples=150)
-    def test_bits_of_a_set_match_the_per_bit_read(self, prefix, period, length):
-        c = UPSet(prefix, period)
-        assert _bits_of(c, length) == "".join(str(int(k in c)) for k in range(length))
-
-    def test_predicts_literal_comparison(self):
-        p = IntervalPartition((0, 2, 4))
-        theta = Predictor(
-            p,
-            (
-                {"": "10"},
-                {"00": "11", "01": "10", "10": "01", "11": "00"},
-            ),
-        )
-        assert predicts(theta, "1001", 1)
-        assert not predicts(theta, "1000", 1)
-        assert predicts(theta, "10" + "01", 1)
-        # flipping one forecast bit at level 1 flips only level 1
-        assert predicts(theta, "1001", 0)
-
-    def test_predicts_on_upsets(self):
-        p = IntervalPartition((0, 1, 2))
-        theta = Predictor(p, ({"": "1"}, {"0": "0", "1": "0"}))
-        # evens start 1, 0
-        assert predicts(theta, EVENS, 0)
-        assert predicts(theta, EVENS, 1)
-        assert not predicts(theta, FULL, 1)
-
-    def test_depth_guard(self):
-        p = IntervalPartition((0, 1))
-        theta = Predictor(p, ({"": "1"},))
-        with pytest.raises(ValueError):
-            predicts(theta, "11", 1)
 
 
 class TestBuildAdversary:
@@ -354,8 +312,10 @@ class TestPredictedFamilies:
 
     def test_predicted_element_predicts(self):
         c = predicted_element(self.cert, 2, 0, fill="1")
+        cuts = self.cert.partition.cuts
         for k in range(0, self.cert.depth, 2):
-            assert predicts(self.cert.predictor, c, k)
+            forecast = self.cert.predictor.forecast(c[: cuts[k]], k)
+            assert c[cuts[k] : cuts[k + 1]] == forecast
 
     def test_free_bits_shape_checked(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from tukeykit.branchmap import (
     branch_of,
     common_witnesses,
     divergence_level,
-    empty_columns_certificate,
     encode_blocks,
     exact_intersection,
     image_contains,
@@ -546,31 +545,6 @@ class TestExactIntersection:
                         brute.append(t)
             assert list(result.tuples) == sorted(brute, key=tuple_index)
             done += 1
-
-
-class TestEmptyColumns:
-    def test_three_functions_distinct_at_one(self):
-        fs = [ZERO, constant(1), constant(2)]
-        cert = empty_columns_certificate(fs, 2, 1)
-        assert [c.column for c in cert.covered] == [1, 2]
-        assert cert.uncovered == ()
-
-    def test_shared_prefix_reported(self):
-        fs = [ZERO, APFunc((0, 1), (0,), 0), APFunc((0, 2), (0,), 0)]
-        cert = empty_columns_certificate(fs, 2, 2)
-        assert [c for c, _ in cert.uncovered] == [1]
-        assert [c.column for c in cert.covered] == [2]
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(ValueError):
-            empty_columns_certificate([ZERO, ZERO], 1, 3)
-
-    def test_cross_check_with_exact_intersection(self):
-        fs = [ZERO, constant(1), constant(2)]
-        cert = empty_columns_certificate(fs, 2, 1)
-        for fact in cert.covered:
-            branches = [branch_of(fs[i], fact.column) for i in fact.witnesses]
-            assert exact_intersection(fact.column, branches).tuples == ()
 
 
 def sample_observations(rng, n, branch, levels):

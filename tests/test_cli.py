@@ -375,6 +375,22 @@ class TestUsageErrors:
                 id="norm-no-relation",
             ),
             pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": [["x"]], "plus": ["y"], "relation": [[1]]},
+                id="norm-list-label",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json", "--property", "from-file"],
+                {"minus": ["x"], "plus": ["y"], "relation": [[1]], "allowed_families": [5]},
+                id="norm-family-not-a-list",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json", "--property", "from-file"],
+                {"minus": ["x"], "plus": ["a", "c"], "relation": [[1, 1]],
+                 "allowed_families": "ac"},
+                id="norm-families-a-string",
+            ),
+            pytest.param(
                 ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
                 [{"level": 3}],
                 id="bound-no-nodes",

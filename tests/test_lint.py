@@ -6,6 +6,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import tukeykit
 from test_cli import EXIT_STATUS
 
@@ -133,6 +135,9 @@ REACHABILITY_ALLOWLIST = {
     # the paper's even-partition map behind positive ``bt_edge`` verdicts;
     # a built-in row for it would add a ``desk`` query with no golden digest
     "catalog.nm_partition_candidate",
+    # the Borel diagram's closure will call it; until then the implied-edge
+    # tests compose the built-in rows along diagram paths
+    "triples.compose",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -158,12 +163,18 @@ def _reads(nodes) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def unreached(package: dict[str, ast.Module], roots: list[ast.AST]) -> list[str]:
+def unreached(
+    package: dict[str, ast.Module],
+    roots: list[ast.AST],
+    allowlist: set[str] = REACHABILITY_ALLOWLIST,
+) -> list[str]:
     """``module.name`` or ``module.Class.name`` for every top-level function
     and method of the package that no root reaches.  Module top-level
-    code, ``cmd_*`` verbs, dunders and ``REACHABILITY_ALLOWLIST`` are roots
-    besides ``roots``.  A function is reached through any read of its
-    name, a method only through an attribute read."""
+    code, ``cmd_*`` verbs, dunders and ``allowlist`` are roots besides
+    ``roots``.  A function is reached through any read of its name, a
+    method only through an attribute read.  Exporting a name is not a
+    read: ``_package_trees`` leaves out ``__init__``, whose export table
+    spells every public name."""
     defs = {}  # qualified name -> (leaf, is_method, node)
     top = list(roots)
     for module, tree in package.items():
@@ -191,7 +202,7 @@ def unreached(package: dict[str, ast.Module], roots: list[ast.AST]) -> list[str]
                 leaf in (attrs if is_method else names | attrs)
                 or leaf.startswith("cmd_")
                 or (leaf.startswith("__") and leaf.endswith("__"))
-                or qualified in REACHABILITY_ALLOWLIST
+                or qualified in allowlist
             ):
                 del pending[qualified]
                 more_names, more_attrs = _reads(node.body)
@@ -206,22 +217,38 @@ def _package_trees() -> dict[str, ast.Module]:
     return {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
     }
 
 
 def _root_trees() -> list[ast.Module]:
     repo = Path(__file__).resolve().parents[1]
     paths = [*sorted((repo / "perfbench").glob("*.py")), repo / "tests" / "test_acceptance.py"]
-    exports = ast.parse(repr(tukeykit.__all__))
-    return [exports, *(ast.parse(p.read_text(), filename=str(p)) for p in paths)]
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
 
 
 def test_every_definition_is_reached():
-    # the command line, ``tukeykit.__all__``, the benchmark and the
-    # acceptance suite are the program; a helper only unit tests call
-    # belongs in tests/helpers.py
+    # the command line, the benchmark and the acceptance suite are the
+    # program; ``tukeykit.__all__`` is not, so a public name only unit
+    # tests call is flagged, and a helper they need belongs in
+    # tests/helpers.py
     dead = unreached(_package_trees(), _root_trees())
     assert not dead, f"definitions nothing in the program reaches: {dead}"
+
+
+def test_reachability_lint_sees_through_exports(monkeypatch):
+    monkeypatch.setattr(tukeykit, "__all__", [*tukeykit.__all__, "spare_export"])
+    package, roots = _package_trees(), _root_trees()
+    spare = ast.parse("def spare_export():\n    return 0\n").body
+    grown = {**package, "triples": ast.Module(package["triples"].body + spare, [])}
+    assert unreached(grown, roots) == ["triples.spare_export"]
+
+
+@pytest.mark.parametrize("entry", sorted(REACHABILITY_ALLOWLIST))
+def test_reachability_allowlist_entry_is_needed(entry):
+    # an entry whose definition gained a caller must leave the allowlist
+    dead = unreached(_package_trees(), _root_trees(), REACHABILITY_ALLOWLIST - {entry})
+    assert entry in dead
 
 
 def test_reachability_lint_finds_an_unused_function():

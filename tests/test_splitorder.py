@@ -8,12 +8,13 @@ from tukeykit.splitorder import (
     bt_edge,
     bucket_count,
     bucket_count_by_filling,
-    is_nm_splitting,
     min_columns_hit,
     order_digraph,
     order_digraph_dot,
     x_order,
 )
+from tukeykit.catalog import nm_splitting_triple
+from tukeykit.triples import is_dominating
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, splits
 
 
@@ -142,15 +143,17 @@ class TestIndexSetOrder:
             x_order({2}, {3})
 
 
+def splits_at_least(family, targets, m) -> bool:
+    """Does some family member split at least m of the targets?"""
+    return is_dominating(family, nm_splitting_triple(len(targets), m), [tuple(targets)])
+
+
 class TestSplittingWitness:
     def test_trivial_positive(self):
-        targets = [FULL] * 3
-        w = is_nm_splitting([EVENS], targets, 3)
-        assert w.holds and w.coloring == EVENS and w.split_targets == (0, 1, 2)
+        assert splits_at_least([EVENS], [FULL] * 3, 3)
 
     def test_all_ones_never_splits(self):
-        w = is_nm_splitting([FULL], [EVENS, ODDS], 1)
-        assert not w.holds
+        assert not splits_at_least([FULL], [EVENS, ODDS], 1)
 
     def test_residue_colorings_vs_exhaustive_table(self):
         family = [EVENS, UPSet.from_residues(3, {0})]
@@ -159,11 +162,11 @@ class TestSplittingWitness:
             expected = any(
                 sum(1 for t in targets if splits(c, t)) >= m for c in family
             )
-            assert is_nm_splitting(family, targets, m).holds == expected
+            assert splits_at_least(family, targets, m) == expected
 
     def test_finite_target_rejected(self):
         with pytest.raises(ValueError):
-            is_nm_splitting([EVENS], [UPSet.from_finite({1})], 1)
+            splits_at_least([EVENS], [UPSet.from_finite({1})], 1)
 
 
 class TestDigraph:

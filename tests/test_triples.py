@@ -12,7 +12,6 @@ from tukeykit.triples import (
     check_morphism,
     compose,
     dual,
-    dual_morphism,
     finite_norm,
     is_dominating,
 )
@@ -177,25 +176,11 @@ class TestComposeAndDual:
         with pytest.raises(KindMismatch):
             compose(a, b)
 
-    def test_dual_of_identity(self):
-        ident = identity_candidate(("k", "k"))
-        d = dual_morphism(ident)
-        assert d.apply_pull("v") == "v" and d.apply_push("w") == "w"
-
     def test_undeclared_kinds_compose_with_any(self):
         declared = identity_candidate(("k1", "k2"))
         for a, b in ((identity_candidate(), declared), (declared, identity_candidate())):
             c = compose(a, b)
             assert (c.source_kinds, c.target_kinds) == (a.source_kinds, b.target_kinds)
-
-    def test_dual_swaps_declared_kinds_and_keeps_none(self):
-        cand = MorphismCandidate(
-            pull=lambda x: x, push=lambda y: y, source_kinds=("a", "b"), target_kinds=("c", "d")
-        )
-        d = dual_morphism(cand)
-        assert (d.source_kinds, d.target_kinds) == (("d", "c"), ("b", "a"))
-        undeclared = dual_morphism(identity_candidate())
-        assert undeclared.source_kinds is None and undeclared.target_kinds is None
 
     def test_dual_condition_exhaustive_small(self):
         # every morphism between small triples flips to a morphism
@@ -214,7 +199,6 @@ class TestComposeAndDual:
                         )
                         if not check_morphism(cand, src, tgt).consistent:
                             continue
-                        report = check_morphism(
-                            dual_morphism(cand), dual(tgt), dual(src)
-                        )
+                        swapped = MorphismCandidate(pull=cand.push, push=cand.pull)
+                        report = check_morphism(swapped, dual(tgt), dual(src))
                         assert report.consistent

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_upsets as ref
-from tukeykit.catalog import family_property
 from tukeykit.upsets import (
     EMPTY,
     EVENS,
@@ -163,8 +162,8 @@ class TestRelations:
 
 class TestFamilies:
     def test_centered_examples(self):
-        assert family_property([EVENS, UPSet.from_residues(4, {0})], "centered")
-        assert not family_property([EVENS, ODDS], "centered")
+        assert is_centered([EVENS, UPSet.from_residues(4, {0})])
+        assert not is_centered([EVENS, ODDS])
 
     def test_centered_matches_all_subsets(self):
         fams = [
@@ -182,18 +181,18 @@ class TestFamilies:
 
     def test_dyadic_family(self):
         fam = dyadic_family(4)
-        assert family_property(fam, "ad_infinite")
-        assert family_property([s.complement() for s in fam], "centered")
+        assert is_ad_family(fam)
+        assert is_centered([s.complement() for s in fam])
 
     def test_linearly_ordered(self):
         chain = [UPSet.from_residues(8, {0}), UPSet.from_residues(4, {0}), EVENS]
-        assert family_property(chain, "linearly_ordered")
-        assert not family_property([EVENS, UPSet.from_residues(3, {0})], "linearly_ordered")
+        assert is_linearly_ordered(chain)
+        assert not is_linearly_ordered([EVENS, UPSet.from_residues(3, {0})])
 
     def test_empty_family_rejected(self):
-        for prop in ("centered", "linearly_ordered", "ad_infinite"):
+        for prop in (is_centered, is_linearly_ordered, is_ad_family):
             with pytest.raises(ValueError):
-                family_property([], prop)
+                prop([])
 
 
 class TestSlices:
