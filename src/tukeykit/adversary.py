@@ -17,18 +17,22 @@ pivot class, which is the finite obstruction the certificates record.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
-from .upsets import UPSet
+from .records import Record, set_field
+
+if TYPE_CHECKING:
+    from .upsets import UPSet
 
 
-@dataclass
-class PartialProgress:
-    level: int
-    history: str
-    pivot_tried: int
+class PartialProgress(Record, frozen=False):
+    __slots__ = ("level", "history", "pivot_tried")
+
+    def __init__(self, level: int, history: str, pivot_tried: int) -> None:
+        self.level = level
+        self.history = history
+        self.pivot_tried = pivot_tried
 
 
 class ContinuousMachine(Protocol):
@@ -37,12 +41,14 @@ class ContinuousMachine(Protocol):
     def query(self, prefix: str, m: int) -> int | None: ...
 
 
-@dataclass
-class FunctionMachine:
+class FunctionMachine(Record, frozen=False):
     """A machine whose ``query`` is a total bit-prefix rule."""
 
-    name: str
-    query: Callable[[str, int], int | None]
+    __slots__ = ("name", "query")
+
+    def __init__(self, name: str, query: Callable[[str, int], int | None]) -> None:
+        self.name = name
+        self.query = query
 
 
 def identity_machine() -> FunctionMachine:
@@ -61,13 +67,15 @@ def flip_machine() -> FunctionMachine:
     )
 
 
-@dataclass
-class MeteredMachine:
+class MeteredMachine(Record, frozen=False):
     """Budget wrapper; every query decrements the remaining budget."""
 
-    inner: ContinuousMachine
-    budget: int
-    used: int = 0
+    __slots__ = ("inner", "budget", "used")
+
+    def __init__(self, inner: ContinuousMachine, budget: int, used: int = 0) -> None:
+        self.inner = inner
+        self.budget = budget
+        self.used = used
 
     @property
     def name(self) -> str:
@@ -85,17 +93,17 @@ class _BudgetSignal(MachineBudgetError):
     this into a ``BudgetExhausted`` with its progress."""
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(Record):
     """Consecutive finite intervals [cuts[k], cuts[k+1])."""
 
-    cuts: tuple[int, ...]
+    __slots__ = ("cuts",)
 
-    def __post_init__(self) -> None:
-        if not self.cuts or self.cuts[0] != 0:
+    def __init__(self, cuts: tuple[int, ...]) -> None:
+        if not cuts or cuts[0] != 0:
             raise ValueError("cuts start at 0")
-        if any(a >= b for a, b in zip(self.cuts, self.cuts[1:])):
+        if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("intervals must be nonempty")
+        set_field(self, "cuts", cuts)
 
     @property
     def depth(self) -> int:
@@ -105,40 +113,46 @@ class IntervalPartition:
         return range(self.cuts[k], self.cuts[k + 1])
 
 
-@dataclass(frozen=True)
-class Predictor:
+class Predictor(Record):
     """Total forecast tables: level k maps each history over the earlier
     intervals to a block over interval k."""
 
-    partition: IntervalPartition
-    tables: tuple[Mapping[str, str], ...]
+    __slots__ = ("partition", "tables")
 
-    def __post_init__(self) -> None:
-        for k, table in enumerate(self.tables):
-            width = self.partition.cuts[k]
-            block = self.partition.cuts[k + 1] - width
+    def __init__(self, partition: IntervalPartition,
+                 tables: tuple[Mapping[str, str], ...]) -> None:
+        for k, table in enumerate(tables):
+            width = partition.cuts[k]
+            block = partition.cuts[k + 1] - width
             if len(table) != 2**width:
                 raise ValueError(f"table {k} is not total over 2^{width} histories")
             if any(len(v) != block for v in table.values()):
                 raise ValueError(f"table {k} forecasts must have length {block}")
+        set_field(self, "partition", partition)
+        set_field(self, "tables", tables)
 
     def forecast(self, history: str, k: int) -> str:
         return self.tables[k][history]
 
 
-@dataclass(frozen=True)
-class DecidedFact:
-    level: int
-    history: str
-    pivot: int
+class DecidedFact(Record):
+    __slots__ = ("level", "history", "pivot")
+
+    def __init__(self, level: int, history: str, pivot: int) -> None:
+        set_field(self, "level", level)
+        set_field(self, "history", history)
+        set_field(self, "pivot", pivot)
 
 
-@dataclass(frozen=True)
-class AdversaryCertificate:
-    machine_name: str
-    predictor: Predictor
-    pivots: tuple[int, ...]
-    queries_used: int
+class AdversaryCertificate(Record):
+    __slots__ = ("machine_name", "predictor", "pivots", "queries_used")
+
+    def __init__(self, machine_name: str, predictor: Predictor, pivots: tuple[int, ...],
+                 queries_used: int) -> None:
+        set_field(self, "machine_name", machine_name)
+        set_field(self, "predictor", predictor)
+        set_field(self, "pivots", pivots)
+        set_field(self, "queries_used", queries_used)
 
     @property
     def partition(self) -> IntervalPartition:
@@ -325,12 +339,15 @@ def predicted_element(
     return out
 
 
-@dataclass(frozen=True)
-class SplitterTrace:
-    element: str
-    n: int
-    r: int
-    hits: tuple[tuple[int, int], ...]  # (position, assigned bit) on the target
+class SplitterTrace(Record):
+    # hits: (position, assigned bit) on the target
+    __slots__ = ("element", "n", "r", "hits")
+
+    def __init__(self, element: str, n: int, r: int, hits: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "element", element)
+        set_field(self, "n", n)
+        set_field(self, "r", r)
+        set_field(self, "hits", hits)
 
     @property
     def ones(self) -> int:
@@ -374,16 +391,18 @@ def splitter_from_free_class(
     return SplitterTrace(element, n, r, hits)
 
 
-@dataclass(frozen=True)
-class ImagePinning:
+class ImagePinning(Record):
     """Certified machine answers: the image of the element is 1 at every
     pivot of the predicted residue class, so within the constructed
     depth it cannot take the value 0 there."""
 
-    element: str
-    n: int
-    r: int
-    pinned_pivots: tuple[int, ...]
+    __slots__ = ("element", "n", "r", "pinned_pivots")
+
+    def __init__(self, element: str, n: int, r: int, pinned_pivots: tuple[int, ...]) -> None:
+        set_field(self, "element", element)
+        set_field(self, "n", n)
+        set_field(self, "r", r)
+        set_field(self, "pinned_pivots", pinned_pivots)
 
 
 def image_nonsplit_certificate(
@@ -415,13 +434,17 @@ def image_nonsplit_certificate(
     return ImagePinning(element, n, r, tuple(pinned))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    spec: tuple[int, int]
-    representative: str
-    splits: tuple[SplitterTrace, ...]
-    pinnings: tuple[ImagePinning, ...]
-    skipped_targets: tuple[int, ...]
+class FamilyReport(Record):
+    __slots__ = ("spec", "representative", "splits", "pinnings", "skipped_targets")
+
+    def __init__(self, spec: tuple[int, int], representative: str,
+                 splits: tuple[SplitterTrace, ...], pinnings: tuple[ImagePinning, ...],
+                 skipped_targets: tuple[int, ...]) -> None:
+        set_field(self, "spec", spec)
+        set_field(self, "representative", representative)
+        set_field(self, "splits", splits)
+        set_field(self, "pinnings", pinnings)
+        set_field(self, "skipped_targets", skipped_targets)
 
 
 def multiclass_family(

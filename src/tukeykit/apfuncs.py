@@ -21,11 +21,11 @@ before allocating, one longer than ``_PREFIX_GUARD``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import eq, floordiv, le, ne, sub
 
 from .errors import CertificateError, PrefixBudget
+from .records import Record, set_field
 from .upsets import UPSet, almost_subset, lcm
 
 # the longest window of values (a pre-canonical prefix included) that
@@ -34,18 +34,18 @@ from .upsets import UPSet, almost_subset, lcm
 _PREFIX_GUARD = 2_000_000
 
 
-@dataclass(frozen=True)
-class APFunc:
+class APFunc(Record):
     """An arithmetically periodic function in canonical form."""
 
-    prefix: tuple[int, ...]
-    base: tuple[int, ...]
-    drift: int = 0
+    __slots__ = ("prefix", "base", "drift")
 
-    def __post_init__(self) -> None:
-        prefix = tuple(self.prefix)
-        base = tuple(self.base)
-        drift = self.drift
+    def __init__(self, prefix: tuple[int, ...], base: tuple[int, ...], drift: int = 0) -> None:
+        # the benchmark's tracer counts constructions at __post_init__
+        self.__post_init__(prefix, base, drift)
+
+    def __post_init__(self, prefix, base, drift) -> None:
+        prefix = tuple(prefix)
+        base = tuple(base)
         if not base:
             raise ValueError("base block must be nonempty")
         if drift < 0 or min(prefix, default=0) < 0 or min(base) < 0:
@@ -60,9 +60,9 @@ class APFunc:
             k = next(compress(count(), map(ne, reversed(prefix), back)), len(prefix))
             prefix = prefix[: len(prefix) - k]
             base = tuple(_run(base, drift, -k, len(base) - k))
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "drift", drift)
+        set_field(self, "prefix", prefix)
+        set_field(self, "base", base)
+        set_field(self, "drift", drift)
 
     # -- queries -----------------------------------------------------
 

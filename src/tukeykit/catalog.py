@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .apfuncs import (
@@ -29,6 +28,7 @@ from .apfuncs import (
 )
 from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
 from .errors import CertificateError, EnumerationBudget
+from .records import Record, set_field
 from .splitorder import SplitSpec, bt_edge, column_sizes
 from .triples import (
     CodedTriple,
@@ -56,8 +56,7 @@ from .upsets import (
 # -- derived colorings -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterateColoring:
+class IterateColoring(Record):
     """The coloring that paints blocks [t_j, t_{j+1}) alternately, where
     t_{j+1} = max(g(t_j), t_j + 1) iterates a function from 0, for a
     ``g`` of slope above 1.  The blocks then outgrow every fixed gap
@@ -66,12 +65,13 @@ class IterateColoring:
     slope-1 case is periodic, and ``iterate_coloring`` gives its
     ``UPSet``."""
 
-    g: APFunc
+    __slots__ = ("g",)
     is_infinite = is_ic = True
 
-    def __post_init__(self) -> None:
-        if self.g.drift <= len(self.g.base):
+    def __init__(self, g: APFunc) -> None:
+        if g.drift <= len(g.base):
             raise ValueError("a step of slope 1 gives a periodic coloring; use iterate_coloring")
+        set_field(self, "g", g)
 
 
 def iterate_coloring(g: APFunc) -> UPSet | IterateColoring:
@@ -111,8 +111,7 @@ def splits_general(c: "UPSet | IterateColoring", a: UPSet) -> bool:
 _MISSING_SCAN = 20000
 
 
-@dataclass(frozen=True)
-class GluedImage:
+class GluedImage(Record):
     """The glued-map image of a function, usable on the plus side of
     almost-inclusion triples.
 
@@ -124,7 +123,10 @@ class GluedImage:
     elements.
     """
 
-    func: APFunc
+    __slots__ = ("func",)
+
+    def __init__(self, func: APFunc) -> None:
+        set_field(self, "func", func)
 
     def __contains__(self, x: int) -> bool:
         return image_contains(self.func, x)
@@ -199,14 +201,18 @@ AD_INFINITE = FamilyProperty(
 )
 
 
-@dataclass(frozen=True)
-class TaggedIndependentFamily:
+class TaggedIndependentFamily(Record):
     """A family together with the independent list it is derived from;
-    the only inputs on which the independence property is checkable."""
+    the only inputs on which the independence property is checkable.
+    ``patterns`` holds a sign pattern per member, 1=set, 0=complement."""
 
-    members: tuple[UPSet, ...]
-    base: tuple[UPSet, ...]
-    patterns: tuple[tuple[int, ...], ...]  # sign pattern per member, 1=set, 0=complement
+    __slots__ = ("members", "base", "patterns")
+
+    def __init__(self, members: tuple[UPSet, ...], base: tuple[UPSet, ...],
+                 patterns: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "members", members)
+        set_field(self, "base", base)
+        set_field(self, "patterns", patterns)
 
 
 def _independent_base(base: Sequence[UPSet]) -> bool:
@@ -404,7 +410,8 @@ TRIPLES: tuple[CodedTriple, ...] = (
                 INDEPENDENCE_DERIVED, "does not split"),
     CodedTriple("u", UPSET_OR_COLORING, UPSET, lambda x, y: not splits_general(x, y),
                 CENTERED, "does not split"),
-    replace(_PSEUDO_INTERSECTION, name="t", property=LINEARLY_ORDERED),
+    CodedTriple("t", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, LINEARLY_ORDERED,
+                "not almost contained in"),
     n_unsplitting_triple(3),
     n_unsplitting_triple(4),
     CodedTriple("r_sigma", COLORING_TUPLE, UPSET,
@@ -476,12 +483,15 @@ def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCa
     )
 
 
-@dataclass(frozen=True)
-class BuiltinMorphism:
-    source: str
-    target: str
-    candidate: MorphismCandidate
-    families: tuple[tuple, ...] = ()
+class BuiltinMorphism(Record):
+    __slots__ = ("source", "target", "candidate", "families")
+
+    def __init__(self, source: str, target: str, candidate: MorphismCandidate,
+                 families: tuple[tuple, ...] = ()) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "candidate", candidate)
+        set_field(self, "families", families)
 
 
 def builtin_morphisms() -> list[BuiltinMorphism]:
@@ -545,19 +555,24 @@ def default_probe_check(entry: BuiltinMorphism):
 # -- diagrams ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    source: str
-    target: str
-    verdict: str  # BT-morphism | no-BT-morphism | no-morphism-at-all | open | zfc-inequality
-    provenance: str
+class EdgeRecord(Record):
+    # verdict: BT-morphism | no-BT-morphism | no-morphism-at-all | open | zfc-inequality
+    __slots__ = ("source", "target", "verdict", "provenance")
+
+    def __init__(self, source: str, target: str, verdict: str, provenance: str) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "verdict", verdict)
+        set_field(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    kind: str
-    nodes: tuple[str, ...]
-    edges: tuple[EdgeRecord, ...]
+class Diagram(Record):
+    __slots__ = ("kind", "nodes", "edges")
+
+    def __init__(self, kind: str, nodes: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "nodes", nodes)
+        set_field(self, "edges", edges)
 
     def to_json(self) -> dict:
         return {

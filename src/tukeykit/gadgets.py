@@ -9,10 +9,9 @@ certificate is a proof about the supplied candidate, not a sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .apfuncs import APFunc, eventually_dominates, pointwise_max
 from .errors import CertificateError, ContractBreach
+from .records import Record, set_field
 from .triples import MorphismCandidate
 from .upsets import (
     EVENS,
@@ -24,8 +23,7 @@ from .upsets import (
 )
 
 
-@dataclass(frozen=True)
-class MaxPairViolation:
+class MaxPairViolation(Record):
     """Witness that a pull/push pair cannot satisfy
     "pull(f) meets A infinitely => f does not eventually dominate push(A)".
 
@@ -33,11 +31,15 @@ class MaxPairViolation:
     ``side`` is a half that pull(combined) meets infinitely.
     """
 
-    combined: APFunc
-    side_name: str
-    side: UPSet
-    pulled: UPSet
-    pushed_side: APFunc
+    __slots__ = ("combined", "side_name", "side", "pulled", "pushed_side")
+
+    def __init__(self, combined: APFunc, side_name: str, side: UPSet, pulled: UPSet,
+                 pushed_side: APFunc) -> None:
+        set_field(self, "combined", combined)
+        set_field(self, "side_name", side_name)
+        set_field(self, "side", side)
+        set_field(self, "pulled", pulled)
+        set_field(self, "pushed_side", pushed_side)
 
     def verify(self) -> bool:
         meets = (self.pulled & self.side).is_infinite
@@ -75,8 +77,7 @@ def refute_filterclass_to_unbounded(candidate: MorphismCandidate) -> MaxPairViol
     raise CertificateError("an infinite set meets one half of a complementary pair")
 
 
-@dataclass(frozen=True)
-class ThreeSetsViolation:
+class ThreeSetsViolation(Record):
     """Violation found by the three-sets gadget.
 
     ``kind`` is "family" when two centered inputs have incomparable
@@ -84,16 +85,23 @@ class ThreeSetsViolation:
     back outside one of the three sets.
     """
 
-    kind: str
-    detail: str
-    # family case: the centered pair and its images
-    pair: tuple[UPSet, UPSet] | None = None
-    images: tuple[UPSet, UPSet] | None = None
-    # relation case: the witnessing instance
-    common: UPSet | None = None
-    culprit: UPSet | None = None
-    culprit_image: UPSet | None = None
-    pulled: UPSet | None = None
+    # family case: ``pair`` and its ``images``; relation case: the
+    # witnessing ``common``, ``culprit``, ``culprit_image`` and ``pulled``
+    __slots__ = ("kind", "detail", "pair", "images", "common", "culprit", "culprit_image",
+                 "pulled")
+
+    def __init__(self, kind: str, detail: str, pair: tuple[UPSet, UPSet] | None = None,
+                 images: tuple[UPSet, UPSet] | None = None, common: UPSet | None = None,
+                 culprit: UPSet | None = None, culprit_image: UPSet | None = None,
+                 pulled: UPSet | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "detail", detail)
+        set_field(self, "pair", pair)
+        set_field(self, "images", images)
+        set_field(self, "common", common)
+        set_field(self, "culprit", culprit)
+        set_field(self, "culprit_image", culprit_image)
+        set_field(self, "pulled", pulled)
 
     def verify(self) -> bool:
         if self.kind == "family":

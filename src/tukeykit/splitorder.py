@@ -13,34 +13,38 @@ that count stays below m.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CertificateError
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Parameters of an (n, m)-splitting notion, 1 <= m <= n."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
+    def __init__(self, n: int, m: int) -> None:
+        if not 1 <= m <= n:
             raise ValueError("need 1 <= m <= n")
+        set_field(self, "n", n)
+        set_field(self, "m", m)
 
     def __str__(self) -> str:
         return f"({self.n},{self.m})"
 
 
-@dataclass(frozen=True)
-class EdgeVerdict:
-    source: SplitSpec
-    target: SplitSpec
-    morphism: bool
-    reason: str  # m_increase | bound_holds | bound_fails
-    lhs: int | None = None
+class EdgeVerdict(Record):
+    # reason: m_increase | bound_holds | bound_fails
+    __slots__ = ("source", "target", "morphism", "reason", "lhs")
+
+    def __init__(self, source: SplitSpec, target: SplitSpec, morphism: bool, reason: str,
+                 lhs: int | None = None) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "morphism", morphism)
+        set_field(self, "reason", reason)
+        set_field(self, "lhs", lhs)
 
     def describe(self) -> str:
         if self.reason == "m_increase":
@@ -111,11 +115,14 @@ def bt_edge(a: SplitSpec, b: SplitSpec) -> EdgeVerdict:
     return EdgeVerdict(a, b, False, "bound_fails", lhs)
 
 
-@dataclass(frozen=True)
-class AntichainReport:
-    top: int
-    pairs: tuple[tuple[int, int], ...]
-    verdicts: tuple[tuple[EdgeVerdict, EdgeVerdict], ...]
+class AntichainReport(Record):
+    __slots__ = ("top", "pairs", "verdicts")
+
+    def __init__(self, top: int, pairs: tuple[tuple[int, int], ...],
+                 verdicts: tuple[tuple[EdgeVerdict, EdgeVerdict], ...]) -> None:
+        set_field(self, "top", top)
+        set_field(self, "pairs", pairs)
+        set_field(self, "verdicts", verdicts)
 
     @property
     def all_incomparable(self) -> bool:
@@ -154,13 +161,17 @@ def antichain(top: int) -> AntichainReport:
     return AntichainReport(top, tuple(pairs), tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class IndexSetVerdict:
-    x: frozenset[int]
-    y: frozenset[int]
-    morphism: bool
-    missing: int | None = None
-    separations: tuple[tuple[EdgeVerdict, EdgeVerdict], ...] = ()
+class IndexSetVerdict(Record):
+    __slots__ = ("x", "y", "morphism", "missing", "separations")
+
+    def __init__(self, x: frozenset[int], y: frozenset[int], morphism: bool,
+                 missing: int | None = None,
+                 separations: tuple[tuple[EdgeVerdict, EdgeVerdict], ...] = ()) -> None:
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "morphism", morphism)
+        set_field(self, "missing", missing)
+        set_field(self, "separations", separations)
 
 
 def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:

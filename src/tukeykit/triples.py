@@ -12,34 +12,32 @@ checked against finite probe lists, and reports say so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .errors import KindMismatch, MachineBudgetError, SearchBoundExceeded
+from .records import Record, set_field
 
 
 # -- finite triples ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteTriple:
+class FiniteTriple(Record):
     """A finite relation given by labels and a boolean matrix."""
 
-    minus: tuple[str, ...]
-    plus: tuple[str, ...]
-    relation: tuple[tuple[bool, ...], ...]
+    __slots__ = ("minus", "plus", "relation")
 
-    def __post_init__(self) -> None:
-        minus = tuple(self.minus)
-        plus = tuple(self.plus)
-        rel = tuple(tuple(bool(v) for v in row) for row in self.relation)
+    def __init__(self, minus: tuple[str, ...], plus: tuple[str, ...],
+                 relation: tuple[tuple[bool, ...], ...]) -> None:
+        minus = tuple(minus)
+        plus = tuple(plus)
+        rel = tuple(tuple(bool(v) for v in row) for row in relation)
         if len(set(minus)) != len(minus) or len(set(plus)) != len(plus):
             raise ValueError("labels must be unique")
         if len(rel) != len(minus) or any(len(row) != len(plus) for row in rel):
             raise ValueError("relation shape must match the carriers")
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "relation", rel)
+        set_field(self, "minus", minus)
+        set_field(self, "plus", plus)
+        set_field(self, "relation", rel)
 
     def holds(self, x: str, y: str) -> bool:
         return self.relation[self.minus.index(x)][self.plus.index(y)]
@@ -48,39 +46,46 @@ class FiniteTriple:
 # -- coded triples -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyProperty:
+class FamilyProperty(Record):
     """A predicate on finite families of plus-side values."""
 
-    name: str
-    check: Callable[[list], bool]
-    note: str = ""
+    __slots__ = ("name", "check", "note")
+
+    def __init__(self, name: str, check: Callable[[list], bool], note: str = "") -> None:
+        set_field(self, "name", name)
+        set_field(self, "check", check)
+        set_field(self, "note", note)
 
     def __call__(self, family: list) -> bool:
         return self.check(family)
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Record, hidden=("validate", "probes")):
     """A carrier kind: its printed name, the test a value must pass to
     sit on a side of this kind, and the probe list that stands in for
     the whole carrier when a morphism is checked."""
 
-    name: str
-    validate: Callable[[Any], bool] = field(repr=False)
-    probes: tuple = field(repr=False)
+    __slots__ = ("name", "validate", "probes")
+
+    def __init__(self, name: str, validate: Callable[[Any], bool], probes: tuple) -> None:
+        set_field(self, "name", name)
+        set_field(self, "validate", validate)
+        set_field(self, "probes", probes)
 
 
-@dataclass(frozen=True)
-class CodedTriple:
+class CodedTriple(Record):
     """A triple whose carriers are decidable stand-ins for real spaces."""
 
-    name: str
-    minus: Kind
-    plus: Kind
-    relation: Callable[[Any, Any], bool]
-    property: FamilyProperty | None = None
-    relation_name: str = ""
+    __slots__ = ("name", "minus", "plus", "relation", "property", "relation_name")
+
+    def __init__(self, name: str, minus: Kind, plus: Kind, relation: Callable[[Any, Any], bool],
+                 property: FamilyProperty | None = None, relation_name: str = "") -> None:
+        set_field(self, "name", name)
+        set_field(self, "minus", minus)
+        set_field(self, "plus", plus)
+        set_field(self, "relation", relation)
+        set_field(self, "property", property)
+        set_field(self, "relation_name", relation_name)
 
     def holds(self, x: Any, y: Any) -> bool:
         if not self.minus.validate(x):
@@ -154,17 +159,21 @@ def finite_norm(
 # -- morphism candidates --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphismCandidate:
+class MorphismCandidate(Record):
     """A pair of total maps: ``pull`` takes target-minus values to
     source-minus values, ``push`` takes source-plus to target-plus."""
 
-    pull: Callable[[Any], Any]
-    push: Callable[[Any], Any]
-    # None: the candidate declares no kinds, and composes with anything
-    source_kinds: tuple[Kind, Kind] | None = None
-    target_kinds: tuple[Kind, Kind] | None = None
-    name: str = ""
+    # kinds None: the candidate declares no kinds, and composes with anything
+    __slots__ = ("pull", "push", "source_kinds", "target_kinds", "name")
+
+    def __init__(self, pull: Callable[[Any], Any], push: Callable[[Any], Any],
+                 source_kinds: tuple[Kind, Kind] | None = None,
+                 target_kinds: tuple[Kind, Kind] | None = None, name: str = "") -> None:
+        set_field(self, "pull", pull)
+        set_field(self, "push", push)
+        set_field(self, "source_kinds", source_kinds)
+        set_field(self, "target_kinds", target_kinds)
+        set_field(self, "name", name)
 
     def apply_pull(self, x: Any) -> Any:
         return _apply("pull map", self.pull, x)
@@ -199,22 +208,29 @@ def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:
 # -- probe-relative checking ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str  # "family" or "relation"
-    detail: str
-    data: tuple = ()
+class Violation(Record):
+    # condition: "family" or "relation"
+    __slots__ = ("condition", "detail", "data")
+
+    def __init__(self, condition: str, detail: str, data: tuple = ()) -> None:
+        set_field(self, "condition", condition)
+        set_field(self, "detail", detail)
+        set_field(self, "data", data)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    candidate: str
-    source: str
-    target: str
-    violations: tuple[Violation, ...]
-    relation_checks: int
-    nonvacuous_checks: int
-    family_checks: int
+class MorphismReport(Record):
+    __slots__ = ("candidate", "source", "target", "violations", "relation_checks",
+                 "nonvacuous_checks", "family_checks")
+
+    def __init__(self, candidate: str, source: str, target: str, violations: tuple[Violation, ...],
+                 relation_checks: int, nonvacuous_checks: int, family_checks: int) -> None:
+        set_field(self, "candidate", candidate)
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "violations", violations)
+        set_field(self, "relation_checks", relation_checks)
+        set_field(self, "nonvacuous_checks", nonvacuous_checks)
+        set_field(self, "family_checks", family_checks)
 
     @property
     def consistent(self) -> bool:

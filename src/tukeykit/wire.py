@@ -15,15 +15,14 @@ import os
 import select
 import subprocess
 import time
-from dataclasses import dataclass, field
 
 from .apfuncs import APFunc, parse_apfunc
 from .errors import MachineBudgetError
+from .records import Record
 from .upsets import UPSet, parse_upset
 
 
-@dataclass
-class LineProcess:
+class LineProcess(Record, frozen=False, hidden=("_proc", "_pending", "_failure")):
     """A child process spoken to line by line; a request not answered
     with a whole line within the timeout turns into a budget error.  The
     child is started once and never restarted: a machine keeps its state
@@ -32,13 +31,18 @@ class LineProcess:
     would otherwise be read as the answer to the next request; every
     later ask fails the same way."""
 
-    command: list[str]
-    timeout: float = 10.0
-    _proc: subprocess.Popen | None = field(default=None, repr=False)
-    # bytes the child wrote past the last answered line
-    _pending: bytearray = field(default_factory=bytearray, repr=False)
-    # why the child was killed, once it has been
-    _failure: str | None = field(default=None, repr=False)
+    __slots__ = ("command", "timeout", "_proc", "_pending", "_failure")
+
+    def __init__(self, command: list[str], timeout: float = 10.0,
+                 _proc: subprocess.Popen | None = None, _pending: bytearray | None = None,
+                 _failure: str | None = None) -> None:
+        self.command = command
+        self.timeout = timeout
+        self._proc = _proc
+        # bytes the child wrote past the last answered line
+        self._pending = bytearray() if _pending is None else _pending
+        # why the child was killed, once it has been
+        self._failure = _failure
 
     def _ensure(self, line: str) -> subprocess.Popen:
         if self._failure is not None:
@@ -51,7 +55,7 @@ class LineProcess:
             os.set_blocking(self._proc.stdin.fileno(), False)
         code = self._proc.poll()
         if code is not None:
-            raise MachineBudgetError(f"external process (exited with code {code})", line)
+            raise _exited(code, line)
         return self._proc
 
     def ask(self, line: str) -> str:
@@ -59,13 +63,25 @@ class LineProcess:
         deadline = time.monotonic() + self.timeout
         buf = self._pending
 
+        def expire() -> MachineBudgetError:
+            self._failure = "external process (timeout)"
+            proc.kill()
+            proc.wait()
+            return MachineBudgetError(self._failure, line)
+
         def wait(readable=(), writable=()) -> None:
             left = deadline - time.monotonic()
             if left <= 0 or not any(select.select(readable, writable, [], left)[:2]):
-                self._failure = "external process (timeout)"
-                proc.kill()
-                proc.wait()
-                raise MachineBudgetError(self._failure, line)
+                raise expire()
+
+        def reap() -> MachineBudgetError:
+            # the child closed its end of a pipe, as it does on exit:
+            # wait out the deadline for its exit code
+            try:
+                code = proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                return expire()
+            return _exited(code, line)
 
         try:
             # the raw descriptors are used against one deadline, so a
@@ -82,10 +98,12 @@ class LineProcess:
                 wait(readable=[fd_out])
                 chunk = os.read(fd_out, 65536)
                 if not chunk:
-                    raise MachineBudgetError("external process", line)
+                    raise reap()
                 buf += chunk
         except MachineBudgetError:
             raise
+        except BrokenPipeError:
+            raise reap() from None
         except OSError as exc:
             raise MachineBudgetError("external process", line) from exc
         answer = buf[:end].decode()
@@ -99,6 +117,10 @@ class LineProcess:
                 self._proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+
+
+def _exited(code: int, line: str) -> MachineBudgetError:
+    return MachineBudgetError(f"external process (exited with code {code})", line)
 
 
 def _format(value) -> str:
@@ -115,11 +137,13 @@ def _parse(text: str):
     return parse_apfunc(text)
 
 
-@dataclass
-class SubprocessMap:
+class SubprocessMap(Record, frozen=False):
     """A total map implemented by an external executable."""
 
-    process: LineProcess
+    __slots__ = ("process",)
+
+    def __init__(self, process: LineProcess) -> None:
+        self.process = process
 
     def __call__(self, value):
         answer = self.process.ask(_format(value))
@@ -133,12 +157,14 @@ def subprocess_map(command: list[str]) -> SubprocessMap:
     return SubprocessMap(LineProcess(command))
 
 
-@dataclass
-class SubprocessMachine:
+class SubprocessMachine(Record, frozen=False):
     """A continuous machine implemented by an external executable."""
 
-    process: LineProcess
-    name: str = "external"
+    __slots__ = ("process", "name")
+
+    def __init__(self, process: LineProcess, name: str = "external") -> None:
+        self.process = process
+        self.name = name
 
     def query(self, prefix: str, m: int) -> int | None:
         answer = self.process.ask(f"QUERY {prefix or '-'} {m}")

@@ -388,9 +388,9 @@ class TestPredictedFamilies:
 
 
 class TestExternalMachine:
-    def test_exited_child_is_not_respawned(self, tmp_path, monkeypatch):
-        script = tmp_path / "once.py"
-        script.write_text(ONE_SHOT_MACHINE)
+    @pytest.fixture
+    def spawned(self, monkeypatch) -> list:
+        """The children the wire starts, in order."""
         spawned = []
         popen = subprocess.Popen
 
@@ -399,6 +399,11 @@ class TestExternalMachine:
             return spawned[-1]
 
         monkeypatch.setattr(wire.subprocess, "Popen", counting_popen)
+        return spawned
+
+    def test_exited_child_is_not_respawned(self, tmp_path, spawned):
+        script = tmp_path / "once.py"
+        script.write_text(ONE_SHOT_MACHINE)
         machine = wire.subprocess_machine([sys.executable, str(script)])
         try:
             assert machine.query("1", 0) == 1
@@ -408,6 +413,28 @@ class TestExternalMachine:
                 machine.query("1", 0)
         finally:
             machine.process.close()
+        assert len(spawned) == 1
+
+    @pytest.mark.parametrize(
+        "child, request_",
+        [
+            ("import sys; sys.stdin.readline(); sys.exit(7)", "QUERY - 0"),
+            # exits unread, while a request larger than a pipe's buffer
+            # is being written
+            ("import sys; sys.exit(7)", "UPSET ε|" + "10" * 100_000),
+        ],
+        ids=["after-reading", "while-written"],
+    )
+    def test_child_exiting_during_a_request_reports_its_code(self, spawned, child, request_):
+        # the first ask already names the exit code, and the second
+        # starts no new child
+        process = wire.LineProcess([sys.executable, "-S", "-c", child])
+        try:
+            for _ in range(2):
+                with pytest.raises(MachineBudgetError, match=r"exited with code 7\)"):
+                    process.ask(request_)
+        finally:
+            process.close()
         assert len(spawned) == 1
 
     def test_timeout_bounds_a_partial_line(self, tmp_path):

@@ -124,7 +124,7 @@ def test_first_read_through_the_package_loads_every_submodule():
     assert seen["read"] == [
         f"tukeykit.{m}"
         for m in ("adversary", "apfuncs", "branchmap", "catalog", "errors",
-                  "gadgets", "splitorder", "triples", "upsets")
+                  "gadgets", "records", "splitorder", "triples", "upsets")
     ]
 
 
@@ -138,11 +138,12 @@ print(json.dumps({
     "modules": sorted(m.removeprefix("tukeykit.") for m in sys.modules
                       if m.startswith("tukeykit.")),
     "fractions": "fractions" in sys.modules,
+    "codegen": sorted({"dataclasses", "inspect"} & set(sys.modules)),
 }))
 """
 
-SPLITTING = ["cli", "errors", "splitorder"]
-BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "upsets"]
+SPLITTING = ["cli", "errors", "records", "splitorder"]
+BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "records", "upsets"]
 
 
 @pytest.mark.parametrize(
@@ -164,7 +165,14 @@ BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "upsets"]
             ["bound", "--column", "1", "--obs", "{tmp}/obs.json"], 0, BRANCH_MAP, None,
             id="bound",
         ),
+        pytest.param(
+            ["adversary", "run", "--builtin", "identity", "--depth", "3"], 0,
+            ["adversary", "cli", "errors", "records"], None, id="adversary",
+        ),
         pytest.param(["edge", "8", "3"], 2, ["cli"], False, id="usage-error"),
+        pytest.param(
+            ["adversary", "run", "--depth", "3"], 2, ["cli"], None, id="adversary-usage-error"
+        ),
     ],
 )
 def test_verb_loads_only_its_modules(tmp_path, argv, code, modules, fractions):
@@ -172,5 +180,7 @@ def test_verb_loads_only_its_modules(tmp_path, argv, code, modules, fractions):
     seen = fresh(VERB, json.dumps([arg.format(tmp=tmp_path) for arg in argv]))
     assert seen["code"] == code
     assert seen["modules"] == modules
+    # records are plain classes: no verb pays for dataclass code generation
+    assert seen["codegen"] == []
     if fractions is not None:
         assert seen["fractions"] is fractions

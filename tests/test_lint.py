@@ -26,6 +26,25 @@ def test_no_assert_statements():
     assert not found, f"assert statements at {found}"
 
 
+def test_no_dataclasses():
+    # decorating a dataclass execs its generated methods, a cost every
+    # import and every command-line verb would pay; records derive from
+    # tukeykit.records.Record instead
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"dataclasses imported at {found}"
+
+
 def exception_classes() -> set[str]:
     """``module.Class`` for every class in the package that derives, by
     the name of a base, from a builtin exception or from another such
