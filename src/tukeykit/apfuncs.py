@@ -313,8 +313,7 @@ def next_element_func(a: UPSet) -> APFunc:
     """
     if not a.is_infinite:
         raise ValueError("needs an infinite set")
-    n0 = len(a.head)
-    d = len(a.word)
+    n0, d = a.period_start, a.period_len
     prefix = tuple(a.next_element(k) for k in range(n0))
     block = tuple(a.next_element(n0 + i) for i in range(d))
     return APFunc(prefix, block, d)

@@ -132,8 +132,7 @@ class GluedImage(Record):
         return image_contains(self.func, x)
 
     def _infinite_trace_column(self, a: UPSet) -> int:
-        d = len(a.word)
-        n0 = len(a.head)
+        d, n0 = a.period_len, a.period_start
         for col in range(0, 2 * d + 2):
             m0 = 0
             while pair(col, m0) < n0:

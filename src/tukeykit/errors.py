@@ -36,13 +36,22 @@ class SearchBoundExceeded(RuntimeError):
     pass
 
 
+# characters of a request's repr that a MachineBudgetError message shows
+_SHOWN = 200
+
+
 class MachineBudgetError(RuntimeError):
-    """A candidate map failed to answer within its budget."""
+    """A candidate map failed to answer within its budget.  ``value`` is
+    the request; the message shows the first ``_SHOWN`` characters of its
+    repr and the full length, so a large request prints a short line."""
 
     def __init__(self, role: str, value: object):
         self.role = role
         self.value = value
-        super().__init__(f"{role} gave no answer on {value!r}")
+        shown = repr(value)
+        if len(shown) > _SHOWN:
+            shown = f"{shown[:_SHOWN]}... ({len(shown)} characters)"
+        super().__init__(f"{role} gave no answer on {shown}")
 
 
 class BudgetExhausted(RuntimeError):

@@ -7,22 +7,25 @@ the representation (primitive period, then shortest prefix), so two
 of the naturals.  All the usual mod-finite relations (almost inclusion,
 almost disjointness, splitting) are decided exactly on this fragment.
 
-The stored bits are two ``bytes`` of 0/1, ``head`` (the prefix) and
-``word`` (the period), and every operation reads them directly.  The
-``prefix`` and ``period`` tuples of ints are views for callers, built on
-first read.  The constructor takes bytes or any iterable of 0/1 ints and
-canonicalizes on bytes: the primitive root, then the prefix bits that
-the period continues backward, each found by a few bytes or int
-operations, not a walk per bit.  ``&``, ``|`` and ``-`` read both
-operands over the common window (the longer prefix, then the lcm of the
-periods) as one Python int each, apply one int operation and hand the
-unpacked bytes straight to the constructor, so no bit is converted one
-at a time.  The relations build no set at all: past both prefixes,
-offset i of a period p1 and offset j of a period p2 are read together
-infinitely often iff the positions they stand for agree mod
-gcd(p1, p2) (Chinese remainder theorem).  So each relation folds both
-periods into residue classes mod the gcd and costs O(p1 + p2), never
-the lcm.
+The stored bits are two Python ints, least significant bit first:
+``head`` has bit k set when k is a member below ``period_start``, and
+``word`` has bit r set when offset r of the period (of length
+``period_len``) is a member.  Every operation reads the ints directly;
+the ``prefix`` and ``period`` tuples are views for callers, built on
+first read.  The constructor packs bytes or any iterable of 0/1 ints
+once; every result goes through the same int canonicalizer,
+``UPSet.__post_init__``: the primitive root is the first divisor d of
+the period length at which the word equals itself shifted by d, and
+the prefix bits that the period continues backward are the top bits
+where the prefix agrees with the period run backward over it, one xor
+and one rotation.  ``&``, ``|`` and ``-`` read both operands over the
+common window (the longer prefix, then the lcm of the periods) as one
+int each and apply one int operation.  The relations build no set at
+all: past both prefixes, offset i of a period p1 and offset j of a
+period p2 are read together infinitely often iff the positions they
+stand for agree mod gcd(p1, p2) (Chinese remainder theorem).  So each
+relation folds both period words into residue classes mod the gcd and
+costs O(p1 + p2), never the lcm.
 """
 
 from __future__ import annotations
@@ -36,25 +39,28 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _primitive_root(word: bytes) -> bytes:
-    """Shortest word whose repetition equals ``word`` repeated."""
-    n = len(word)
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    for d in low + [n // d for d in reversed(low) if d * d != n]:
-        # a word of period d equals itself shifted by d
-        if d < n and word[d:] == word[:-d]:
-            return word[:d]
-    return word
-
-
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _pack(bits: bytes) -> int:
-    """The int whose binary digits, most significant first, are ``bits``."""
-    return int(b"0" + bits.translate(_TO_ASCII), 2)
+    """The int whose bit k is ``bits[k]``."""
+    return int(b"0" + bits[::-1].translate(_TO_ASCII), 2)
+
+
+def _digits(x: int, n: int) -> str:
+    """Bits 0 to n - 1 of ``x`` as a string of 0/1, bit 0 first."""
+    return format(x, f"0{n}b")[::-1] if n else ""
+
+
+def _bits(x: int, n: int) -> bytes:
+    """Bits 0 to n - 1 of ``x`` as bytes of 0/1, bit 0 first."""
+    return _digits(x, n).encode().translate(_FROM_ASCII)
+
+
+def _lowest(x: int) -> int:
+    """Index of the lowest set bit of ``x`` > 0."""
+    return (x & -x).bit_length() - 1
 
 
 def _as_bits(bits) -> bytes:
@@ -75,40 +81,56 @@ _set = object.__setattr__
 class UPSet:
     """An ultimately periodic subset of omega, always in canonical form.
 
-    ``head`` and ``word`` hold the canonical prefix and period as bytes
-    of 0/1; ``prefix`` and ``period`` are the same bits as tuples of
-    ints, built on first read and kept.  Instances are immutable.
+    ``head`` and ``word`` hold the canonical prefix and period as ints,
+    bit k for offset k, with their lengths ``period_start`` and
+    ``period_len``; ``prefix`` and ``period`` are the same bits as tuples
+    of ints, built on first read and kept.  Instances are immutable.
     """
 
-    __slots__ = ("head", "word", "_prefix", "_period", "_hash")
+    __slots__ = ("head", "word", "period_start", "period_len", "_prefix", "_period", "_hash")
 
     def __init__(self, prefix, period) -> None:
-        self.__post_init__(prefix, period)
-
-    def __post_init__(self, prefix, period) -> None:
-        word = _as_bits(period)
+        head, word = _as_bits(prefix), _as_bits(period)
         if not word:
             raise ValueError("period must be nonempty")
-        head = _as_bits(prefix)
-        word = _primitive_root(word)
-        # Absorb the trailing prefix bits that already match the period
-        # run backward over the prefix; this yields the shortest possible
+        self.__post_init__(_pack(head + word), len(head), len(word))
+
+    def __post_init__(self, bits: int, m: int, p: int) -> None:
+        """Store the canonical form of the set whose bits 0 to m - 1 are
+        the prefix and bits m to m + p - 1 one period."""
+        head, word = bits & ((1 << m) - 1), bits >> m
+        if p > 1:
+            low = [d for d in range(1, isqrt(p) + 1) if p % d == 0]
+            for d in low + [p // d for d in reversed(low) if d * d != p]:
+                # a word of period d equals itself shifted by d
+                if d < p and word >> d == word & ((1 << (p - d)) - 1):
+                    word &= (1 << d) - 1
+                    p = d
+                    break
+        # Absorb the top prefix bits that already match the period run
+        # backward over the prefix; this yields the shortest possible
         # prefix for the denoted set.
-        if head and head[-1] == word[-1]:
-            m, p = len(head), len(word)
-            diff = _pack(head) ^ _pack((word * (m // p + 1))[-m:])
-            k = (diff & -diff).bit_length() - 1 if diff else m
-            r = p - k % p
-            head, word = head[: m - k], word[r:] + word[:r]
+        if m and head >> (m - 1) == word >> (p - 1):
+            back, width = word, p
+            while width < m:
+                back, width = back | (back << width), 2 * width
+            # bit k of back >> (width - m) is offset k - m of the period
+            n = (head ^ (back >> (width - m))).bit_length()
+            r = (n - m) % p
+            head &= (1 << n) - 1
+            word = (word >> r) | ((word & ((1 << r) - 1)) << (p - r))
+            m = n
         _set(self, "head", head)
         _set(self, "word", word)
+        _set(self, "period_start", m)
+        _set(self, "period_len", p)
 
     @property
     def prefix(self) -> tuple[int, ...]:
         try:
             return self._prefix
         except AttributeError:
-            _set(self, "_prefix", tuple(self.head))
+            _set(self, "_prefix", tuple(_bits(self.head, self.period_start)))
             return self._prefix
 
     @property
@@ -116,7 +138,7 @@ class UPSet:
         try:
             return self._period
         except AttributeError:
-            _set(self, "_period", tuple(self.word))
+            _set(self, "_period", tuple(_bits(self.word, self.period_len)))
             return self._period
 
     def __setattr__(self, name, value):
@@ -126,11 +148,19 @@ class UPSet:
         raise AttributeError(f"UPSet is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return (type(self), (self.head, self.word))
+        return (
+            type(self),
+            (_bits(self.head, self.period_start), _bits(self.word, self.period_len)),
+        )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.head == other.head and self.word == other.word
+            return (
+                self.period_start == other.period_start
+                and self.period_len == other.period_len
+                and self.head == other.head
+                and self.word == other.word
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -139,7 +169,11 @@ class UPSet:
         try:
             return self._hash
         except AttributeError:
-            _set(self, "_hash", hash((tuple(self.head), tuple(self.word))))
+            views = (
+                tuple(_bits(self.head, self.period_start)),
+                tuple(_bits(self.word, self.period_len)),
+            )
+            _set(self, "_hash", hash(views))
             return self._hash
 
     def __repr__(self) -> str:
@@ -172,60 +206,60 @@ class UPSet:
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
-        head = self.head
-        if k < len(head):
-            return head[k] == 1
-        word = self.word
-        return word[(k - len(head)) % len(word)] == 1
+        m = self.period_start
+        if k < m:
+            return (self.head >> k) & 1 == 1
+        return (self.word >> ((k - m) % self.period_len)) & 1 == 1
 
     @property
     def is_finite(self) -> bool:
-        return 1 not in self.word
+        return not self.word
 
     @property
     def is_infinite(self) -> bool:
-        return 1 in self.word
+        return self.word != 0
 
     @property
     def is_ic(self) -> bool:
-        """Infinite and co-infinite."""
-        return 1 in self.word and 0 in self.word
+        """Infinite and co-infinite: a primitive word longer than one bit
+        holds both a 0 and a 1."""
+        return self.period_len > 1
 
     def next_element(self, k: int) -> int:
         """Least member strictly above ``k`` (set must be infinite)."""
-        if not self.is_infinite:
+        word = self.word
+        if not word:
             raise ValueError("finite set has no next element eventually")
-        head, word = self.head, self.word
+        m = self.period_start
         j = max(k + 1, 0)
-        if j < len(head):
-            found = head.find(1, j)
-            if found >= 0:
-                return found
-            j = len(head)
+        if j < m:
+            rest = self.head >> j
+            if rest:
+                return j + _lowest(rest)
+            j = m
         # the next 1 of the period at or after offset r, wrapping once
-        r = (j - len(head)) % len(word)
-        found = word.find(1, r)
-        if found < 0:
-            found = word.find(1) + len(word)
-        return j + found - r
+        r = (j - m) % self.period_len
+        rest = word >> r
+        if rest:
+            return j + _lowest(rest)
+        return j + self.period_len - r + _lowest(word)
 
     # -- boolean algebra ----------------------------------------------
 
     def _window(self, width: int) -> int:
-        """Membership bits over [0, width), width past the prefix, packed
-        into one int: the packed period doubles until it covers the rest."""
-        tail = width - len(self.head)
-        word, bits = _pack(self.word), len(self.word)
+        """Membership bits over [0, width), width past the prefix, as one
+        int: the period word doubles until it covers the rest."""
+        m = self.period_start
+        tail = width - m
+        word, bits = self.word, self.period_len
         while bits < tail:
-            word, bits = (word << bits) | word, 2 * bits
-        return (_pack(self.head) << tail) | (word >> (bits - tail))
+            word, bits = word | (word << bits), 2 * bits
+        return self.head | ((word & ((1 << tail) - 1)) << m)
 
     def _combine(self, other: "UPSet", op) -> "UPSet":
-        m = max(len(self.head), len(other.head))
-        width = m + lcm(len(self.word), len(other.word))
-        z = op(self._window(width), other._window(width))
-        bits = format(z, f"0{width}b").encode().translate(_FROM_ASCII)
-        return UPSet(bits[:m], bits[m:])
+        m = max(self.period_start, other.period_start)
+        p = lcm(self.period_len, other.period_len)
+        return _make(op(self._window(m + p), other._window(m + p)), m, p)
 
     def __and__(self, other: "UPSet") -> "UPSet":
         return self._combine(other, int.__and__)
@@ -237,16 +271,25 @@ class UPSet:
         return self._combine(other, lambda a, b: a & ~b)
 
     def complement(self) -> "UPSet":
-        return UPSet(self.head.translate(_FLIP), self.word.translate(_FLIP))
+        m, p = self.period_start, self.period_len
+        return _make(self._window(m + p) ^ ((1 << (m + p)) - 1), m, p)
 
     # -- literals -----------------------------------------------------
 
     def literal(self) -> str:
-        text = (self.head + b"|" + self.word).translate(_TO_ASCII).decode()
-        return text if self.head else "ε" + text
+        head = _digits(self.head, self.period_start)
+        return (head or "ε") + "|" + _digits(self.word, self.period_len)
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _make(bits: int, m: int, p: int) -> UPSet:
+    """The set whose bits 0 to m - 1 are the prefix and bits m to
+    m + p - 1 one period, built without packing."""
+    s = object.__new__(UPSet)
+    s.__post_init__(bits, m, p)
+    return s
 
 
 EMPTY = UPSet((), (0,))
@@ -264,17 +307,15 @@ def parse_upset(text: str) -> UPSet:
         pre = ""
     if not per or set(pre + per) - {"0", "1"}:
         raise ValueError(f"not an UPSet literal: {text!r}")
-    return UPSet(pre.encode().translate(_FROM_ASCII), per.encode().translate(_FROM_ASCII))
+    return _make(int((pre + per)[::-1], 2), len(pre), len(per))
 
 
 def _fold(s: UPSet, g: int, bit: int) -> int:
     """Bit c is set iff s reads ``bit`` at infinitely many k = c mod g,
-    for g dividing the period.  The period is packed into one int,
-    reversed so that offset r lands on bit r, and its blocks of g bits
+    for g dividing the period.  The blocks of g bits of the period word
     are ORed together by halving their number: no per-bit or per-block
     walk."""
-    p = len(s.word)
-    x = _pack(s.word[::-1])
+    p, x = s.period_len, s.word
     if not bit:
         x ^= (1 << p) - 1
     blocks = p // g
@@ -282,13 +323,13 @@ def _fold(s: UPSet, g: int, bit: int) -> int:
         low = blocks // 2 * g
         x = (x >> low) | (x & ((1 << low) - 1))
         blocks -= blocks // 2
-    shift = len(s.head) % g
+    shift = s.period_start % g
     return ((x << shift) | (x >> (g - shift))) & ((1 << g) - 1)
 
 
 def _recur_together(a: UPSet, abit: int, b: UPSet, bbit: int) -> bool:
     """Are there infinitely many k where a reads ``abit`` and b ``bbit``?"""
-    g = gcd(len(a.word), len(b.word))
+    g = gcd(a.period_len, b.period_len)
     return _fold(a, g, abit) & _fold(b, g, bbit) != 0
 
 
@@ -359,15 +400,21 @@ def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:
     """
     if t < 1 or not 0 <= j < t:
         raise ValueError("need t >= 1 and 0 <= j < t")
-    n0 = len(b.head)
+    m, p = b.period_start, b.period_len
+    head = list(itertools.compress(itertools.count(), _bits(b.head, m)))
+    word = list(itertools.compress(itertools.count(), _bits(b.word, p)))
     # After t periods the position phase and the member count mod t
     # both return, so t periods are always a valid (possibly
-    # non-primitive) period for the slice.
-    word = b.head + b.word * t
-    bits = bytearray(len(word))
-    for k in list(itertools.compress(itertools.count(), word))[j::t]:
+    # non-primitive) period for the slice.  Copy q of the period starts
+    # at member index len(head) + q * len(word).
+    bits = bytearray(m + t * p)
+    for k in head[j::t]:
         bits[k] = 1
-    return UPSet(bits[:n0], bits[n0:])
+    for q in range(t):
+        start = m + q * p
+        for k in word[(j - len(head) - q * len(word)) % t :: t]:
+            bits[start + k] = 1
+    return _make(_pack(bits), m, t * p)
 
 
 def partition_upset(b: UPSet, parts: int) -> list[UPSet]:

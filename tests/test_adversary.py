@@ -431,8 +431,12 @@ class TestExternalMachine:
         process = wire.LineProcess([sys.executable, "-S", "-c", child])
         try:
             for _ in range(2):
-                with pytest.raises(MachineBudgetError, match=r"exited with code 7\)"):
+                with pytest.raises(MachineBudgetError, match=r"exited with code 7\)") as info:
                     process.ask(request_)
+                # the message shows a bounded part of the request, which
+                # the error keeps whole
+                assert len(str(info.value)) < 1024
+                assert info.value.value == request_
         finally:
             process.close()
         assert len(spawned) == 1

@@ -9,6 +9,7 @@ import pytest
 from tukeykit import cli, errors
 from tukeykit.adversary import PartialProgress, _BudgetSignal
 from tukeykit.cli import main
+from tukeykit.upsets import UPSet
 
 PHI_CONST_EVENS = (
     "import sys\n"
@@ -461,6 +462,20 @@ class TestExitStatus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{prefix} {exc}\n"
+
+    def test_a_large_request_prints_a_bounded_budget_line(self, capsys, monkeypatch):
+        request = UPSet.from_residues(499 * 491, range(0, 499 * 491, 3))
+        shown = repr(request)
+
+        def handler(args):
+            raise errors.MachineBudgetError("push map", request)
+
+        monkeypatch.setattr(cli, "cmd_edge", handler)
+        assert main(["edge", "2", "1", "2", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"budget: push map gave no answer on {shown[:100]}")
+        assert err.endswith(f"... ({len(shown)} characters)\n")
+        assert len(err) < 1024
 
     def test_other_errors_propagate(self, monkeypatch):
         def handler(args):

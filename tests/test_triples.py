@@ -15,6 +15,7 @@ from tukeykit.triples import (
     finite_norm,
     is_dominating,
 )
+from tukeykit.upsets import UPSet
 
 from helpers import finite_triple, identity_candidate
 
@@ -138,6 +139,15 @@ class TestCheckMorphism:
             check_morphism(cand, t, t)
         with pytest.raises(MachineBudgetError):
             check_morphism(MorphismCandidate(pull=lambda x: None, push=lambda y: y), t, t)
+
+    def test_no_answer_on_a_large_set_gives_a_short_message(self):
+        # an lcm-sized request stays whole on the error, not in its text
+        request = UPSet.from_residues(499, {0}) | UPSet.from_residues(491, {0})
+        cand = MorphismCandidate(pull=lambda x: None, push=lambda y: y)
+        with pytest.raises(MachineBudgetError, match=r"^pull map gave no answer on UPSet\(") as info:
+            cand.apply_pull(request)
+        assert info.value.value is request
+        assert len(str(info.value)) < 1024
 
     def test_image_of_dominating_is_dominating_small_exhaustive(self):
         # whenever the relation condition holds everywhere, pushing a

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_upsets as ref
+from tukeykit import upsets as upsets_module
 from tukeykit.upsets import (
     EMPTY,
     EVENS,
@@ -289,8 +290,8 @@ class TestAgainstReference:
     @given(st.sampled_from(((101, 103), (127, 131), (89, 113), (300, 196))), st.data())
     @settings(max_examples=12, deadline=None)
     def test_operations_at_large_lcm(self, periods, data):
-        # lcm 10,057 to 16,637, where the packed walk hands its bytes
-        # straight to the constructor
+        # lcm 10,057 to 16,637, where the window walk hands its result
+        # int straight to the canonicalizer
         seed = data.draw(st.integers(0, 2**32))
         rng = random.Random(seed)
         a, b = (
@@ -340,7 +341,7 @@ class TestBytesConstructor:
 
 
 class TestRepresentation:
-    """The bytes-stored set against a tuple-stored reference: what a
+    """The int-stored set against a tuple-stored reference: what a
     caller sees (repr, hash, equality, the tuple views, literals) is
     what the canonical tuple pair gives."""
 
@@ -400,8 +401,8 @@ THIRD_PERIODS = (4, 5, 6, 21, 26)
 
 
 class TestChainedOperations:
-    """Results of results: sets that the constructor only ever saw as
-    bytes from another operation, against the per-bit reference."""
+    """Results of results: sets that the canonicalizer only ever saw as
+    ints from another operation, against the per-bit reference."""
 
     @given(
         st.sampled_from(list(itertools.combinations(CHAIN_PERIODS, 2))),
@@ -444,3 +445,125 @@ class TestChainedOperations:
             t = rng.randrange(1, 4)
             j = rng.randrange(t)
             assert fields(slice_by_index(s, t, j)) == ref.slice_by_index(s, t, j)
+
+
+@st.composite
+def repeated_roots(draw):
+    """A period word ``root * q`` whose length is lcm-like: a product of
+    two or three small factors, the root's length among them."""
+    root_len = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7)))
+    q = draw(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 13)))
+    root = tuple(draw(st.lists(st.integers(0, 1), min_size=root_len, max_size=root_len)))
+    return root, q
+
+
+class TestIntCanonicalForm:
+    """The canonical form computed on ints against the per-bit reference,
+    at the edges of the shift-and-mask arithmetic."""
+
+    @given(repeated_roots(), st.lists(st.integers(0, 1), max_size=9).map(tuple))
+    @settings(max_examples=150)
+    def test_repeated_roots(self, word, prefix):
+        root, q = word
+        s = UPSet(prefix, root * q)
+        assert fields(s) == ref.canonical(prefix, root * q)
+        assert s.period_len == len(s.period) == len(ref.primitive_root(root))
+
+    @given(raw_words(), st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_head_absorbed_by_whole_periods(self, word, copies):
+        # the head ends in whole periods after a bit the period cannot
+        # continue, so the absorbed bits are a multiple of the period
+        # and the word stays unrotated
+        prefix, period = ref.canonical(*word)
+        bit = 1 - period[-1]
+        s = UPSet(prefix + (bit,) + period * copies, period)
+        assert fields(s) == ref.canonical(prefix + (bit,) + period * copies, period)
+        assert s.prefix == prefix + (bit,) and s.period == period
+
+    @given(raw_words(), st.integers(0, 50))
+    @settings(max_examples=150)
+    def test_head_absorbed_whole(self, word, length):
+        # a head that is the period run backward is absorbed entirely
+        _, period = word
+        run = period * (length // len(period) + 1)
+        head = run[len(run) - length:]
+        s = UPSet(head, period)
+        assert s.period_start == 0 and s.prefix == ()
+        assert fields(s) == ref.canonical(head, period)
+
+    @given(wide_upsets, st.integers(0, 3))
+    @settings(max_examples=150)
+    def test_next_element_wraps_past_the_last_offset(self, s, copies):
+        if not s.is_infinite:
+            return
+        m, p = s.period_start, s.period_len
+        for k in (m + copies * p + p - 2, m + copies * p + p - 1):
+            assert s.next_element(k) == next(j for j in itertools.count(k + 1) if j in s)
+
+    @given(wide_upsets, st.integers(0, 3))
+    @settings(max_examples=150)
+    def test_membership_at_the_last_offset_and_below_zero(self, s, copies):
+        m, p = s.period_start, s.period_len
+        k = m + copies * p + p - 1
+        assert (k in s) == (s.period[-1] == 1)
+        if m:
+            assert (m - 1 in s) == (s.prefix[-1] == 1)
+        assert -1 not in s and -(p + 1) not in s
+
+    @given(wide_upsets)
+    @settings(max_examples=150)
+    def test_double_complement(self, s):
+        assert s.complement().complement() == s
+        assert fields(s.complement()) == ref.complement(s)
+
+
+class TestNoConversions:
+    """Results are built by the one int canonicalizer, and operations on
+    existing sets pack no bits."""
+
+    def test_one_canonicalization_per_set_returned(self, monkeypatch):
+        a, b = UPSet((1, 0), (0, 1, 1)), UPSet.from_residues(5, {0, 2})
+        calls = []
+        post_init = UPSet.__post_init__
+
+        def counting(self, *args):
+            calls.append(args)
+            post_init(self, *args)
+
+        monkeypatch.setattr(UPSet, "__post_init__", counting)
+        for build in (
+            lambda: a & b,
+            lambda: a | b,
+            lambda: a - b,
+            lambda: a.complement(),
+            lambda: slice_by_index(b, 3, 1),
+            lambda: parse_upset("10|011"),
+            lambda: UPSet((1,), (0, 1)),
+            lambda: UPSet.from_residues(4, {1}),
+            lambda: UPSet.from_finite({2, 5}),
+            lambda: pickle.loads(pickle.dumps(a)),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == 1
+
+    def test_relations_and_algebra_pack_nothing(self, monkeypatch):
+        rng = random.Random(3)
+        a, b, c = (
+            UPSet((1, 0, 1), tuple(rng.randrange(2) for _ in range(p))) for p in (13, 11, 13)
+        )
+        chain = [a, a & b, (a & b) & c]
+        family = dyadic_family(4)
+        packed = []
+        pack = upsets_module._pack
+
+        def counting(bits):
+            packed.append(bits)
+            return pack(bits)
+
+        monkeypatch.setattr(upsets_module, "_pack", counting)
+        almost_subset(a, b), almost_disjoint(a, b), splits(c, a)
+        is_linearly_ordered(chain), is_ad_family(family), is_centered([a, b, c])
+        a & b, a | b, a - b, a.complement()
+        assert packed == []
