@@ -26,13 +26,13 @@ if TYPE_CHECKING:
     from .upsets import UPSet
 
 
-class PartialProgress(Record, frozen=False):
+class PartialProgress(Record):
     __slots__ = ("level", "history", "pivot_tried")
 
     def __init__(self, level: int, history: str, pivot_tried: int) -> None:
-        self.level = level
-        self.history = history
-        self.pivot_tried = pivot_tried
+        set_field(self, "level", level)
+        set_field(self, "history", history)
+        set_field(self, "pivot_tried", pivot_tried)
 
 
 class ContinuousMachine(Protocol):
@@ -41,14 +41,14 @@ class ContinuousMachine(Protocol):
     def query(self, prefix: str, m: int) -> int | None: ...
 
 
-class FunctionMachine(Record, frozen=False):
+class FunctionMachine(Record):
     """A machine whose ``query`` is a total bit-prefix rule."""
 
     __slots__ = ("name", "query")
 
     def __init__(self, name: str, query: Callable[[str, int], int | None]) -> None:
-        self.name = name
-        self.query = query
+        set_field(self, "name", name)
+        set_field(self, "query", query)
 
 
 def identity_machine() -> FunctionMachine:
@@ -67,19 +67,15 @@ def flip_machine() -> FunctionMachine:
     )
 
 
-class MeteredMachine(Record, frozen=False):
+class MeteredMachine:
     """Budget wrapper; every query decrements the remaining budget."""
 
     __slots__ = ("inner", "budget", "used")
 
-    def __init__(self, inner: ContinuousMachine, budget: int, used: int = 0) -> None:
+    def __init__(self, inner: ContinuousMachine, budget: int) -> None:
         self.inner = inner
         self.budget = budget
-        self.used = used
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
+        self.used = 0
 
     def query(self, prefix: str, m: int) -> int | None:
         if self.used >= self.budget:

@@ -314,6 +314,14 @@ def next_element_func(a: UPSet) -> APFunc:
     if not a.is_infinite:
         raise ValueError("needs an infinite set")
     n0, d = a.period_start, a.period_len
-    prefix = tuple(a.next_element(k) for k in range(n0))
-    block = tuple(a.next_element(n0 + i) for i in range(d))
-    return APFunc(prefix, block, d)
+    # one backward pass over the prefix and two copies of the period:
+    # every k below n0 + d has its next member in that window
+    bits = a.prefix + a.period * 2
+    above = None
+    nexts = []
+    for j in range(len(bits) - 1, -1, -1):
+        nexts.append(above)
+        if bits[j]:
+            above = j
+    nexts.reverse()
+    return APFunc(tuple(nexts[:n0]), tuple(nexts[n0 : n0 + d]), d)

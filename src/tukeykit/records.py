@@ -1,13 +1,15 @@
-"""The base of the package's records: plain classes whose ``__slots__``
-list their fields, and which compare, hash, print and pickle by them.
+"""The base of the package's records: the immutable values of the
+calculus (sets, functions, certificates, diagram edges) as plain classes
+whose ``__slots__`` list their fields, and which compare, hash, print
+and pickle by them.
 
 Equality, the hash of the field tuple and the ``Name(field=value, ...)``
 repr are those of a frozen dataclass, so set and dict orders and printed
 outputs match, without the code a dataclass generates at import.  Each
 record writes its own ``__init__`` and stores its fields with
-``set_field``, past the frozen ``__setattr__``.  A record declared with
-``frozen=False`` takes assignment and is unhashable; ``hidden`` names
-the fields its repr leaves out.
+``set_field``, past the frozen ``__setattr__``.  What holds changing
+state, such as the adversary's query meter and the handles over a child
+process in ``wire``, is a plain class, not a record.
 """
 
 from operator import attrgetter
@@ -16,22 +18,17 @@ set_field = object.__setattr__
 
 
 class Record:
-    # a frozen record's hash, kept from its first use: the splitting
-    # order's Hasse reduction hashes each spec hundreds of times
+    # a record's hash, kept from its first use: the splitting order's
+    # Hasse reduction hashes each spec hundreds of times
     __slots__ = ("_hash",)
 
-    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = (), **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         fields = cls.__slots__
         get = attrgetter(*fields)
         # the field values as a tuple; attrgetter of one name gives the
         # value, and a plain function would bind as a method
         cls._values = get if len(fields) > 1 else staticmethod(lambda r: (get(r),))
-        cls._shown = tuple(f for f in fields if f not in hidden)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -47,7 +44,7 @@ class Record:
             return self._hash
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):

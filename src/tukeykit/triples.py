@@ -60,7 +60,7 @@ class FamilyProperty(Record):
         return self.check(family)
 
 
-class Kind(Record, hidden=("validate", "probes")):
+class Kind(Record):
     """A carrier kind: its printed name, the test a value must pass to
     sit on a side of this kind, and the probe list that stands in for
     the whole carrier when a morphism is checked."""
@@ -71,6 +71,10 @@ class Kind(Record, hidden=("validate", "probes")):
         set_field(self, "name", name)
         set_field(self, "validate", validate)
         set_field(self, "probes", probes)
+
+    def __repr__(self) -> str:
+        # the name alone, as in KindMismatch messages
+        return f"Kind(name={self.name!r})"
 
 
 class CodedTriple(Record):

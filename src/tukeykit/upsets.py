@@ -58,11 +58,6 @@ def _bits(x: int, n: int) -> bytes:
     return _digits(x, n).encode().translate(_FROM_ASCII)
 
 
-def _lowest(x: int) -> int:
-    """Index of the lowest set bit of ``x`` > 0."""
-    return (x & -x).bit_length() - 1
-
-
 def _as_bits(bits) -> bytes:
     """Membership bits, given as bytes, a bytearray or an iterable of 0/1
     ints, as bytes; anything else raises ValueError."""
@@ -224,25 +219,6 @@ class UPSet:
         """Infinite and co-infinite: a primitive word longer than one bit
         holds both a 0 and a 1."""
         return self.period_len > 1
-
-    def next_element(self, k: int) -> int:
-        """Least member strictly above ``k`` (set must be infinite)."""
-        word = self.word
-        if not word:
-            raise ValueError("finite set has no next element eventually")
-        m = self.period_start
-        j = max(k + 1, 0)
-        if j < m:
-            rest = self.head >> j
-            if rest:
-                return j + _lowest(rest)
-            j = m
-        # the next 1 of the period at or after offset r, wrapping once
-        r = (j - m) % self.period_len
-        rest = word >> r
-        if rest:
-            return j + _lowest(rest)
-        return j + self.period_len - r + _lowest(word)
 
     # -- boolean algebra ----------------------------------------------
 

@@ -18,11 +18,10 @@ import time
 
 from .apfuncs import APFunc, parse_apfunc
 from .errors import MachineBudgetError
-from .records import Record
 from .upsets import UPSet, parse_upset
 
 
-class LineProcess(Record, frozen=False, hidden=("_proc", "_pending", "_failure")):
+class LineProcess:
     """A child process spoken to line by line; a request not answered
     with a whole line within the timeout turns into a budget error.  The
     child is started once and never restarted: a machine keeps its state
@@ -33,16 +32,14 @@ class LineProcess(Record, frozen=False, hidden=("_proc", "_pending", "_failure")
 
     __slots__ = ("command", "timeout", "_proc", "_pending", "_failure")
 
-    def __init__(self, command: list[str], timeout: float = 10.0,
-                 _proc: subprocess.Popen | None = None, _pending: bytearray | None = None,
-                 _failure: str | None = None) -> None:
+    def __init__(self, command: list[str], timeout: float = 10.0) -> None:
         self.command = command
         self.timeout = timeout
-        self._proc = _proc
+        self._proc: subprocess.Popen | None = None
         # bytes the child wrote past the last answered line
-        self._pending = bytearray() if _pending is None else _pending
+        self._pending = bytearray()
         # why the child was killed, once it has been
-        self._failure = _failure
+        self._failure: str | None = None
 
     def _ensure(self, line: str) -> subprocess.Popen:
         if self._failure is not None:
@@ -137,7 +134,7 @@ def _parse(text: str):
     return parse_apfunc(text)
 
 
-class SubprocessMap(Record, frozen=False):
+class SubprocessMap:
     """A total map implemented by an external executable."""
 
     __slots__ = ("process",)
@@ -157,7 +154,7 @@ def subprocess_map(command: list[str]) -> SubprocessMap:
     return SubprocessMap(LineProcess(command))
 
 
-class SubprocessMachine(Record, frozen=False):
+class SubprocessMachine:
     """A continuous machine implemented by an external executable."""
 
     __slots__ = ("process", "name")

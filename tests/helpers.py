@@ -124,7 +124,7 @@ def scripted_max_pair_candidates() -> list[MorphismCandidate]:
         ),
         mk(
             pull=lambda f: EVENS if f(0) % 2 == 0 else ODDS,
-            push=lambda a: constant(a.next_element(0)),
+            push=lambda a: constant(next_element_func(a)(0)),
             name="first-value-branch/const",
         ),
         mk(

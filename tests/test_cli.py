@@ -82,6 +82,11 @@ GOLDEN = Path(__file__).parent / "golden"
             "intersect_n2.json",
             ["intersect", "--n", "2", "--fs", ";0;0", "0,0;1;0", "0,0;2;1"],
         ),
+        ("diagram_borel.txt", ["diagram", "--kind", "borel"]),
+        (
+            "diagram_splitting_4_hasse.txt",
+            ["diagram", "--kind", "splitting", "--limit", "4", "--hasse"],
+        ),
     ],
 )
 def test_output_matches_golden(capsys, fixture, argv):

@@ -45,6 +45,52 @@ def test_no_dataclasses():
     assert not found, f"dataclasses imported at {found}"
 
 
+def record_assignments(tree: ast.Module) -> list[str]:
+    """``Class:line`` for every assignment, augmented assignment or
+    deletion of a ``self`` attribute inside a class that names
+    ``Record`` among its bases."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Record"
+            for base in node.bases
+        ):
+            found += [
+                f"{node.name}:{target.lineno}"
+                for target in ast.walk(node)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, (ast.Store, ast.Del))
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ]
+    return found
+
+
+def test_nothing_assigns_to_a_record():
+    # a record is frozen, so assigning one of its fields raises, but only
+    # when that line runs; fields are stored with records.set_field
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{where}" for where in record_assignments(tree)]
+    assert not found, f"assignments to record attributes at {found}"
+
+
+def test_record_assignment_lint_finds_each_form():
+    source = (
+        "class A(records.Record):\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "        self.y += 1\n"
+        "        del self.z\n"
+        "        self.a, self.b = 1, 2\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+    )
+    assert record_assignments(ast.parse(source)) == ["A:3", "A:4", "A:5", "A:6", "A:6"]
+
+
 def exception_classes() -> set[str]:
     """``module.Class`` for every class in the package that derives, by
     the name of a base, from a builtin exception or from another such

@@ -1,6 +1,7 @@
-"""Every record of the package behaves as the frozen (or, where marked,
-mutable) dataclass it stands for: same equality, hash, repr, pickling
-and copying, checked against a dataclass built from its fields."""
+"""Every record of the package behaves as the frozen dataclass it
+stands for: same equality, hash, repr, pickling and copying, checked
+against a dataclass built from its fields.  The query meter and the
+child-process handles hold changing state and are plain classes."""
 
 import copy
 import dataclasses
@@ -70,13 +71,11 @@ EDGE = EdgeRecord("d", "b", "BT-morphism", "successor")
 SPEC = SplitSpec(4, 2)
 VERDICT = EdgeVerdict(SPEC, SplitSpec(3, 2), True, "bound_holds", 1)
 VIOLATION = Violation("relation", "detail", (1, 2))
-PROCESS = LineProcess(["true"], 2.0)
 
 # one sample per record class
 SAMPLES = {
     PartialProgress: PartialProgress(2, "01", 5),
     FunctionMachine: FunctionMachine("m", max),
-    MeteredMachine: MeteredMachine(FunctionMachine("m", max), 10, 3),
     IntervalPartition: PARTITION,
     Predictor: PREDICTOR,
     DecidedFact: DecidedFact(1, "0", 3),
@@ -114,18 +113,20 @@ SAMPLES = {
     MorphismCandidate: CANDIDATE,
     Violation: VIOLATION,
     MorphismReport: MorphismReport("c", "s", "t", (VIOLATION,), 4, 2, 1),
+}
+
+# the fields Kind's own repr leaves out
+HIDDEN = {Kind: {"validate", "probes"}}
+
+PROCESS = LineProcess(["true"], 2.0)
+
+# one instance per class that holds changing state instead of a value
+PLAIN = {
+    MeteredMachine: MeteredMachine(FunctionMachine("m", max), 10),
     LineProcess: PROCESS,
     SubprocessMap: SubprocessMap(PROCESS),
     SubprocessMachine: SubprocessMachine(PROCESS, "m"),
 }
-
-MUTABLE = {
-    PartialProgress, FunctionMachine, MeteredMachine, LineProcess, SubprocessMap,
-    SubprocessMachine,
-}
-
-# the fields each repr leaves out
-HIDDEN = {Kind: {"validate", "probes"}, LineProcess: {"_proc", "_pending", "_failure"}}
 
 
 def record_classes() -> list[type]:
@@ -154,12 +155,11 @@ def hash_of(value):
 
 def as_dataclass(cls: type, values: tuple):
     """The dataclass the record stands for, holding the same values."""
-    frozen = cls not in MUTABLE
     spec = [
         (f, object, dataclasses.field(repr=f not in HIDDEN.get(cls, ())))
         for f in cls.__slots__
     ]
-    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=frozen)
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
     twin.__qualname__ = cls.__qualname__
     return twin(*values)
 
@@ -185,17 +185,29 @@ def test_record_semantics(cls):
     assert r != twin and twin != r
     assert r != values and r != reference
 
+    assert hash_of(r) == hash_of(values) == hash_of(reference)
     name = cls.__slots__[0]
-    if cls in MUTABLE:
-        with pytest.raises(TypeError):
-            hash(r)
-        setattr(r, name, values[0])
-        assert r == SAMPLES[cls]
-    else:
-        assert hash_of(r) == hash_of(values) == hash_of(reference)
-        for attr in (name, "no_such_field"):
-            with pytest.raises(AttributeError):
-                setattr(r, attr, None)
-            with pytest.raises(AttributeError):
-                delattr(r, attr)
-        assert getattr(r, name) is values[0]
+    for attr in (name, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(r, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(r, attr)
+    assert getattr(r, name) is values[0]
+
+
+@pytest.mark.parametrize("keyword", ["frozen", "hidden"])
+def test_record_takes_no_class_keywords(keyword):
+    with pytest.raises(TypeError):
+        type("X", (Record,), {"__slots__": ("a",)}, **{keyword: False})
+
+
+@pytest.mark.parametrize("cls", sorted(PLAIN, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_plain_class(cls):
+    # a counter or a live child process: no record, so equal and hashed
+    # as itself only, and slotted like the records
+    r = PLAIN[cls]
+    assert type(r) is cls and not issubclass(cls, Record)
+    assert not hasattr(r, "__dict__")
+    other = cls.__new__(cls)
+    assert r == r and r != other and hash(r) != hash(other)

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import itertools
 import pickle
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_upsets as ref
 from tukeykit import upsets as upsets_module
+from tukeykit.apfuncs import next_element_func
 from tukeykit.upsets import (
     EMPTY,
     EVENS,
@@ -384,14 +386,30 @@ class TestRepresentation:
             (), tuple(int(i in rs) for i in range(modulus))
         )
 
-    @given(wide_upsets, st.integers(-3, 120))
+    @given(wide_upsets, st.integers(0, 120))
     @settings(max_examples=200)
     def test_next_element(self, s, k):
         if not s.is_infinite:
             with pytest.raises(ValueError):
-                s.next_element(k)
+                next_element_func(s)
             return
-        assert s.next_element(k) == next(j for j in itertools.count(k + 1) if j in s)
+        assert next_element_func(s)(k) == next(j for j in itertools.count(k + 1) if j in s)
+
+    def test_next_element_at_an_lcm_period(self):
+        # a prefix before a period of lcm(211, 199) = 41,989 bits: every
+        # value over the prefix and two periods against membership
+        rng = random.Random(3)
+        a, b = (
+            UPSet([rng.randint(0, 1) for _ in range(7)], [rng.randint(0, 1) for _ in range(p)])
+            for p in (211, 199)
+        )
+        s = a & b
+        m, p = s.period_start, s.period_len
+        assert m > 0 and p == 41_989
+        members = [k for k in range(m + 3 * p) if k in s]
+        f = next_element_func(s)
+        for k in range(m + 2 * p):
+            assert f(k) == members[bisect.bisect_right(members, k)]
 
 
 # Pairwise coprime periods, so that results carry lcm periods up to a
@@ -498,8 +516,10 @@ class TestIntCanonicalForm:
         if not s.is_infinite:
             return
         m, p = s.period_start, s.period_len
+        f = next_element_func(s)
         for k in (m + copies * p + p - 2, m + copies * p + p - 1):
-            assert s.next_element(k) == next(j for j in itertools.count(k + 1) if j in s)
+            if k >= 0:
+                assert f(k) == next(j for j in itertools.count(k + 1) if j in s)
 
     @given(wide_upsets, st.integers(0, 3))
     @settings(max_examples=150)
