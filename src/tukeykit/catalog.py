@@ -1,5 +1,6 @@
 """Catalog of cardinal-invariant triples over the decidable fragment,
-the built-in morphism candidates, and the two comparison diagrams.
+the built-in morphism candidates, and the two comparison diagrams
+(classical and Borel) as ``splitorder.Diagram`` values.
 
 Carriers are stood in for exactly: infinite sets and 2-colorings by
 ultimately periodic sets, function spaces by arithmetically periodic
@@ -29,7 +30,7 @@ from .apfuncs import (
 from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
 from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
-from .splitorder import SplitSpec, bt_edge, column_sizes
+from .splitorder import Diagram, EdgeRecord, SplitSpec, bt_edge, column_sizes
 from .triples import (
     CodedTriple,
     FamilyProperty,
@@ -554,56 +555,6 @@ def default_probe_check(entry: BuiltinMorphism):
 # -- diagrams ------------------------------------------------------------------
 
 
-class EdgeRecord(Record):
-    # verdict: BT-morphism | no-BT-morphism | no-morphism-at-all | open | zfc-inequality
-    __slots__ = ("source", "target", "verdict", "provenance")
-
-    def __init__(self, source: str, target: str, verdict: str, provenance: str) -> None:
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "verdict", verdict)
-        set_field(self, "provenance", provenance)
-
-
-class Diagram(Record):
-    __slots__ = ("kind", "nodes", "edges")
-
-    def __init__(self, kind: str, nodes: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "nodes", nodes)
-        set_field(self, "edges", edges)
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [
-                {
-                    "src": e.source,
-                    "dst": e.target,
-                    "verdict": e.verdict,
-                    "provenance": e.provenance,
-                }
-                for e in self.edges
-            ],
-        }
-
-    def to_dot(self) -> str:
-        style = {
-            "BT-morphism": "",
-            "zfc-inequality": "",
-            "no-BT-morphism": ' [style=dashed, color=red, label="no"]',
-            "no-morphism-at-all": ' [style=dashed, color=red, label="none"]',
-            "open": ' [style=dotted, label="open"]',
-        }
-        lines = [f"digraph {self.kind}_diagram {{"]
-        for v in self.nodes:
-            lines.append(f'  "{v}";')
-        for e in self.edges:
-            lines.append(f'  "{e.source}" -> "{e.target}"{style[e.verdict]};')
-        lines.append("}")
-        return "\n".join(lines)
-
-
 CLASSICAL_EDGES: tuple[tuple[str, str], ...] = (
     ("i", "d"),
     ("i", "r"),
@@ -672,7 +623,7 @@ def vd_diagram(kind: str) -> Diagram:
             EdgeRecord(s, t, "zfc-inequality", "classical diagram")
             for s, t in CLASSICAL_EDGES
         )
-        return Diagram("classical", nodes, edges)
+        return Diagram("classical_diagram", nodes, edges)
     if kind == "borel":
         nodes = ("i", "u", "d", "r", "a", "s", "b", "p", "t")
         positives = tuple(
@@ -685,5 +636,5 @@ def vd_diagram(kind: str) -> Diagram:
         negatives = tuple(
             e for e in BOREL_NEGATIVE_EDGES if e.source in nodes and e.target in nodes
         )
-        return Diagram("borel", nodes, positives + negatives)
+        return Diagram("borel_diagram", nodes, positives + negatives)
     raise ValueError("diagram kind must be classical or borel")

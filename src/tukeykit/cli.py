@@ -54,24 +54,20 @@ def cmd_catalog(args) -> int:
 
 def cmd_diagram(args) -> int:
     if args.kind == "splitting":
-        from .splitorder import order_digraph, order_digraph_dot, order_digraph_json
+        from .splitorder import order_diagram
 
-        if args.format == "dot":
-            print(order_digraph_dot(args.limit, hasse=args.hasse))
-        elif args.format == "json":
-            _emit(order_digraph_json(args.limit, hasse=args.hasse))
-        else:
-            _, edges = order_digraph(args.limit, hasse=args.hasse)
-            for a, b in edges:
-                print(f"{a} -> {b}")
-        return EXIT_OK
-    from .catalog import vd_diagram
+        d = order_diagram(args.limit, hasse=args.hasse)
+    else:
+        from .catalog import vd_diagram
 
-    d = vd_diagram(args.kind)
+        d = vd_diagram(args.kind)
     if args.format == "dot":
         print(d.to_dot())
     elif args.format == "json":
         _emit(d.to_json())
+    elif args.kind == "splitting":
+        for e in d.edges:
+            print(f"{e.source} -> {e.target}")
     else:
         for e in d.edges:
             print(f"{e.source:3s} -> {e.target:3s}  {e.verdict:18s} {e.provenance}")

@@ -8,6 +8,10 @@ reduces to bucket arithmetic: spread n balls evenly over n' ordered
 buckets, remainder to the left, and count the balls in the first m'-1
 buckets.  A definable morphism exists exactly when m does not grow and
 that count stays below m.
+
+``Diagram`` is the one record of all three diagrams, this order and the
+catalog's classical and Borel diagrams, and the one writer of their
+DOT and ``diagram.schema.json`` JSON.
 """
 
 from __future__ import annotations
@@ -218,23 +222,64 @@ def order_digraph(limit: int, *, hasse: bool = False):
     return nodes, edges
 
 
-def order_digraph_dot(limit: int, *, hasse: bool = False) -> str:
-    nodes, edges = order_digraph(limit, hasse=hasse)
-    lines = ["digraph splitting_order {"]
-    for v in nodes:
-        lines.append(f'  "{v}";')
-    for a, b in edges:
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines)
+class EdgeRecord(Record):
+    # verdict: BT-morphism | no-BT-morphism | no-morphism-at-all | open | zfc-inequality
+    __slots__ = ("source", "target", "verdict", "provenance")
+
+    def __init__(self, source: str, target: str, verdict: str, provenance: str) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "verdict", verdict)
+        set_field(self, "provenance", provenance)
 
 
-def order_digraph_json(limit: int, *, hasse: bool = False) -> dict:
+class Diagram(Record):
+    """A diagram: its DOT graph name, node labels and edges."""
+
+    __slots__ = ("name", "nodes", "edges")
+
+    def __init__(self, name: str, nodes: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> None:
+        set_field(self, "name", name)
+        set_field(self, "nodes", nodes)
+        set_field(self, "edges", edges)
+
+    def to_json(self) -> dict:
+        return {
+            "nodes": list(self.nodes),
+            "edges": [
+                {
+                    "src": e.source,
+                    "dst": e.target,
+                    "verdict": e.verdict,
+                    "provenance": e.provenance,
+                }
+                for e in self.edges
+            ],
+        }
+
+    def to_dot(self) -> str:
+        style = {
+            "BT-morphism": "",
+            "zfc-inequality": "",
+            "no-BT-morphism": ' [style=dashed, color=red, label="no"]',
+            "no-morphism-at-all": ' [style=dashed, color=red, label="none"]',
+            "open": ' [style=dotted, label="open"]',
+        }
+        lines = [f"digraph {self.name} {{"]
+        for v in self.nodes:
+            lines.append(f'  "{v}";')
+        for e in self.edges:
+            lines.append(f'  "{e.source}" -> "{e.target}"{style[e.verdict]};')
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def order_diagram(limit: int, *, hasse: bool = False) -> Diagram:
+    """The splitting order with n <= limit as a diagram: one node per
+    spec and one BT-morphism edge per morphism of ``order_digraph``."""
     nodes, edges = order_digraph(limit, hasse=hasse)
-    return {
-        "nodes": [str(v) for v in nodes],
-        "edges": [
-            {"src": str(a), "dst": str(b), "verdict": "BT-morphism", "provenance": "bucket bound"}
-            for a, b in edges
-        ],
-    }
+    return Diagram(
+        "splitting_order",
+        tuple(map(str, nodes)),
+        tuple(EdgeRecord(str(a), str(b), "BT-morphism", "bucket bound") for a, b in edges),
+    )

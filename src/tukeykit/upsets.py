@@ -247,8 +247,7 @@ class UPSet:
         return self._combine(other, lambda a, b: a & ~b)
 
     def complement(self) -> "UPSet":
-        m, p = self.period_start, self.period_len
-        return _make(self._window(m + p) ^ ((1 << (m + p)) - 1), m, p)
+        return FULL - self
 
     # -- literals -----------------------------------------------------
 

@@ -36,15 +36,20 @@ from tukeykit.branchmap import (
 )
 from tukeykit.catalog import (
     BuiltinMorphism,
-    Diagram,
-    EdgeRecord,
     GluedImage,
     IterateColoring,
     TaggedIndependentFamily,
 )
 from tukeykit.gadgets import MaxPairViolation, ThreeSetsViolation
 from tukeykit.records import Record, set_field
-from tukeykit.splitorder import AntichainReport, EdgeVerdict, IndexSetVerdict, SplitSpec
+from tukeykit.splitorder import (
+    AntichainReport,
+    Diagram,
+    EdgeRecord,
+    EdgeVerdict,
+    IndexSetVerdict,
+    SplitSpec,
+)
 from tukeykit.triples import (
     CodedTriple,
     FamilyProperty,
@@ -95,7 +100,7 @@ SAMPLES = {
     TaggedIndependentFamily: TaggedIndependentFamily((EVENS,), (EVENS,), ((1,),)),
     BuiltinMorphism: BuiltinMorphism("d", "b", CANDIDATE, ((EVENS,),)),
     EdgeRecord: EDGE,
-    Diagram: Diagram("borel", ("d", "b"), (EDGE,)),
+    Diagram: Diagram("borel_diagram", ("d", "b"), (EDGE,)),
     MaxPairViolation: MaxPairViolation(F, "O", ODDS, EVENS, F),
     ThreeSetsViolation: ThreeSetsViolation(
         "family", "detail", pair=(EVENS, ODDS), images=(EVENS, ODDS)

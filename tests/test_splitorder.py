@@ -9,8 +9,8 @@ from tukeykit.splitorder import (
     bucket_count,
     bucket_count_by_filling,
     min_columns_hit,
+    order_diagram,
     order_digraph,
-    order_digraph_dot,
     x_order,
 )
 from tukeykit.catalog import nm_splitting_triple
@@ -176,7 +176,7 @@ class TestDigraph:
             assert bt_edge(a, b).morphism
 
     def test_dot_output_parses_as_digraph(self):
-        text = order_digraph_dot(3)
+        text = order_diagram(3).to_dot()
         assert text.startswith("digraph") and text.endswith("}")
         assert '"(2,1)" -> "(1,1)";' in text
 
@@ -184,3 +184,14 @@ class TestDigraph:
         _, full = order_digraph(4)
         _, reduced = order_digraph(4, hasse=True)
         assert set(reduced) <= set(full)
+
+    @pytest.mark.parametrize("hasse", [False, True])
+    @pytest.mark.parametrize("limit", range(1, 7))
+    def test_diagram_matches_digraph(self, limit, hasse):
+        nodes, edges = order_digraph(limit, hasse=hasse)
+        d = order_diagram(limit, hasse=hasse)
+        assert d.name == "splitting_order"
+        assert list(d.nodes) == [str(v) for v in nodes]
+        assert [(e.source, e.target, e.verdict, e.provenance) for e in d.edges] == [
+            (str(a), str(b), "BT-morphism", "bucket bound") for a, b in edges
+        ]
