@@ -17,7 +17,7 @@ pivot class, which is the finite obstruction the certificates record.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
 from .records import Record, set_field
@@ -27,12 +27,9 @@ if TYPE_CHECKING:
 
 
 class PartialProgress(Record):
+    # where the budget ran out: the level being built, the history being
+    # extended and the pivot being tried
     __slots__ = ("level", "history", "pivot_tried")
-
-    def __init__(self, level: int, history: str, pivot_tried: int) -> None:
-        set_field(self, "level", level)
-        set_field(self, "history", history)
-        set_field(self, "pivot_tried", pivot_tried)
 
 
 class ContinuousMachine(Protocol):
@@ -45,10 +42,6 @@ class FunctionMachine(Record):
     """A machine whose ``query`` is a total bit-prefix rule."""
 
     __slots__ = ("name", "query")
-
-    def __init__(self, name: str, query: Callable[[str, int], int | None]) -> None:
-        set_field(self, "name", name)
-        set_field(self, "query", query)
 
 
 def identity_machine() -> FunctionMachine:
@@ -132,23 +125,14 @@ class Predictor(Record):
 
 
 class DecidedFact(Record):
+    # every input extending ``history`` by level ``level``'s forecast
+    # makes the machine decide 1 at ``pivot``
     __slots__ = ("level", "history", "pivot")
-
-    def __init__(self, level: int, history: str, pivot: int) -> None:
-        set_field(self, "level", level)
-        set_field(self, "history", history)
-        set_field(self, "pivot", pivot)
 
 
 class AdversaryCertificate(Record):
+    # pivots[k]: the level-k pivot; queries_used: the machine queries spent
     __slots__ = ("machine_name", "predictor", "pivots", "queries_used")
-
-    def __init__(self, machine_name: str, predictor: Predictor, pivots: tuple[int, ...],
-                 queries_used: int) -> None:
-        set_field(self, "machine_name", machine_name)
-        set_field(self, "predictor", predictor)
-        set_field(self, "pivots", pivots)
-        set_field(self, "queries_used", queries_used)
 
     @property
     def partition(self) -> IntervalPartition:
@@ -339,12 +323,6 @@ class SplitterTrace(Record):
     # hits: (position, assigned bit) on the target
     __slots__ = ("element", "n", "r", "hits")
 
-    def __init__(self, element: str, n: int, r: int, hits: tuple[tuple[int, int], ...]) -> None:
-        set_field(self, "element", element)
-        set_field(self, "n", n)
-        set_field(self, "r", r)
-        set_field(self, "hits", hits)
-
     @property
     def ones(self) -> int:
         return sum(1 for _, b in self.hits if b == 1)
@@ -394,12 +372,6 @@ class ImagePinning(Record):
 
     __slots__ = ("element", "n", "r", "pinned_pivots")
 
-    def __init__(self, element: str, n: int, r: int, pinned_pivots: tuple[int, ...]) -> None:
-        set_field(self, "element", element)
-        set_field(self, "n", n)
-        set_field(self, "r", r)
-        set_field(self, "pinned_pivots", pinned_pivots)
-
 
 def image_nonsplit_certificate(
     cert: AdversaryCertificate,
@@ -431,16 +403,9 @@ def image_nonsplit_certificate(
 
 
 class FamilyReport(Record):
+    # spec: the residue class (n, r) of levels; skipped_targets: indices of
+    # the targets the free region meets fewer than twice
     __slots__ = ("spec", "representative", "splits", "pinnings", "skipped_targets")
-
-    def __init__(self, spec: tuple[int, int], representative: str,
-                 splits: tuple[SplitterTrace, ...], pinnings: tuple[ImagePinning, ...],
-                 skipped_targets: tuple[int, ...]) -> None:
-        set_field(self, "spec", spec)
-        set_field(self, "representative", representative)
-        set_field(self, "splits", splits)
-        set_field(self, "pinnings", pinnings)
-        set_field(self, "skipped_targets", skipped_targets)
 
 
 def multiclass_family(

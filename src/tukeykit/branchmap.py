@@ -377,11 +377,6 @@ class ImagePrefix(Record):
 
     __slots__ = ("elements", "bound", "depth_used")
 
-    def __init__(self, elements: tuple[int, ...], bound: int, depth_used: int) -> None:
-        set_field(self, "elements", elements)
-        set_field(self, "bound", bound)
-        set_field(self, "depth_used", depth_used)
-
 
 def image_contains(f: APFunc, x: int) -> bool:
     """Is x in the glued image of f?  Column 0 carries nothing."""
@@ -476,12 +471,6 @@ def witness_stream(
 class CommonWitnesses(Record):
     __slots__ = ("column", "tuples", "elements")
 
-    def __init__(self, column: int, tuples: tuple[ColumnTuple, ...],
-                 elements: tuple[int, ...]) -> None:
-        set_field(self, "column", column)
-        set_field(self, "tuples", tuples)
-        set_field(self, "elements", elements)
-
 
 def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
     """Members of the intersection of the glued images of ``fs``.
@@ -510,12 +499,6 @@ def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
 
 class ExactIntersection(Record):
     __slots__ = ("column", "separation_level", "tuples")
-
-    def __init__(self, column: int, separation_level: int,
-                 tuples: tuple[ColumnTuple, ...]) -> None:
-        set_field(self, "column", column)
-        set_field(self, "separation_level", separation_level)
-        set_field(self, "tuples", tuples)
 
     @property
     def size(self) -> int:
@@ -560,14 +543,6 @@ class BoundCertificate(Record):
     observed tuples of one column; ``empty`` means no branch fits."""
 
     __slots__ = ("column", "constraints", "empty", "bound", "chains")
-
-    def __init__(self, column: int, constraints: tuple[ColumnTuple, ...], empty: bool,
-                 bound: tuple[int, ...], chains: int) -> None:
-        set_field(self, "column", column)
-        set_field(self, "constraints", constraints)
-        set_field(self, "empty", empty)
-        set_field(self, "bound", bound)
-        set_field(self, "chains", chains)
 
 
 def _compatible(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

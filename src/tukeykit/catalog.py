@@ -126,9 +126,6 @@ class GluedImage(Record):
 
     __slots__ = ("func",)
 
-    def __init__(self, func: APFunc) -> None:
-        set_field(self, "func", func)
-
     def __contains__(self, x: int) -> bool:
         return image_contains(self.func, x)
 
@@ -192,12 +189,12 @@ def _centered_check(family: list) -> bool:
     raise TypeError("centeredness needs a homogeneous family")
 
 
-CENTERED = FamilyProperty("centered", _centered_check)
-LINEARLY_ORDERED = FamilyProperty("linearly_ordered", is_linearly_ordered)
+CENTERED = FamilyProperty("centered", _centered_check, "")
+LINEARLY_ORDERED = FamilyProperty("linearly_ordered", is_linearly_ordered, "")
 AD_INFINITE = FamilyProperty(
     "ad_infinite",
     is_ad_family,
-    note="a finite list only samples an infinite a.d. family",
+    "a finite list only samples an infinite a.d. family",
 )
 
 
@@ -207,12 +204,6 @@ class TaggedIndependentFamily(Record):
     ``patterns`` holds a sign pattern per member, 1=set, 0=complement."""
 
     __slots__ = ("members", "base", "patterns")
-
-    def __init__(self, members: tuple[UPSet, ...], base: tuple[UPSet, ...],
-                 patterns: tuple[tuple[int, ...], ...]) -> None:
-        set_field(self, "members", members)
-        set_field(self, "base", base)
-        set_field(self, "patterns", patterns)
 
 
 def _independent_base(base: Sequence[UPSet]) -> bool:
@@ -249,10 +240,8 @@ def _independence_derived_check(family: list) -> bool:
 INDEPENDENCE_DERIVED = FamilyProperty(
     "independence_derived",
     _independence_derived_check,
-    note=(
-        "checkable only on explicitly tagged inputs: members must be the "
-        "declared boolean combinations of an independent list"
-    ),
+    "checkable only on explicitly tagged inputs: members must be the "
+    "declared boolean combinations of an independent list",
 )
 
 
@@ -485,13 +474,6 @@ def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCa
 
 class BuiltinMorphism(Record):
     __slots__ = ("source", "target", "candidate", "families")
-
-    def __init__(self, source: str, target: str, candidate: MorphismCandidate,
-                 families: tuple[tuple, ...] = ()) -> None:
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "candidate", candidate)
-        set_field(self, "families", families)
 
 
 def builtin_morphisms() -> list[BuiltinMorphism]:

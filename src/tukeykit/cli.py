@@ -291,13 +291,11 @@ def _load_finite_triple(path: str) -> tuple:
             raise ValueError(f"{path}: the finite triple needs a {key!r} list")
     if not all(isinstance(row, list) for row in data["relation"]):
         raise ValueError(f"{path}: each 'relation' row must be a list")
+    if not all(isinstance(v, int) and v in (0, 1) for row in data["relation"] for v in row):
+        raise ValueError(f"{path}: 'relation' entries must be true, false, 0 or 1")
     if not _labels(data["minus"] + data["plus"]):
         raise ValueError(f"{path}: labels must be strings or numbers")
-    t = FiniteTriple(
-        tuple(data["minus"]),
-        tuple(data["plus"]),
-        tuple(tuple(bool(v) for v in row) for row in data["relation"]),
-    )
+    t = FiniteTriple(data["minus"], data["plus"], data["relation"])
     prop = None
     if "allowed_families" in data:
         families = data["allowed_families"]

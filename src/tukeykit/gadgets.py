@@ -33,14 +33,6 @@ class MaxPairViolation(Record):
 
     __slots__ = ("combined", "side_name", "side", "pulled", "pushed_side")
 
-    def __init__(self, combined: APFunc, side_name: str, side: UPSet, pulled: UPSet,
-                 pushed_side: APFunc) -> None:
-        set_field(self, "combined", combined)
-        set_field(self, "side_name", side_name)
-        set_field(self, "side", side)
-        set_field(self, "pulled", pulled)
-        set_field(self, "pushed_side", pushed_side)
-
     def verify(self) -> bool:
         meets = (self.pulled & self.side).is_infinite
         dominates = eventually_dominates(self.combined, self.pushed_side)

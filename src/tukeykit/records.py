@@ -5,11 +5,14 @@ and pickle by them.
 
 Equality, the hash of the field tuple and the ``Name(field=value, ...)``
 repr are those of a frozen dataclass, so set and dict orders and printed
-outputs match, without the code a dataclass generates at import.  Each
-record writes its own ``__init__`` and stores its fields with
-``set_field``, past the frozen ``__setattr__``.  What holds changing
-state, such as the adversary's query meter and the handles over a child
-process in ``wire``, is a plain class, not a record.
+outputs match, without the code a dataclass generates at import.  A
+record is built from its field values by position, in ``__slots__``
+order, through ``Record.__init__``.  A record writes its own
+``__init__`` only to check, convert or default an argument, or to take
+keywords, and stores its fields with ``set_field``, past the frozen
+``__setattr__``.  What holds changing state, such as the adversary's
+query meter and the handles over a child process in ``wire``, is a
+plain class, not a record.
 """
 
 from operator import attrgetter
@@ -29,6 +32,16 @@ class Record:
         # the field values as a tuple; attrgetter of one name gives the
         # value, and a plain function would bind as a method
         cls._values = get if len(fields) > 1 else staticmethod(lambda r: (get(r),))
+
+    def __init__(self, *values) -> None:
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} values "
+                f"({', '.join(fields)}), got {len(values)}"
+            )
+        for field, value in zip(fields, values):
+            set_field(self, field, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -120,13 +120,8 @@ def bt_edge(a: SplitSpec, b: SplitSpec) -> EdgeVerdict:
 
 
 class AntichainReport(Record):
+    # pairs[i] = (m, m'); verdicts[i]: the edges (2^m, m) -> (2^m', m') and back
     __slots__ = ("top", "pairs", "verdicts")
-
-    def __init__(self, top: int, pairs: tuple[tuple[int, int], ...],
-                 verdicts: tuple[tuple[EdgeVerdict, EdgeVerdict], ...]) -> None:
-        set_field(self, "top", top)
-        set_field(self, "pairs", pairs)
-        set_field(self, "verdicts", verdicts)
 
     @property
     def all_incomparable(self) -> bool:
@@ -166,16 +161,9 @@ def antichain(top: int) -> AntichainReport:
 
 
 class IndexSetVerdict(Record):
+    # when x does not contain y: the least index of y missing from x, and
+    # the edges both ways between its spec and each spec of x; else None, ()
     __slots__ = ("x", "y", "morphism", "missing", "separations")
-
-    def __init__(self, x: frozenset[int], y: frozenset[int], morphism: bool,
-                 missing: int | None = None,
-                 separations: tuple[tuple[EdgeVerdict, EdgeVerdict], ...] = ()) -> None:
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "morphism", morphism)
-        set_field(self, "missing", missing)
-        set_field(self, "separations", separations)
 
 
 def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:
@@ -189,7 +177,7 @@ def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:
     if any(v < 3 for v in xs | ys):
         raise ValueError("index sets live in {3, 4, ...}")
     if xs >= ys:
-        return IndexSetVerdict(xs, ys, True)
+        return IndexSetVerdict(xs, ys, True, None, ())
     missing = min(ys - xs)
     seps = []
     miss_spec = SplitSpec(2**missing, missing)
@@ -226,22 +214,11 @@ class EdgeRecord(Record):
     # verdict: BT-morphism | no-BT-morphism | no-morphism-at-all | open | zfc-inequality
     __slots__ = ("source", "target", "verdict", "provenance")
 
-    def __init__(self, source: str, target: str, verdict: str, provenance: str) -> None:
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "verdict", verdict)
-        set_field(self, "provenance", provenance)
-
 
 class Diagram(Record):
     """A diagram: its DOT graph name, node labels and edges."""
 
     __slots__ = ("name", "nodes", "edges")
-
-    def __init__(self, name: str, nodes: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> None:
-        set_field(self, "name", name)
-        set_field(self, "nodes", nodes)
-        set_field(self, "edges", edges)
 
     def to_json(self) -> dict:
         return {

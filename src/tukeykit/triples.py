@@ -51,11 +51,6 @@ class FamilyProperty(Record):
 
     __slots__ = ("name", "check", "note")
 
-    def __init__(self, name: str, check: Callable[[list], bool], note: str = "") -> None:
-        set_field(self, "name", name)
-        set_field(self, "check", check)
-        set_field(self, "note", note)
-
     def __call__(self, family: list) -> bool:
         return self.check(family)
 
@@ -66,11 +61,6 @@ class Kind(Record):
     the whole carrier when a morphism is checked."""
 
     __slots__ = ("name", "validate", "probes")
-
-    def __init__(self, name: str, validate: Callable[[Any], bool], probes: tuple) -> None:
-        set_field(self, "name", name)
-        set_field(self, "validate", validate)
-        set_field(self, "probes", probes)
 
     def __repr__(self) -> str:
         # the name alone, as in KindMismatch messages
@@ -216,25 +206,10 @@ class Violation(Record):
     # condition: "family" or "relation"
     __slots__ = ("condition", "detail", "data")
 
-    def __init__(self, condition: str, detail: str, data: tuple = ()) -> None:
-        set_field(self, "condition", condition)
-        set_field(self, "detail", detail)
-        set_field(self, "data", data)
-
 
 class MorphismReport(Record):
     __slots__ = ("candidate", "source", "target", "violations", "relation_checks",
                  "nonvacuous_checks", "family_checks")
-
-    def __init__(self, candidate: str, source: str, target: str, violations: tuple[Violation, ...],
-                 relation_checks: int, nonvacuous_checks: int, family_checks: int) -> None:
-        set_field(self, "candidate", candidate)
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "violations", violations)
-        set_field(self, "relation_checks", relation_checks)
-        set_field(self, "nonvacuous_checks", nonvacuous_checks)
-        set_field(self, "family_checks", family_checks)
 
     @property
     def consistent(self) -> bool:

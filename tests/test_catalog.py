@@ -289,7 +289,7 @@ class TestBuiltinMorphisms:
             chain = compose(first.candidate, second.candidate)
             assert chain.source_kinds == first.candidate.source_kinds
             assert chain.target_kinds == second.candidate.target_kinds
-            composite = BuiltinMorphism(first.source, second.target, chain)
+            composite = BuiltinMorphism(first.source, second.target, chain, ())
             assert default_probe_check(composite).consistent, chain.name
 
     @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ class TestBuiltinMorphisms:
     )
     def test_implied_borel_edges_compose_along_the_diagram(self, path):
         chain = functools.reduce(compose, map(builtin_candidate, path, path[1:]))
-        report = default_probe_check(BuiltinMorphism(path[0], path[-1], chain))
+        report = default_probe_check(BuiltinMorphism(path[0], path[-1], chain, ()))
         assert report.consistent, report.summary()
         assert report.nonvacuous_checks > 0
 
@@ -307,7 +307,7 @@ class TestBuiltinMorphisms:
         monkeypatch.setitem(
             iterate_coloring.__globals__, "pointwise_max", lambda f, g: steps.append(f) or real(f, g)
         )
-        assert default_probe_check(BuiltinMorphism("r", "b", builtin_candidate("r", "b"))).consistent
+        assert default_probe_check(BuiltinMorphism("r", "b", builtin_candidate("r", "b"), ())).consistent
         # one step per slope-1 probe; the steeper ones build no step
         assert len(steps) == len(set(steps)) == 5
 

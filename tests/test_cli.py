@@ -394,6 +394,21 @@ class TestUsageErrors:
             ),
             pytest.param(
                 ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x"], "plus": ["y"], "relation": [["no"]]},
+                id="norm-relation-string",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x"], "plus": ["y"], "relation": [[None]]},
+                id="norm-relation-null",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x"], "plus": ["y"], "relation": [[2]]},
+                id="norm-relation-two",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
                 {"minus": [["x"]], "plus": ["y"], "relation": [[1]]},
                 id="norm-list-label",
             ),

@@ -45,25 +45,31 @@ def test_no_dataclasses():
     assert not found, f"dataclasses imported at {found}"
 
 
-def record_assignments(tree: ast.Module) -> list[str]:
-    """``Class:line`` for every assignment, augmented assignment or
-    deletion of a ``self`` attribute inside a class that names
-    ``Record`` among its bases."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
+def record_class_defs(tree: ast.Module) -> list[ast.ClassDef]:
+    """Every class in ``tree`` that names ``Record`` among its bases."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
             (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Record"
             for base in node.bases
-        ):
-            found += [
-                f"{node.name}:{target.lineno}"
-                for target in ast.walk(node)
-                if isinstance(target, ast.Attribute)
-                and isinstance(target.ctx, (ast.Store, ast.Del))
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ]
-    return found
+        )
+    ]
+
+
+def record_assignments(tree: ast.Module) -> list[str]:
+    """``Class:line`` for every assignment, augmented assignment or
+    deletion of a ``self`` attribute inside a record class."""
+    return [
+        f"{node.name}:{target.lineno}"
+        for node in record_class_defs(tree)
+        for target in ast.walk(node)
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.ctx, (ast.Store, ast.Del))
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ]
 
 
 def test_nothing_assigns_to_a_record():
@@ -89,6 +95,101 @@ def test_record_assignment_lint_finds_each_form():
         "        self.x = 0\n"
     )
     assert record_assignments(ast.parse(source)) == ["A:3", "A:4", "A:5", "A:6", "A:6"]
+
+
+def storing_inits(tree: ast.Module) -> list[str]:
+    """``Class:line`` for every ``__init__`` of a record class that only
+    stores its parameters: no defaults, no keyword-only or variadic
+    parameters, and a body of one ``set_field(self, "<p>", <p>)`` per
+    parameter, in ``__slots__`` order."""
+    found = []
+    for node in record_class_defs(tree):
+        slots = ()
+        for item in node.body:
+            if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                slots = ast.literal_eval(item.value)
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
+                continue
+            args = item.args
+            params = [a.arg for a in [*args.posonlyargs, *args.args][1:]]
+            if (
+                not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
+                and params == list(slots)
+                and [ast.unparse(stmt) for stmt in item.body]
+                == [f"set_field(self, {p!r}, {p})" for p in params]
+            ):
+                found.append(f"{node.name}:{item.lineno}")
+    return found
+
+
+def test_no_record_init_only_stores():
+    # Record.__init__ stores the values in __slots__ order; a record's own
+    # __init__ must check, convert or default an argument, or take keywords
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{where}" for where in storing_inits(tree)]
+    assert not found, f"__init__ that only stores its arguments at {found}"
+
+
+def test_storing_init_lint_flags_only_a_plain_store():
+    source = (
+        "class A(Record):\n"
+        "    __slots__ = ('x', 'y')\n"
+        "    def __init__(self, x, y):\n"
+        "        set_field(self, 'x', x)\n"
+        "        set_field(self, 'y', y)\n"
+        "class B(Record):\n"
+        "    __slots__ = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        if x < 0:\n"
+        "            raise ValueError('x must be nonnegative')\n"
+        "        set_field(self, 'x', x)\n"
+    )
+    assert storing_inits(ast.parse(source)) == ["A:3"]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """``name:line`` for every name an import binds that the module never
+    reads; ``from __future__`` imports are exempt."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{bound}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (bound := alias.asname or alias.name.partition(".")[0]) not in read
+    ]
+
+
+def test_no_unused_imports():
+    # an import that a deletion leaves behind misstates what the module
+    # depends on, and a module-level one is loaded by every verb
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{where}" for where in unused_imports(tree)]
+    assert not found, f"imported names never read: {found}"
+
+
+def test_unused_import_lint_finds_a_planted_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Any, Callable\n"
+        "def f(x: Any) -> str:\n"
+        "    import json as j\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(ast.parse(source)) == ["Callable:3", "j:5"]
 
 
 def exception_classes() -> set[str]:

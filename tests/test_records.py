@@ -200,6 +200,20 @@ def test_record_semantics(cls):
     assert getattr(r, name) is values[0]
 
 
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
+def test_record_arity(cls):
+    r = SAMPLES[cls]
+    values = tuple(getattr(r, f) for f in cls.__slots__)
+    assert cls(*values) == r
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    if cls.__init__ is Record.__init__:
+        with pytest.raises(TypeError) as caught:
+            cls(*values[:-1])
+        assert cls.__name__ in str(caught.value)
+        assert ", ".join(cls.__slots__) in str(caught.value)
+
+
 @pytest.mark.parametrize("keyword", ["frozen", "hidden"])
 def test_record_takes_no_class_keywords(keyword):
     with pytest.raises(TypeError):
