@@ -354,25 +354,15 @@ def n_unsplitting_triple(colors: int) -> CodedTriple:
     )
 
 
-def n_splitting_triple(n: int) -> CodedTriple:
-    return CodedTriple(
-        f"s_{n}",
-        upset_tuple_kind(n),
-        COLORING,
-        lambda xs, c: all(splits_general(c, a) for a in xs),
-        relation_name="splits every entry of",
-    )
-
-
 def nm_splitting_triple(n: int, m: int) -> CodedTriple:
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     return CodedTriple(
-        f"s_{n},{m}",
+        f"s_{n}" if m == n else f"s_{n},{m}",
         upset_tuple_kind(n),
         COLORING,
         lambda xs, c: sum(1 for a in xs if splits_general(c, a)) >= m,
-        relation_name=f"splits at least {m} entries of",
+        relation_name="splits every entry of" if m == n else f"splits at least {m} entries of",
     )
 
 
@@ -406,8 +396,8 @@ TRIPLES: tuple[CodedTriple, ...] = (
     CodedTriple("r_sigma", COLORING_TUPLE, UPSET,
                 lambda cs, b: all(not splits_general(c, b) for c in cs),
                 relation_name="every listed coloring almost constant on"),
-    n_splitting_triple(2),
-    n_splitting_triple(3),
+    nm_splitting_triple(2, 2),
+    nm_splitting_triple(3, 3),
     nm_splitting_triple(4, 2),
     CodedTriple("s_sigma", UPSET_TUPLE, UPSET,
                 lambda xs, b: all(splits(b, a) for a in xs),

@@ -188,7 +188,10 @@ def _load_observations(path: str, column: int) -> list:
             raise ValueError(
                 f"{path}: observation {i} needs 'nodes', a list of integer lists"
             )
-        observed.append(ColumnTuple(column, tuple(tuple(n) for n in nodes)))
+        try:
+            observed.append(ColumnTuple(column, tuple(tuple(n) for n in nodes)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return observed
 
 
@@ -276,7 +279,10 @@ def cmd_adversary(args) -> int:
 
 
 def _labels(values: object) -> bool:
-    return isinstance(values, list) and all(isinstance(v, (str, int, float)) for v in values)
+    # a JSON true or false is a bool, which Python counts as an int
+    return isinstance(values, list) and all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in values
+    )
 
 
 def _load_finite_triple(path: str) -> tuple:
@@ -295,7 +301,10 @@ def _load_finite_triple(path: str) -> tuple:
         raise ValueError(f"{path}: 'relation' entries must be true, false, 0 or 1")
     if not _labels(data["minus"] + data["plus"]):
         raise ValueError(f"{path}: labels must be strings or numbers")
-    t = FiniteTriple(data["minus"], data["plus"], data["relation"])
+    try:
+        t = FiniteTriple(data["minus"], data["plus"], data["relation"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     prop = None
     if "allowed_families" in data:
         families = data["allowed_families"]

@@ -1,7 +1,8 @@
 """The base of the package's records: the immutable values of the
 calculus (sets, functions, certificates, diagram edges) as plain classes
 whose ``__slots__`` list their fields, and which compare, hash, print
-and pickle by them.
+and pickle by them.  A record holds its fields and nothing else: its
+hash is computed from them on every call.
 
 Equality, the hash of the field tuple and the ``Name(field=value, ...)``
 repr are those of a frozen dataclass, so set and dict orders and printed
@@ -9,10 +10,10 @@ outputs match, without the code a dataclass generates at import.  A
 record is built from its field values by position, in ``__slots__``
 order, through ``Record.__init__``.  A record writes its own
 ``__init__`` only to check, convert or default an argument, or to take
-keywords, and stores its fields with ``set_field``, past the frozen
-``__setattr__``.  What holds changing state, such as the adversary's
-query meter and the handles over a child process in ``wire``, is a
-plain class, not a record.
+keywords.  The fields are stored once, at construction, with
+``set_field``, past the frozen ``__setattr__``.  What holds changing
+state, such as the adversary's query meter and the handles over a child
+process in ``wire``, is a plain class, not a record.
 """
 
 from operator import attrgetter
@@ -21,9 +22,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    # a record's hash, kept from its first use: the splitting order's
-    # Hasse reduction hashes each spec hundreds of times
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -50,11 +49,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            set_field(self, "_hash", hash(self._values(self)))
-            return self._hash
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

@@ -7,7 +7,7 @@ split at least m of them.  Whether one such notion maps onto another
 reduces to bucket arithmetic: spread n balls evenly over n' ordered
 buckets, remainder to the left, and count the balls in the first m'-1
 buckets.  A definable morphism exists exactly when m does not grow and
-that count stays below m.
+that count stays below m.  ``order_digraph`` holds edges as bitmasks.
 
 ``Diagram`` is the one record of all three diagrams, this order and the
 catalog's classical and Borel diagrams, and the one writer of their
@@ -190,23 +190,22 @@ def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:
 def order_digraph(limit: int, *, hasse: bool = False):
     """All specs with n <= limit and the morphism edges between them."""
     nodes = [SplitSpec(n, m) for n in range(1, limit + 1) for m in range(1, n + 1)]
+    # bit j of succ[i] and bit i of pred[j]: a morphism from nodes[i] to
+    # nodes[j], i != j
+    succ = [
+        sum(1 << j for j, b in enumerate(nodes) if i != j and bt_edge(a, b).morphism)
+        for i, a in enumerate(nodes)
+    ]
+    pred = [sum(1 << i for i, s in enumerate(succ) if s >> j & 1) for j in range(len(nodes))]
+    # the Hasse reduction drops a -> b when some successor of a has b
+    # among its successors; no spec is its own successor, so that one is
+    # neither a nor b
     edges = [
         (a, b)
-        for a in nodes
-        for b in nodes
-        if a != b and bt_edge(a, b).morphism
+        for a, s in zip(nodes, succ)
+        for j, b in enumerate(nodes)
+        if s >> j & 1 and not (hasse and s & pred[j])
     ]
-    if hasse:
-        reachable = {(a, b) for a, b in edges}
-        edges = [
-            (a, b)
-            for a, b in edges
-            if not any(
-                (a, c) in reachable and (c, b) in reachable
-                for c in nodes
-                if c not in (a, b)
-            )
-        ]
     return nodes, edges
 
 

@@ -424,9 +424,29 @@ class TestUsageErrors:
                 id="norm-families-a-string",
             ),
             pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": [True], "plus": ["a"], "relation": [[True]]},
+                id="norm-label-true",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x", "x"], "plus": ["y"], "relation": [[1], [1]]},
+                id="norm-duplicate-labels",
+            ),
+            pytest.param(
+                ["norm", "--triple", "{tmp}/in.json"],
+                {"minus": ["x"], "plus": ["y", "z"], "relation": [[1]]},
+                id="norm-shape",
+            ),
+            pytest.param(
                 ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
                 [{"level": 3}],
                 id="bound-no-nodes",
+            ),
+            pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [{"level": 3, "nodes": [[0, 1, 0], [0, 1, 1]]}],
+                id="bound-wrong-arity",
             ),
             pytest.param(
                 ["adversary", "run", "--machine", "/nonexistent"],
@@ -445,7 +465,10 @@ class TestUsageErrors:
             (tmp_path / "in.json").write_text(json.dumps(content))
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if content is not None:
+            assert "in.json" in err
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -152,6 +152,56 @@ def test_storing_init_lint_flags_only_a_plain_store():
     assert storing_inits(ast.parse(source)) == ["A:3"]
 
 
+def stray_set_fields(tree: ast.Module) -> list[str]:
+    """``qualname:line`` for every ``set_field`` call that is not inside
+    an ``__init__`` or ``__post_init__``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "set_field"
+                and scope.rpartition(".")[2] not in ("__init__", "__post_init__")
+            ):
+                found.append(f"{scope}:{child.lineno}")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_set_field_only_at_construction():
+    # a record's slots are set once, when it is built; a set_field
+    # anywhere else caches or changes state past the frozen __setattr__
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{where}" for where in stray_set_fields(tree)]
+    assert not found, f"set_field outside __init__ and __post_init__ at {found}"
+
+
+def test_set_field_lint_flags_a_caching_method():
+    source = (
+        "class A(Record):\n"
+        "    __slots__ = ('x', '_double')\n"
+        "    def __init__(self, x):\n"
+        "        set_field(self, 'x', x)\n"
+        "        self.__post_init__()\n"
+        "    def __post_init__(self):\n"
+        "        set_field(self, '_double', None)\n"
+        "    def double(self):\n"
+        "        if self._double is None:\n"
+        "            set_field(self, '_double', 2 * self.x)\n"
+        "        return self._double\n"
+    )
+    assert stray_set_fields(ast.parse(source)) == ["A.double:10"]
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """``name:line`` for every name an import binds that the module never
     reads; ``from __future__`` imports are exempt."""

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import reference_splitorder as ref
 from tukeykit.splitorder import (
     SplitSpec,
     antichain,
@@ -195,3 +196,22 @@ class TestDigraph:
         assert [(e.source, e.target, e.verdict, e.provenance) for e in d.edges] == [
             (str(a), str(b), "BT-morphism", "bucket bound") for a, b in edges
         ]
+
+    @pytest.mark.parametrize("hasse", [False, True])
+    @pytest.mark.parametrize("limit", range(1, 13))
+    def test_digraph_matches_reference(self, limit, hasse):
+        assert repr(order_digraph(limit, hasse=hasse)) == repr(
+            ref.order_digraph(limit, hasse=hasse)
+        )
+
+    def test_digraph_neither_hashes_nor_compares_specs(self, monkeypatch):
+        # the reduction runs on node indices; a spec is only built and
+        # handed to bt_edge
+        def refuse(*args):
+            raise AssertionError("a SplitSpec was hashed or compared")
+
+        monkeypatch.setattr(SplitSpec, "__hash__", refuse)
+        monkeypatch.setattr(SplitSpec, "__eq__", refuse)
+        nodes, edges = order_digraph(6, hasse=True)
+        assert len(nodes) == 21 and edges
+        assert order_diagram(4, hasse=True).edges
