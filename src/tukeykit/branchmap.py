@@ -29,14 +29,18 @@ from a tuple's (level, code, tails) and build neither a ``ColumnTuple``
 nor the n x n prefix matrix: only the code's nonzero entries are kept,
 and a branch's head matches a touched row or, when it is all zero, the
 untouched rows.  ``image_prefix`` walks each column's rows in (level,
-code, tails) order, so a restriction is computed once per level, the
-matching slots once per code, and a code whose rows miss the head is
+code, tails) order, so a restriction is computed once per column, at
+the deepest level the walk reaches, and sliced per level; the matching
+slots are found once per code, and a code whose rows miss the head is
 skipped whole; a prefix of the image below N costs close to O(N).
 
 Separation and witnesses.  ``divergence_level`` restricts no branch:
 the separation level comes from the first differing value, either as an
-identity entry or inside that value's block.  ``witness_stream`` builds
-each tuple once from one restriction per branch and level; the tuples
+identity entry or inside that value's block.  Restrictions are
+prefix-stable, ``b.restrict(deep)[:level] == b.restrict(level)`` for
+every ``level <= deep``, so ``witness_stream`` and
+``exact_intersection`` restrict each branch once, at the deepest level
+they read, and slice that restriction per level.  The witness tuples
 are admissible by construction, since they start above the shared
 prefix code and their components are those very restrictions.
 """
@@ -227,7 +231,7 @@ class ColumnTuple(Record):
         level = levels.pop()
         if level <= self.n:
             raise ValueError("tuples live strictly below level n")
-        if any(b not in (0, 1) for t in nodes for b in t[self.n :]):
+        if not {b for t in nodes for b in t[n:]} <= {0, 1}:
             raise ValueError("components must be binary past the identity region")
         if self.code >= level:
             raise ValueError("prefix code must stay below the level")
@@ -347,9 +351,15 @@ def _slots_holding(code: int, n: int, head: tuple[int, ...]) -> list[int]:
     untouched rows, so no n x n matrix is built.
     """
     touched = _nonzero_rows(code, n)
-    if any(head):
-        want = {k: v for k, v in enumerate(head) if v}
-        return sorted(j for j, row in touched.items() if row == want)
+    # rows hold nonzero entries only, so a row equals the head when it
+    # has as many entries as the head has nonzero values and each agrees
+    nonzero = n - head.count(0)
+    if nonzero:
+        return sorted(
+            j
+            for j, row in touched.items()
+            if len(row) == nonzero and all(head[k] == v for k, v in row.items())
+        )
     return [j for j in range(n) if j not in touched]
 
 
@@ -392,9 +402,10 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     """The image's elements below ``bound``, computed column by column.
 
     Each column's rows m with ``pair(col, m) < bound`` are walked in
-    (level, code, tails) order.  The branch restriction and its split
-    are computed once per (column, level) reached, the slots whose
-    prefix row equals the head once per (level, code), and a code with
+    (level, code, tails) order.  The branch is restricted once per
+    column, to the deepest level its rows reach, and each level's split
+    comes from a slice of that restriction; the slots whose prefix row
+    equals the head are found once per (level, code), and a code with
     no such slot is skipped whole; each remaining row then costs one
     shift and mask per candidate slot.
     """
@@ -408,14 +419,17 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     for col in range(1, last + 1):
         reach = last - col + (col >= c)
         b = branch_of(f, col)
+        deepest = _locate(col, reach - 1)[0]
+        # values_needed grows with the level, so the deepest level decides
+        depth = max(depth, b.values_needed(deepest))
+        full = b.restrict(deepest)
         start = 0
         level = col + 1
         while start < reach:
             per = level - col
             width = col * per
             mask = (1 << per) - 1
-            depth = max(depth, b.values_needed(level))
-            head, tail = _head_and_tail(col, b.restrict(level))
+            head, tail = _head_and_tail(col, full[:level])
             for code in range(level):
                 if start >= reach:
                     break
@@ -445,7 +459,9 @@ def witness_stream(
     The fixed fold coding makes that code explode unless the branches'
     identity-region entries are small, so desk-scale inputs should keep
     their first n values near zero; the guard turns would-be astronomic
-    materializations into an explicit error.
+    materializations into an explicit error.  Past the heads, each
+    branch is restricted once, to the last witness's level, and every
+    witness takes slices of those restrictions.
     """
     if not 1 <= len(branches) <= n:
         raise ValueError("need between 1 and n branches")
@@ -459,12 +475,14 @@ def witness_stream(
             f"shared tuples start only above level {code}; "
             "use branches with smaller identity-region entries"
         )
+    if count < 1:
+        return []
+    start = max(n, code) + 1
+    deep = [b.restrict(start + count - 1) for b in branches]
     out = []
-    level = max(n, code) + 1
-    while len(out) < count:
-        nodes = [b.restrict(level) for b in branches]
+    for level in range(start, start + count):
+        nodes = [r[:level] for r in deep]
         out.append(ColumnTuple(n, tuple(nodes + nodes[:1] * pad)))
-        level += 1
     return out
 
 
@@ -514,7 +532,9 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
     Each of those levels is enumerated exhaustively through the tuples
     carrying the first branch's restriction, keeping those that carry
     every other restriction too; ``EnumerationBudget`` is raised past
-    2^24 tails per level.
+    2^24 tails per level.  Each branch is restricted once, to the last
+    level the scan can read: the level before the separation, or the
+    first level past that budget, whichever comes first.
     """
     if len(branches) != n + 1:
         raise ValueError("exact intersections take n+1 branches")
@@ -527,8 +547,10 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
             raise ValueError("branches must be pairwise distinct")
         sep = max(sep, lvl)
     found = []
+    last = min(sep - 1, n + _SIZE_GUARD // n + 1)
+    deep = [b.restrict(last) for b in branches]
     for level in range(n + 1, sep):
-        first, *rest = (b.restrict(level) for b in branches)
+        first, *rest = (r[:level] for r in deep)
         for nodes in _tuples_carrying(n, first, level):
             if all(r in nodes for r in rest):
                 found.append(ColumnTuple(n, nodes))

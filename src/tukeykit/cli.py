@@ -171,11 +171,19 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; a parse error names the file."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_observations(path: str, column: int) -> list:
     from .branchmap import ColumnTuple
 
-    with open(path) as handle:
-        data = json.load(handle)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of {{level, nodes}} tuples")
     observed = []
@@ -288,8 +296,7 @@ def _labels(values: object) -> bool:
 def _load_finite_triple(path: str) -> tuple:
     from .triples import FiniteTriple
 
-    with open(path) as handle:
-        data = json.load(handle)
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in ("minus", "plus", "relation"):

@@ -1,15 +1,19 @@
 """Reference implementations of the glued map's codec and image reads:
 the full n^2 pairing walk, a ``ColumnTuple`` per read, an entry scan
-of two restrictions for divergence, and a set's trace read by scanning
-every natural below the bound.  The differential tests compare the
-library's fast paths against these."""
+of two restrictions for divergence, witness streams and exact
+intersections that restrict every branch anew at each level (the
+latter over every admissible tuple of the level), and a set's trace
+read by scanning every natural below the bound.  The differential
+tests compare the library's fast paths against these."""
 
+import itertools
 from typing import Sequence
 
 from tukeykit.apfuncs import APFunc, first_difference
 from tukeykit.branchmap import (
     Branch,
     ColumnTuple,
+    ExactIntersection,
     ImagePrefix,
     bound_from_trace,
     branch_of,
@@ -115,6 +119,41 @@ def divergence_level(a: Branch, b: Branch) -> int | None:
         if x != y:
             return i + 1
     raise AssertionError("branches must separate below the computed ceiling")
+
+
+def witness_stream(n: int, branches: Sequence[Branch], count: int) -> list[ColumnTuple]:
+    if not 1 <= len(branches) <= n:
+        raise ValueError("need between 1 and n branches")
+    pad = n - len(branches)
+    heads = [b.restrict(n) for b in branches]
+    level = max(n, tuple_code(heads + heads[:1] * pad)) + 1
+    out = []
+    while len(out) < count:
+        nodes = [b.restrict(level) for b in branches]
+        out.append(ColumnTuple(n, tuple(nodes + nodes[:1] * pad)))
+        level += 1
+    return out
+
+
+def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
+    if len(branches) != n + 1:
+        raise ValueError("exact intersections take n+1 branches")
+    levels = [divergence_level(a, b) for a, b in itertools.combinations(branches, 2)]
+    if None in levels:
+        raise ValueError("branches must be pairwise distinct")
+    sep = max(levels)
+    found = []
+    # codes ascending, then each slot's tail bits first bit first: the
+    # product walks a level in tuple_index order
+    for level in range(n + 1, sep):
+        rs = [b.restrict(level) for b in branches]
+        tails = list(itertools.product((0, 1), repeat=level - n))
+        for code in range(level):
+            pools = [[row + tail for tail in tails] for row in tuple_decode(code, n)]
+            for nodes in itertools.product(*pools):
+                if all(r in nodes for r in rs):
+                    found.append(ColumnTuple(n, nodes))
+    return ExactIntersection(n, sep, tuple(found))
 
 
 def trace_bound_func(a: UPSet) -> APFunc:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_branchmap as ref
 import tukeykit
@@ -15,6 +15,7 @@ from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
 from tukeykit.branchmap import (
     ColumnTuple,
     EnumerationBudget,
+    ImagePrefix,
     _tuples_carrying,
     bound_from_trace,
     branch_of,
@@ -44,6 +45,32 @@ def small_apfunc(rng: random.Random) -> APFunc:
     prefix = tuple(rng.randrange(3) for _ in range(rng.randrange(3)))
     base = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 3)))
     return APFunc(prefix, base, rng.randrange(3))
+
+
+def zero_headed(n: int, top: int = 2, lead: int = 0):
+    """Functions whose first n values vanish, except the first, which
+    ranges to ``lead``; then up to three values and a drifting block,
+    each at most ``top``."""
+    return st.builds(
+        lambda v, after, base, drift: APFunc((v,) + (0,) * (n - 1) + tuple(after), (base,), drift),
+        st.integers(0, lead),
+        st.lists(st.integers(0, top), max_size=3),
+        st.integers(0, top),
+        st.integers(0, 1),
+    )
+
+
+def recording_restrict(monkeypatch) -> list[tuple[branchmap.Branch, int]]:
+    """Patch ``Branch.restrict`` to log each (branch, level) it is asked for."""
+    calls = []
+    restrict = branchmap.Branch.restrict
+
+    def recording(self, level):
+        calls.append((self, level))
+        return restrict(self, level)
+
+    monkeypatch.setattr(branchmap.Branch, "restrict", recording)
+    return calls
 
 
 class TestCoding:
@@ -125,6 +152,23 @@ class TestBranches:
             l2 = rng.randrange(l1, 10)
             assert b.restrict(l2)[:l1] == b.restrict(l1)
 
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(0, 3), max_size=6),
+        st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        st.integers(0, 2),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_restriction_is_prefix_stable(self, n, prefix, base, drift, deep):
+        # the reads slice one deep restriction; every level, those at or
+        # below n included, must see the restriction made for it alone
+        b = branch_of(APFunc(tuple(prefix), tuple(base), drift), n)
+        full = b.restrict(deep)
+        assert len(full) == deep
+        for level in range(deep + 1):
+            assert full[:level] == b.restrict(level)
+
     def test_divergence_level(self):
         rng = random.Random(2)
         for _ in range(60):
@@ -190,6 +234,21 @@ class TestTupleEnumeration:
             ts = naive_level_tuples(n, n + 1) + naive_level_tuples(n, n + 2)
             indices = sorted(tuple_index(t) for t in ts)
             assert indices == list(range(len(ts)))
+
+    @pytest.mark.parametrize(
+        "n, nodes, message",
+        [
+            (2, ((0, 0, 1),), "arity"),
+            (2, ((0, 0, 1), (0, 0)), "one level"),
+            (2, ((0, 0), (0, 0)), "strictly below"),
+            (1, ((0, 1, 2),), "binary"),
+            (2, ((0, 0, 1), (0, 0, -1)), "binary"),
+            (1, ((5, 0),), "prefix code"),
+        ],
+    )
+    def test_inadmissible_tuples_rejected(self, n, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            ColumnTuple(n, nodes)
 
 
 def column_level_set(n, branch, level):
@@ -288,6 +347,22 @@ class TestImage:
         f = small_apfunc(random.Random(seed))
         assert image_prefix(f, bound) == ref.image_prefix(f, bound)
 
+    @pytest.mark.parametrize("zeros", [1, 2, 3, 5])
+    def test_prefix_at_every_bound(self, zeros):
+        # a column's last row can open a new level, whose restriction is
+        # the deepest one read; a 1 after a run of zero values puts the
+        # only nonzero tail bit of that level at its last entry
+        f = APFunc((0,) * zeros, (1,), 0)
+        top = 700
+        members = ref.image_prefix(f, top).elements
+        depth = 0
+        for bound in range(top + 1):
+            expected = tuple(x for x in members if x < bound)
+            assert image_prefix(f, bound) == ImagePrefix(expected, bound, depth)
+            col, m = unpair(bound)
+            if col:
+                depth = max(depth, branch_of(f, col).values_needed(ref.tuple_at(col, m).level))
+
 
 def branch_head_func(head, after, base, drift) -> APFunc:
     """A function whose first len(head) values are ``head``."""
@@ -374,12 +449,12 @@ class TestSparseReads:
         bound = 16000
         result = image_prefix(IDENTITY, bound)
         assert result.bound == bound and result.elements
-        reached = {
-            (col, branchmap._locate(col, m)[0])
-            for col, m in map(unpair, range(bound))
-            if col
-        }
-        assert sorted(restricted) == sorted(reached)
+        # one restriction per column reached, at its deepest reached level
+        deepest = {}
+        for col, m in map(unpair, range(bound)):
+            if col:
+                deepest[col] = max(deepest.get(col, 0), branchmap._locate(col, m)[0])
+        assert sorted(restricted) == sorted(deepest.items())
         assert image_contains(IDENTITY, pair(447, 0)) is False
         assert image_contains(ZERO, pair(447, 0)) is True
 
@@ -405,6 +480,29 @@ class TestWitnesses:
         for t in ws:
             for b in branches:
                 assert tuple_in_column_image(3, b, t)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stream_matches_per_level_reference(self, data):
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, n))
+        # column 1's shared prefix code is its one identity entry
+        lead = 40 if n == 1 else 0
+        fs = data.draw(st.lists(zero_headed(n, lead=lead), min_size=k, max_size=k))
+        count = data.draw(st.integers(0, 30))
+        branches = [branch_of(f, n) for f in fs]
+        assert witness_stream(n, branches, count) == ref.witness_stream(n, branches, count)
+
+    def test_stream_restricts_each_branch_twice(self, monkeypatch):
+        # once for the heads, once to the last witness's level
+        fs = [APFunc((0, 0, 0), (1,), 0), APFunc((0, 0, 0, 5), (0,), 1)]
+        branches = [branch_of(f, 3) for f in fs]
+        calls = recording_restrict(monkeypatch)
+        ws = witness_stream(3, branches, 8)
+        assert [t.level for t in ws] == list(range(4, 12))
+        assert sorted((fs.index(b.func), level) for b, level in calls) == [
+            (0, 3), (0, 11), (1, 3), (1, 11)
+        ]
 
     def test_astronomic_code_guarded(self):
         branches = [branch_of(constant(1), 3)] * 3
@@ -494,6 +592,25 @@ class TestExactIntersection:
         with pytest.raises(EnumerationBudget, match="level 26 of column 1"):
             exact_intersection(1, [branch_of(f, 1) for f in fs])
         assert max(levels) == 26
+
+    def test_restricts_each_branch_once(self, monkeypatch):
+        # separating at level 5, the scan reads levels 2 to 4
+        branches = [branch_of(ZERO, 1), branch_of(APFunc((0, 0, 0, 0), (2,), 0), 1)]
+        calls = recording_restrict(monkeypatch)
+        assert exact_intersection(1, branches).size == 3
+        assert calls == [(b, 4) for b in branches]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_level_scan_reference(self, data):
+        n = data.draw(st.integers(1, 4))
+        fs = data.draw(st.lists(zero_headed(n, top=4), min_size=n + 1, max_size=n + 1))
+        branches = [branch_of(f, n) for f in fs]
+        levels = [divergence_level(a, b) for a, b in itertools.combinations(branches, 2)]
+        assume(None not in levels)
+        # the reference walks every admissible tuple: keep it to 2^12 tails
+        assume(n * (max(levels) - 1 - n) <= 12)
+        assert exact_intersection(n, branches) == ref.exact_intersection(n, branches)
 
     def test_equal_branches_rejected(self):
         with pytest.raises(ValueError):

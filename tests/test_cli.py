@@ -470,6 +470,18 @@ class TestUsageErrors:
         if content is not None:
             assert "in.json" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["norm", "--triple", "{path}"], ["bound", "--column", "1", "--obs", "{path}"]],
+        ids=["norm", "bound"],
+    )
+    def test_invalid_json_names_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "broken.json"
+        path.write_text('{"minus": [')
+        code = main([arg.format(path=path) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: Expecting value")
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 

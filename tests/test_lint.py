@@ -359,10 +359,12 @@ REACHABILITY_ALLOWLIST = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _reads(nodes) -> tuple[set[str], set[str]]:
+def _reads(nodes, selves: set[str] = set()) -> tuple[set[str], set[str]]:
     """Names and attribute names read anywhere under ``nodes``.  A string
     that spells a dotted name (a dispatch table entry, a tracer hook)
-    reads its first part as a name and the rest as attributes."""
+    reads its first part as a name and the rest as attributes.  In a
+    method, ``selves`` holds the classes ``self`` may be an instance of,
+    and ``self.<name>`` reads ``<Class>.<name>`` for each of them only."""
     names: set[str] = set()
     attrs: set[str] = set()
     for root in nodes:
@@ -370,7 +372,10 @@ def _reads(nodes) -> tuple[set[str], set[str]]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
+                if selves and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    attrs.update(f"{cls}.{node.attr}" for cls in selves)
+                else:
+                    attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _DOTTED.fullmatch(node.value):
                     first, *rest = node.value.split(".")
@@ -388,40 +393,52 @@ def unreached(
     and method of the package that no root reaches.  Module top-level
     code, ``cmd_*`` verbs, dunders and ``allowlist`` are roots besides
     ``roots``.  A function is reached through any read of its name, a
-    method only through an attribute read.  Exporting a name is not a
-    read: ``_package_trees`` leaves out ``__init__``, whose export table
-    spells every public name."""
-    defs = {}  # qualified name -> (leaf, is_method, node)
+    method through a read of its name as an attribute of anything but
+    ``self``, or as ``self.<name>`` in its class, a base or a subclass.
+    Exporting a name is not a read: ``_package_trees`` leaves out
+    ``__init__``, whose export table spells every public name."""
+    defs = {}  # qualified name -> (leaf, class or None, node)
+    bases: dict[str, set[str]] = {}  # class -> the names of its bases
     top = list(roots)
     for module, tree in package.items():
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[f"{module}.{stmt.name}"] = (stmt.name, False, stmt)
+                defs[f"{module}.{stmt.name}"] = (stmt.name, None, stmt)
                 top += [*stmt.decorator_list, stmt.args]
             elif isinstance(stmt, ast.ClassDef):
+                bases[stmt.name] = {ast.unparse(b).rpartition(".")[2] for b in stmt.bases}
                 top += [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
                 for item in stmt.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        defs[f"{module}.{stmt.name}.{item.name}"] = (item.name, True, item)
+                        defs[f"{module}.{stmt.name}.{item.name}"] = (item.name, stmt.name, item)
                         top += [*item.decorator_list, item.args]
                     else:
                         top.append(item)
             else:
                 top.append(stmt)
+    ancestry = {}
+    for cls in bases:
+        ancestry[cls], todo = set(), [cls]
+        while todo:
+            if (c := todo.pop()) not in ancestry[cls]:
+                ancestry[cls].add(c)
+                todo += bases.get(c, ())
     names, attrs = _reads(top)
     pending = dict(defs)
     grew = True
     while grew:
         grew = False
-        for qualified, (leaf, is_method, node) in list(pending.items()):
+        for qualified, (leaf, cls, node) in list(pending.items()):
             if (
-                leaf in (attrs if is_method else names | attrs)
+                leaf in (attrs if cls else names | attrs)
+                or f"{cls}.{leaf}" in attrs
                 or leaf.startswith("cmd_")
                 or (leaf.startswith("__") and leaf.endswith("__"))
                 or qualified in allowlist
             ):
                 del pending[qualified]
-                more_names, more_attrs = _reads(node.body)
+                selves = {c for c in bases if cls in ancestry[c]} | ancestry.get(cls, set())
+                more_names, more_attrs = _reads(node.body, selves)
                 names |= more_names
                 attrs |= more_attrs
                 grew = True
@@ -465,6 +482,31 @@ def test_reachability_allowlist_entry_is_needed(entry):
     # an entry whose definition gained a caller must leave the allowlist
     dead = unreached(_package_trees(), _root_trees(), REACHABILITY_ALLOWLIST - {entry})
     assert entry in dead
+
+
+def test_reachability_lint_resolves_self_reads():
+    # ``self.elements`` reads an attribute of its own class, a base or a
+    # subclass, so another class's unused ``elements`` method is flagged
+    package = {
+        "m": ast.parse(
+            "class Base:\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "class ImagePrefix(Base):\n"
+            "    def count(self):\n"
+            "        return len(self.elements) + self.size()\n"
+            "class Narrow(ImagePrefix):\n"
+            "    def elements(self):\n"
+            "        return ()\n"
+            "class Spare:\n"
+            "    def elements(self):\n"
+            "        return ()\n"
+            "    def size(self):\n"
+            "        return 0\n"
+        )
+    }
+    roots = [ast.parse("m.ImagePrefix().count()")]
+    assert unreached(package, roots, set()) == ["m.Spare.elements", "m.Spare.size"]
 
 
 def test_reachability_lint_finds_an_unused_function():
