@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Mapping, Protocol
 
-from .errors import BudgetExhausted, CertificateError, MachineBudgetError, MachineFault
+from .errors import BudgetExhausted, CertificateError, MachineBudgetError
 from .records import Record, set_field
 
 if TYPE_CHECKING:
@@ -174,7 +174,7 @@ def verify_certificate(cert: AdversaryCertificate, machine: ContinuousMachine) -
         for history, block in table.items():
             answer = machine.query(history + block, pivot)
             if answer != 1:
-                raise MachineFault(
+                raise CertificateError(
                     f"machine answered {answer!r} at pivot {pivot} on a "
                     f"recorded level-{level} cylinder"
                 )
@@ -267,7 +267,7 @@ def build_adversary(
             padded = [ext + "0" * (block - len(ext)) for ext in exts]
             for history, ext in zip(histories, padded):
                 if query(history + ext, pivot) != 1:
-                    raise MachineFault(
+                    raise CertificateError(
                         "a decided answer did not persist under padding; the "
                         "machine is not monotone"
                     )
@@ -394,7 +394,7 @@ def image_nonsplit_certificate(
             raise ValueError(f"element is not predicted at level {k}")
         answer = machine.query(element[: cuts[k + 1]], cert.pivots[k])
         if answer != 1:
-            raise MachineFault(
+            raise CertificateError(
                 f"machine answered {answer!r} at pivot {cert.pivots[k]}, "
                 f"contradicting the level-{k} decided fact"
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from operator import eq, floordiv, le, ne, sub
 
-from .errors import CertificateError, PrefixBudget
+from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
 from .upsets import UPSet, almost_subset, lcm
 
@@ -174,7 +174,7 @@ def _slope_order(f: APFunc, g: APFunc) -> int:
 
 def _guarded(n: int, what: str) -> int:
     if n > _PREFIX_GUARD:
-        raise PrefixBudget(
+        raise EnumerationBudget(
             f"{what} needs a window of {n} values, above the guard of {_PREFIX_GUARD}"
         )
     return n

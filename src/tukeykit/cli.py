@@ -189,8 +189,10 @@ def _load_observations(path: str, column: int) -> list:
     observed = []
     for i, item in enumerate(data):
         nodes = item.get("nodes") if isinstance(item, dict) else None
+        # a JSON true or false is a bool, which Python counts as an int
         if not isinstance(nodes, list) or not all(
-            isinstance(node, list) and all(isinstance(v, int) for v in node)
+            isinstance(node, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in node)
             for node in nodes
         ):
             raise ValueError(

@@ -1,39 +1,34 @@
 """The errors the command line reports, and how it reports them.
 
 Each class is re-exported by the module that raises it (``triples``,
-``adversary``, ``apfuncs``, ``branchmap``, ``gadgets``).  This module
-imports nothing from the package, so ``cli.main`` maps an error to its
-exit status without loading the modules behind other verbs.
+``adversary``, ``apfuncs``, ``branchmap``, ``catalog``, ``gadgets``,
+``splitorder``, ``wire``).  This module imports nothing from the
+package, so ``cli.main`` maps an error to its exit status without
+loading the modules behind other verbs.
 
-Exit statuses: ``USAGE_ERRORS`` print ``error: ...`` and exit 2,
-``BUDGET_ERRORS`` print ``budget: ...`` and exit 3; anything else
-propagates.
+Five classes, one per cause.  Exit 2, with an ``error: ...`` line
+(``USAGE_ERRORS``, beside ``ValueError`` and ``OSError``):
+``ContractBreach``, a value or candidate outside its declared carriers,
+and ``CertificateError``, a recorded fact that failed re-verification.
+Exit 3, with a ``budget: ...`` line (``BUDGET_ERRORS``):
+``MachineBudgetError``, a map that gave no answer, ``BudgetExhausted``,
+an adversary out of queries, and ``EnumerationBudget``, a size guard
+that refused work before starting it.  Anything else propagates.
 """
 
 from __future__ import annotations
 
 
-class KindMismatch(ValueError):
-    pass
-
-
 class ContractBreach(ValueError):
-    """A candidate map returned a value outside its declared carrier."""
-
-
-class MachineFault(RuntimeError):
-    """A machine contradicted one of its recorded decided answers."""
+    """A candidate map returned a value outside its declared carrier, or
+    a candidate does not respect the carriers it declares."""
 
 
 class CertificateError(RuntimeError):
-    """A certificate failed its re-verification, or an invariant the
-    mathematics guarantees did not hold.  Like a ``MachineFault`` it
-    points at a misbehaving map or machine (or a fault in the package),
-    never at a verdict."""
-
-
-class SearchBoundExceeded(RuntimeError):
-    pass
+    """A certificate failed its re-verification: a machine contradicted
+    one of its recorded decided answers, or an invariant the mathematics
+    guarantees did not hold.  It points at a misbehaving map or machine
+    (or a fault in the package), never at a verdict."""
 
 
 # characters of a request's repr that a MachineBudgetError message shows
@@ -68,19 +63,10 @@ class BudgetExhausted(RuntimeError):
         )
 
 
-class PrefixBudget(RuntimeError):
-    """A window of values would exceed ``apfuncs._PREFIX_GUARD``."""
-
-
 class EnumerationBudget(RuntimeError):
-    """An enumeration would exceed its size guard."""
+    """An enumeration, search or window of values would exceed its size
+    guard; raised before the work starts."""
 
 
-USAGE_ERRORS = (ValueError, OSError, MachineFault, CertificateError)
-BUDGET_ERRORS = (
-    MachineBudgetError,
-    SearchBoundExceeded,
-    EnumerationBudget,
-    PrefixBudget,
-    BudgetExhausted,
-)
+USAGE_ERRORS = (ValueError, OSError, CertificateError)
+BUDGET_ERRORS = (MachineBudgetError, EnumerationBudget, BudgetExhausted)

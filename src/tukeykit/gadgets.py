@@ -58,7 +58,7 @@ def refute_filterclass_to_unbounded(candidate: MorphismCandidate) -> MaxPairViol
     pulled = candidate.apply_pull(combined)
     if not isinstance(pulled, UPSet):
         raise ContractBreach(f"pull map must produce sets, got {pulled!r}")
-    if pulled.is_finite:
+    if not pulled.is_ic:
         raise ContractBreach("pull map must land in infinite co-infinite sets")
     for name, half in halves:
         if (pulled & half).is_infinite:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .errors import CertificateError
+from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
 
 
@@ -94,7 +94,7 @@ def min_columns_hit(n: int, n2: int, m: int) -> int:
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     if n > _EXHAUSTIVE_BOUND:
-        raise ValueError(f"exhaustive search capped at n <= {_EXHAUSTIVE_BOUND}")
+        raise EnumerationBudget(f"exhaustive search capped at n <= {_EXHAUSTIVE_BOUND}")
     sizes = column_sizes(n, n2)
     region_col = [c for c, s in enumerate(sizes) for _ in range(s)]
     best = n2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Sequence
 
-from .errors import KindMismatch, MachineBudgetError, SearchBoundExceeded
+from .errors import ContractBreach, EnumerationBudget, MachineBudgetError
 from .records import Record, set_field
 
 
@@ -63,7 +63,7 @@ class Kind(Record):
     __slots__ = ("name", "validate", "probes")
 
     def __repr__(self) -> str:
-        # the name alone, as in KindMismatch messages
+        # the name alone, as in compose's ContractBreach messages
         return f"Kind(name={self.name!r})"
 
 
@@ -137,7 +137,7 @@ def finite_norm(
     """Exact least size of a dominating family satisfying ``prop``,
     searched by increasing size; None encodes "no such family"."""
     if len(t.plus) > _NORM_SEARCH_BOUND:
-        raise SearchBoundExceeded(
+        raise EnumerationBudget(
             f"plus side has {len(t.plus)} elements, "
             f"search bound is {_NORM_SEARCH_BOUND}"
         )
@@ -187,7 +187,7 @@ def _apply(role: str, fn: Callable[[Any], Any], value: Any) -> Any:
 def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:
     """Composite of a morphism source->mid with one mid->target."""
     if None not in (c1.target_kinds, c2.source_kinds) and c1.target_kinds != c2.source_kinds:
-        raise KindMismatch(
+        raise ContractBreach(
             f"cannot compose: {c1.target_kinds} does not match {c2.source_kinds}"
         )
     return MorphismCandidate(

@@ -82,7 +82,7 @@ class UPSet:
     of ints, built on first read and kept.  Instances are immutable.
     """
 
-    __slots__ = ("head", "word", "period_start", "period_len", "_prefix", "_period", "_hash")
+    __slots__ = ("head", "word", "period_start", "period_len", "_prefix", "_period")
 
     def __init__(self, prefix, period) -> None:
         head, word = _as_bits(prefix), _as_bits(period)
@@ -120,6 +120,9 @@ class UPSet:
         _set(self, "period_start", m)
         _set(self, "period_len", p)
 
+    # The views are cached, not rebuilt per read: a caller that reads
+    # both views once per bit (an oracle walking a set bit by bit) would
+    # otherwise pay O(period) per bit, quadratic at periods of 2.5 * 10^5.
     @property
     def prefix(self) -> tuple[int, ...]:
         try:
@@ -161,15 +164,7 @@ class UPSet:
     def __hash__(self) -> int:
         # the hash of the (prefix, period) tuple pair, as when they were
         # the stored fields, so set and dict orders stay as they were
-        try:
-            return self._hash
-        except AttributeError:
-            views = (
-                tuple(_bits(self.head, self.period_start)),
-                tuple(_bits(self.word, self.period_len)),
-            )
-            _set(self, "_hash", hash(views))
-            return self._hash
+        return hash((self.prefix, self.period))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(prefix={self.prefix!r}, period={self.period!r})"

@@ -13,7 +13,7 @@ from tukeykit.adversary import (
     PartialProgress,
     Predictor,
 )
-from tukeykit.errors import BudgetExhausted, MachineBudgetError, MachineFault
+from tukeykit.errors import BudgetExhausted, CertificateError, MachineBudgetError
 
 
 def histories(width: int):
@@ -83,7 +83,7 @@ def build_adversary(
             except MachineBudgetError:
                 raise fail(level, history, pivot) from None
             if answer != 1:
-                raise MachineFault(
+                raise CertificateError(
                     "a decided answer did not persist under padding; the "
                     "machine is not monotone"
                 )

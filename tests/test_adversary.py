@@ -14,9 +14,9 @@ from tukeykit import wire
 from tukeykit.adversary import (
     AdversaryCertificate,
     BudgetExhausted,
+    CertificateError,
     FunctionMachine,
     IntervalPartition,
-    MachineFault,
     MeteredMachine,
     Predictor,
     build_adversary,
@@ -171,7 +171,7 @@ class TestBuildAdversary:
             cert.pivots[:-1] + (cert.pivots[-1] + 1,),
             cert.queries_used,
         )
-        with pytest.raises(MachineFault):
+        with pytest.raises(CertificateError, match="on a recorded level-2 cylinder"):
             verify_certificate(tampered, identity_machine())
 
     def test_partial_certificates_verify(self):
@@ -230,7 +230,7 @@ def outcome(engine, machine, depth: int, budget: int) -> tuple:
     except BudgetExhausted as exc:
         partial = exc.partial and (exc.partial.to_json(), exc.partial.queries_used)
         return "budget", str(exc), exc.progress, partial, asked
-    except MachineFault as exc:
+    except CertificateError as exc:
         return "fault", str(exc), asked
     return "certificate", cert.to_json(), cert.queries_used, asked
 

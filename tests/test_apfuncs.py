@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_apfuncs as ref
 from tukeykit.apfuncs import (
     APFunc,
+    EnumerationBudget,
     IDENTITY,
-    PrefixBudget,
     _PREFIX_GUARD,
     _crossover,
     _run,
@@ -389,7 +389,7 @@ class TestPrefixGuard:
         # before allocating: the only windows read are the crossover's
         # one common block of 151 * 150 values
         f, g = steep_pair(151)
-        with pytest.raises(PrefixBudget):
+        with pytest.raises(EnumerationBudget, match="above the guard of"):
             pointwise_max(f, g)
         assert windows == [151 * 150] * 2
 
@@ -405,7 +405,7 @@ class TestPrefixGuard:
         read = len(windows)
         steeper = APFunc((), (1,) * 1499 + (0,), 1500)
         for h in (f, steeper):
-            with pytest.raises(PrefixBudget):
+            with pytest.raises(EnumerationBudget, match="above the guard of"):
                 pointwise_max(h, g)
         assert len(windows) == read
 

@@ -27,8 +27,8 @@ from tukeykit.catalog import (
     upset_tuple_kind,
     vd_diagram,
 )
-from tukeykit.errors import EnumerationBudget
-from tukeykit.triples import KindMismatch, MorphismCandidate, check_morphism, compose
+from tukeykit.errors import ContractBreach, EnumerationBudget
+from tukeykit.triples import MorphismCandidate, check_morphism, compose
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
 
 import reference_apfuncs as ref
@@ -313,9 +313,9 @@ class TestBuiltinMorphisms:
 
     def test_builtins_refuse_composition_across_triples(self):
         by_edge = {(e.source, e.target): e.candidate for e in builtin_morphisms()}
-        with pytest.raises(KindMismatch):
+        with pytest.raises(ContractBreach, match="cannot compose"):
             compose(by_edge[("u", "r")], by_edge[("d", "b")])
-        with pytest.raises(KindMismatch):
+        with pytest.raises(ContractBreach, match="cannot compose"):
             compose(by_edge[("r_4", "r_3")], by_edge[("r_4", "r_3")])
 
     def test_padding_candidate_condition(self):

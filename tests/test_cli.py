@@ -234,6 +234,20 @@ class TestSubprocessVerbs:
         assert data["verified"] is True
         assert data["side"] == "E"
 
+    def test_refute_cofinite_pull_is_usage_error(self, capsys, tmp_path):
+        phi = tmp_path / "phi.py"
+        phi.write_text(PHI_CONST_EVENS.replace("|10", "|1"))
+        psi = tmp_path / "psi.py"
+        psi.write_text(PSI_CONST_ZERO)
+        code = main(
+            ["refute", "a2b", "--phi", f"{sys.executable} {phi}",
+             "--psi", f"{sys.executable} {psi}"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pull map must land in infinite co-infinite sets\n"
+
     def test_refute_budget_on_a_steep_maximum(self, capsys, tmp_path):
         # the push map answers the two halves with base lengths 151 and
         # 150 at drift 3, whose maximum needs about 3.4 * 10^6 values
@@ -449,6 +463,11 @@ class TestUsageErrors:
                 id="bound-wrong-arity",
             ),
             pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [{"level": 3, "nodes": [[False, True, False]]}],
+                id="bound-node-true",
+            ),
+            pytest.param(
                 ["adversary", "run", "--machine", "/nonexistent"],
                 None,
                 id="adversary-no-machine",
@@ -503,14 +522,10 @@ class TestUsageErrors:
 EXIT_STATUS = [
     (ValueError("bad literal"), 2, "error:"),
     (OSError("no such file"), 2, "error:"),
-    (errors.KindMismatch("carrier kinds differ"), 2, "error:"),
     (errors.ContractBreach("value outside the carrier"), 2, "error:"),
-    (errors.MachineFault("decided answer contradicted"), 2, "error:"),
     (errors.CertificateError("certificate failed re-verification"), 2, "error:"),
-    (errors.SearchBoundExceeded("family search bound"), 3, "budget:"),
     (errors.MachineBudgetError("push map", "x"), 3, "budget:"),
     (errors.BudgetExhausted(PartialProgress(1, "01", 4), None), 3, "budget:"),
-    (errors.PrefixBudget("window too long"), 3, "budget:"),
     (errors.EnumerationBudget("size guard"), 3, "budget:"),
     (_BudgetSignal("metered machine", ("01", 4)), 3, "budget:"),
 ]

@@ -13,7 +13,7 @@ from tukeykit.gadgets import (
     refute_pseudo_intersection_to_tower,
 )
 from tukeykit.triples import MorphismCandidate
-from tukeykit.upsets import EVENS, UPSet, almost_subset
+from tukeykit.upsets import EVENS, FULL, UPSet, almost_subset
 
 from helpers import scripted_max_pair_candidates, scripted_three_sets_candidates
 
@@ -45,6 +45,13 @@ class TestMaxPairGadget:
             pull=lambda f: UPSet.from_finite({1, 2}), push=lambda a: ZERO
         )
         with pytest.raises(ContractBreach):
+            refute_filterclass_to_unbounded(cand)
+
+    def test_cofinite_pull_is_contract_breach(self):
+        # a cofinite set is infinite, but it is not on the ic carrier
+        cofinite = FULL - UPSet.from_finite({0})
+        cand = MorphismCandidate(pull=lambda f: cofinite, push=lambda a: ZERO)
+        with pytest.raises(ContractBreach, match="infinite co-infinite"):
             refute_filterclass_to_unbounded(cand)
 
     def test_reverification_survives_optimize(self):

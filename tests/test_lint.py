@@ -290,6 +290,51 @@ def test_every_exception_class_has_an_exit_status():
     )
 
 
+def unraised_error_classes(errors: ast.Module, modules: list[ast.Module]) -> list[str]:
+    """Every class ``errors`` defines that no ``raise`` in ``modules``
+    names, as ``raise C(...)`` or ``raise C``."""
+    raised = set()
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised
+    ]
+
+
+def test_every_error_class_is_raised():
+    # a class that nothing raises is a second name for a cause some other
+    # class already reports; its exit status row would test nothing
+    package = Path(tukeykit.__file__).resolve().parent
+    modules = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    errors = ast.parse((package / "errors.py").read_text())
+    unraised = unraised_error_classes(errors, modules)
+    assert not unraised, f"error classes that nothing in src/ raises: {unraised}"
+
+
+def test_unraised_error_lint_finds_a_planted_class():
+    errors = ast.parse(
+        "class A(ValueError):\n    pass\n"
+        "class B(RuntimeError):\n    pass\n"
+        "class C(RuntimeError):\n    pass\n"
+    )
+    module = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise A('x')\n"
+        "    try:\n"
+        "        raise B\n"
+        "    except C:\n"
+        "        raise\n"
+    )
+    assert unraised_error_classes(errors, [module]) == ["C"]
+
+
 def test_tracer_patches_resolve():
     # the benchmark's traced run rebinds these names; a rename in the
     # package must fail here, not only in a traced benchmark run.  The

@@ -4,6 +4,7 @@ import pytest
 
 import reference_splitorder as ref
 from tukeykit.splitorder import (
+    EnumerationBudget,
     SplitSpec,
     antichain,
     bt_edge,
@@ -66,7 +67,7 @@ class TestMinColumnsHit:
                         assert (hit >= m2) == (bucket_count(n, n2, m2) < m)
 
     def test_bound_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBudget, match="exhaustive search capped at n <= 30"):
             min_columns_hit(31, 2, 5)
 
 
