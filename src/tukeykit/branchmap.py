@@ -42,7 +42,9 @@ every ``level <= deep``, so ``witness_stream`` and
 ``exact_intersection`` restrict each branch once, at the deepest level
 they read, and slice that restriction per level.  The witness tuples
 are admissible by construction, since they start above the shared
-prefix code and their components are those very restrictions.
+prefix code and their components are those very restrictions.  An
+exact intersection is read as rows as well: per (level, code), the
+tails ints of the shared tuples, sorted, are in ``tuple_index`` order.
 """
 
 from __future__ import annotations
@@ -281,58 +283,19 @@ def tuple_at(n: int, index: int) -> ColumnTuple:
     if index < 0:
         raise ValueError("index must be a natural")
     level, code, tails = _locate(n, index)
-    width = n * (level - n)
+    return _row_tuples(n, level, code, (tails,))[0]
+
+
+def _row_tuples(n: int, level: int, code: int, rows) -> list[ColumnTuple]:
+    """The column-n tuple (level, code, tails) for each tails int of
+    ``rows``, decoding the code once."""
     matrix = tuple_decode(code, n)
-    bits = [(tails >> (width - 1 - i)) & 1 for i in range(width)]
     per = level - n
-    nodes = tuple(
-        matrix[j] + tuple(bits[j * per : (j + 1) * per]) for j in range(n)
-    )
-    return ColumnTuple(n, nodes)
-
-
-def _nodes_with_prefix(prefix: tuple[int, ...], level: int):
-    for tail in itertools.product((0, 1), repeat=level - len(prefix)):
-        yield prefix + tail
-
-
-# most tail bits, n * (level - n), that one level's enumeration may walk
-_SIZE_GUARD = 24
-
-
-def _tuples_carrying(n: int, r: tuple[int, ...], level: int):
-    """Node tuples of the admissible column-n tuples at ``level`` that
-    have the node ``r`` among their components.
-
-    Enumerated by placement: pick the exact nonempty set of slots that
-    carry ``r`` (their prefixes must match), then let the remaining
-    slots range over the other nodes.  Each tuple arises from exactly
-    one placement.
-    """
-    if n * (level - n) > _SIZE_GUARD:
-        raise EnumerationBudget(
-            f"level {level} of column {n} exceeds 2^{_SIZE_GUARD} tails"
-        )
-    head = r[:n]
-    for code in range(level):
-        matrix = tuple_decode(code, n)
-        carriers = [j for j in range(n) if matrix[j] == head]
-        if not carriers:
-            continue
-        # a slot needs a pool only if some placement leaves it free;
-        # a sole carrier always holds r
-        pools = {}
-        for j in range(n):
-            if carriers == [j]:
-                continue
-            nodes = list(_nodes_with_prefix(matrix[j], level))
-            pools[j] = [t for t in nodes if t != r] if matrix[j] == head else nodes
-        for size in range(1, len(carriers) + 1):
-            for chosen in itertools.combinations(carriers, size):
-                slot_pools = [
-                    (r,) if j in chosen else tuple(pools[j]) for j in range(n)
-                ]
-                yield from itertools.product(*slot_pools)
+    out = []
+    for tails in rows:
+        bits = tuple(tails >> i & 1 for i in reversed(range(n * per)))
+        out.append(ColumnTuple(n, tuple(matrix[j] + bits[j * per : (j + 1) * per] for j in range(n))))
+    return out
 
 
 def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -523,18 +486,64 @@ class ExactIntersection(Record):
         return len(self.tuples)
 
 
+# most tail bits, n * (level - n), that one level's enumeration may walk
+_SIZE_GUARD = 24
+
+
+def _level_intersection(n: int, level: int, nodes) -> list[ColumnTuple]:
+    """The admissible column-n tuples at ``level`` carrying every node
+    of ``nodes``, in ``tuple_index`` order.
+
+    Per code, the distinct nodes are placed depth first into distinct
+    slots whose prefix row equals their head (a code where one node has
+    no such slot is skipped), and the slots left over range over all
+    words.  A node may fill several slots, so the tails go into a set.
+    """
+    per = level - n
+    if n * per > _SIZE_GUARD:
+        raise EnumerationBudget(
+            f"level {level} of column {n} exceeds 2^{_SIZE_GUARD} tails"
+        )
+    split = [_head_and_tail(n, r) for r in set(nodes)]
+    shifts = [per * (n - 1 - j) for j in range(n)]
+    out = []
+    for code in range(level):
+        slots = []
+        for head, _ in split:
+            slots.append(_slots_holding(code, n, head))
+            if not slots[-1]:
+                break
+        else:
+            found = set()
+            stack = [(0, 0, 0)]  # nodes placed, bitmask of slots taken, tails so far
+            while stack:
+                i, taken, fixed = stack.pop()
+                if i < len(split):
+                    tail = split[i][1]
+                    stack += [(i + 1, taken | 1 << j, fixed | tail << shifts[j])
+                              for j in slots[i] if not taken >> j & 1]
+                    continue
+                rows = [fixed]
+                for j in range(n):
+                    if not taken >> j & 1:
+                        rows = [t | w << shifts[j] for t in rows for w in range(1 << per)]
+                found.update(rows)
+            if found:
+                out.extend(_row_tuples(n, level, code, sorted(found)))
+    return out
+
+
 def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
     """The complete intersection of the column images of n+1 pairwise
     distinct branches, in ``tuple_index`` order.
 
     Once all restrictions are pairwise distinct, n slots cannot match
     n+1 of them, so every shared tuple lies below the separation level.
-    Each of those levels is enumerated exhaustively through the tuples
-    carrying the first branch's restriction, keeping those that carry
-    every other restriction too; ``EnumerationBudget`` is raised past
-    2^24 tails per level.  Each branch is restricted once, to the last
-    level the scan can read: the level before the separation, or the
-    first level past that budget, whichever comes first.
+    Each of those levels is searched exhaustively by placing the
+    restrictions into slots; ``EnumerationBudget`` is raised past 2^24
+    tails per level.  Each branch is restricted once, to the last level
+    the scan can read: the level before the separation, or the first
+    level past that budget, whichever comes first.
     """
     if len(branches) != n + 1:
         raise ValueError("exact intersections take n+1 branches")
@@ -546,15 +555,12 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
         if lvl is None:
             raise ValueError("branches must be pairwise distinct")
         sep = max(sep, lvl)
-    found = []
     last = min(sep - 1, n + _SIZE_GUARD // n + 1)
     deep = [b.restrict(last) for b in branches]
+    found = []
     for level in range(n + 1, sep):
-        first, *rest = (r[:level] for r in deep)
-        for nodes in _tuples_carrying(n, first, level):
-            if all(r in nodes for r in rest):
-                found.append(ColumnTuple(n, nodes))
-    return ExactIntersection(n, sep, tuple(sorted(found, key=tuple_index)))
+        found.extend(_level_intersection(n, level, [r[:level] for r in deep]))
+    return ExactIntersection(n, sep, tuple(found))
 
 
 # -- bounds from finite traces ---------------------------------------------
@@ -567,18 +573,16 @@ class BoundCertificate(Record):
     __slots__ = ("column", "constraints", "empty", "bound", "chains")
 
 
-def _compatible(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-    return long_[: len(short)] == short
-
-
 def bound_from_trace(
     n: int, observed: Sequence[ColumnTuple]
 ) -> BoundCertificate:
     """Propagate "the branch extends one component of each observation"
     through every consistent selection and take coordinatewise maxima.
 
-    The returned bound's domain is the part of the tree every
+    A chain is the longest component of a selection whose components
+    extend one another; one loop steps the set of chains through the
+    observations, so equal chains merge and a long trace needs no call
+    stack.  The returned bound's domain is the part of the tree every
     consistent selection pins down; any branch matching all the
     observations obeys the bound there.
     """
@@ -586,26 +590,21 @@ def bound_from_trace(
         raise ValueError("need at least one observation")
     if any(t.n != n for t in observed):
         raise ValueError("observations must come from column n")
-    unions: set[tuple[int, ...]] = set()
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-
-    def extend(i: int, chain: tuple[int, ...]) -> None:
-        if (i, chain) in seen:
-            return
-        seen.add((i, chain))
-        if i == len(observed):
-            unions.add(chain)
-            return
-        for node in observed[i].nodes:
-            if _compatible(chain, node):
-                extend(i + 1, node if len(node) >= len(chain) else chain)
-
-    extend(0, ())
-    if not unions:
+    chains: set[tuple[int, ...]] = {()}
+    for t in observed:
+        # a chain and a node are compatible when the shorter is a prefix
+        # of the longer, and the longer one goes on
+        chains = {
+            node if len(node) >= len(chain) else chain
+            for chain in chains
+            for node in t.nodes
+            if chain[: len(node)] == node[: len(chain)]
+        }
+    if not chains:
         return BoundCertificate(n, tuple(observed), True, (), 0)
-    dom = min(len(u) for u in unions)
-    bound = tuple(max(u[k] for u in unions) for k in range(dom))
-    return BoundCertificate(n, tuple(observed), False, bound, len(unions))
+    dom = min(len(c) for c in chains)
+    bound = tuple(max(c[k] for c in chains) for k in range(dom))
+    return BoundCertificate(n, tuple(observed), False, bound, len(chains))
 
 
 # the columns read, the bound on the codes read and the observations kept

@@ -70,12 +70,9 @@ def bucket_count(n: int, n2: int, m2: int) -> int:
 
 
 def bucket_count_by_filling(n: int, n2: int, m2: int) -> int:
-    """Independent oracle: actually place the balls and count the ones
-    landing in the first m2-1 buckets."""
-    if n2 < 1:
-        raise ValueError("need at least one bucket")
-    sizes = [n // n2 + (1 if i < n % n2 else 0) for i in range(n2)]
-    return sum(sizes[: m2 - 1])
+    """Independent oracle: fill the buckets evenly (``column_sizes``)
+    and count the balls landing in the first m2-1 of them."""
+    return sum(column_sizes(n, n2)[: m2 - 1])
 
 
 def column_sizes(n: int, n2: int) -> list[int]:

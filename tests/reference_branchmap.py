@@ -2,9 +2,10 @@
 the full n^2 pairing walk, a ``ColumnTuple`` per read, an entry scan
 of two restrictions for divergence, witness streams and exact
 intersections that restrict every branch anew at each level (the
-latter over every admissible tuple of the level), and a set's trace
-read by scanning every natural below the bound.  The differential
-tests compare the library's fast paths against these."""
+latter over every admissible tuple of the level, or through the tuples
+carrying the first branch's node, filtered and sorted), and a set's
+trace read by scanning every natural below the bound.  The
+differential tests compare the library's fast paths against these."""
 
 import itertools
 from typing import Sequence
@@ -20,6 +21,7 @@ from tukeykit.branchmap import (
     decode_blocks,
     level_count,
     pair,
+    tuple_index,
     unpair,
 )
 from tukeykit.upsets import UPSet
@@ -154,6 +156,46 @@ def exact_intersection(n: int, branches: Sequence[Branch]) -> ExactIntersection:
                 if all(r in nodes for r in rs):
                     found.append(ColumnTuple(n, nodes))
     return ExactIntersection(n, sep, tuple(found))
+
+
+def tuples_carrying(n: int, r: tuple[int, ...], level: int):
+    """Node tuples of the admissible column-n tuples at ``level`` that
+    have the node ``r`` among their components: per code, each nonempty
+    set of the slots whose prefix row is r's head holds r, and the other
+    slots range over every other node under their prefix row, so each
+    tuple arises exactly once."""
+    head = r[:n]
+    tails = [tuple(t) for t in itertools.product((0, 1), repeat=level - n)]
+    for code in range(level):
+        matrix = tuple_decode(code, n)
+        carriers = [j for j in range(n) if matrix[j] == head]
+        for size in range(1, len(carriers) + 1):
+            for chosen in itertools.combinations(carriers, size):
+                pools = [
+                    [r] if j in chosen else [matrix[j] + t for t in tails if matrix[j] + t != r]
+                    for j in range(n)
+                ]
+                yield from itertools.product(*pools)
+
+
+def exact_intersection_by_carriers(n: int, branches: Sequence[Branch]) -> ExactIntersection:
+    """Exact intersections through ``tuples_carrying``: the tuples at
+    each level below the separation that carry the first branch's node,
+    kept when they carry every other node, then sorted by
+    ``tuple_index``."""
+    if len(branches) != n + 1:
+        raise ValueError("exact intersections take n+1 branches")
+    levels = [divergence_level(a, b) for a, b in itertools.combinations(branches, 2)]
+    if None in levels:
+        raise ValueError("branches must be pairwise distinct")
+    sep = max(levels)
+    found = []
+    for level in range(n + 1, sep):
+        first, *rest = (b.restrict(level) for b in branches)
+        for nodes in tuples_carrying(n, first, level):
+            if all(r in nodes for r in rest):
+                found.append(ColumnTuple(n, nodes))
+    return ExactIntersection(n, sep, tuple(sorted(found, key=tuple_index)))
 
 
 def trace_bound_func(a: UPSet) -> APFunc:

@@ -16,7 +16,6 @@ from tukeykit.branchmap import (
     ColumnTuple,
     EnumerationBudget,
     ImagePrefix,
-    _tuples_carrying,
     bound_from_trace,
     branch_of,
     common_witnesses,
@@ -254,8 +253,7 @@ class TestTupleEnumeration:
 def column_level_set(n, branch, level):
     """The admissible tuples at one level carrying the branch's
     restriction, in ``tuple_index`` order."""
-    nodes = _tuples_carrying(n, branch.restrict(level), level)
-    return sorted((ColumnTuple(n, t) for t in nodes), key=tuple_index)
+    return branchmap._level_intersection(n, level, [branch.restrict(level)])
 
 
 class TestColumnLevelSets:
@@ -612,26 +610,31 @@ class TestExactIntersection:
         assume(n * (max(levels) - 1 - n) <= 12)
         assert exact_intersection(n, branches) == ref.exact_intersection(n, branches)
 
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_carrier_reference_past_the_level_scan(self, data):
+        # the scan's deepest level walks 2^13 to 2^16 tails, past what
+        # the level-scan reference can: two of the n+1 branches part at
+        # the last bit of their words, so the separation comes one level
+        # after the deepest level read
+        n = data.draw(st.integers(1, 4))
+        deepest = data.draw(st.sampled_from(
+            [level for level in range(n + 1, 20) if 13 <= n * (level - n) <= 16]
+        ))
+        width = deepest - n + 1
+        twin = data.draw(st.integers(0, 2 ** (width - 1) - 1)) << 1
+        words = data.draw(st.lists(
+            st.integers(0, 2**width - 1).filter(lambda w: w >> 1 != twin >> 1),
+            min_size=n - 1, max_size=n - 1, unique=True,
+        ))
+        branches = [branch_of(word_function(n, w, width), n) for w in [twin, twin | 1, *words]]
+        result = exact_intersection(n, branches)
+        assert result.separation_level == deepest + 1
+        assert result == ref.exact_intersection_by_carriers(n, branches)
+
     def test_equal_branches_rejected(self):
         with pytest.raises(ValueError):
             exact_intersection(1, [branch_of(ZERO, 1), branch_of(ZERO, 1)])
-
-    def test_sole_carrier_lists_no_pool(self, monkeypatch):
-        # column 1 has one slot, which always holds the first branch's
-        # node, so no level needs the 2^(level-1) nodes under its prefix
-        listed = []
-        nodes_with_prefix = branchmap._nodes_with_prefix
-
-        def counting(prefix, level):
-            for node in nodes_with_prefix(prefix, level):
-                listed.append(node)
-                yield node
-
-        monkeypatch.setattr(branchmap, "_nodes_with_prefix", counting)
-        fs = [ZERO, APFunc((0,) * 12, (1,), 0)]
-        result = exact_intersection(1, [branch_of(f, 1) for f in fs])
-        assert result.size == 11
-        assert listed == []
 
     def test_matches_brute_force(self):
         rng = random.Random(11)
@@ -662,6 +665,21 @@ class TestExactIntersection:
                         brute.append(t)
             assert list(result.tuples) == sorted(brute, key=tuple_index)
             done += 1
+
+
+def word_function(n, word, width):
+    """A zero-headed function whose column-n branch starts, past its
+    head, with the ``width`` bits of ``word``, first bit most
+    significant: each run of ones ended by a zero is a value, and the
+    trailing run is the next one."""
+    values, run = [], 0
+    for i in range(width - 1, -1, -1):
+        if word >> i & 1:
+            run += 1
+        else:
+            values.append(run)
+            run = 0
+    return APFunc((0,) * n + tuple(values), (run,), 0)
 
 
 def sample_observations(rng, n, branch, levels):

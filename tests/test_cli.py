@@ -213,6 +213,21 @@ class TestBranchMapVerbs:
         assert data["bound"] == [0, 1, 0]
         assert data["empty"] is False
 
+    def test_bound_on_a_long_trace(self, capsys, tmp_path):
+        # one observation repeated 3,000 times forces what one copy does;
+        # a search recursing once per observation overflowed the stack
+        obs = {"level": 2, "nodes": [[0, 0]]}
+        outputs = []
+        for copies in (1, 3000):
+            path = tmp_path / f"obs{copies}.json"
+            path.write_text(json.dumps([obs] * copies))
+            code, out = run_cli(capsys, "bound", "--column", "1", "--obs", str(path))
+            assert code == 0
+            outputs.append(json.loads(out))
+        one, many = outputs
+        assert many["bound"] == one["bound"] == [0, 0]
+        assert many["chains"] == one["chains"] == 1
+
 
 class TestSubprocessVerbs:
     def test_refute_external_maps(self, capsys, tmp_path):

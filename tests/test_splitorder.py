@@ -46,6 +46,8 @@ class TestBucketCount:
     def test_zero_buckets_rejected(self):
         with pytest.raises(ValueError):
             bucket_count(5, 0, 1)
+        with pytest.raises(ValueError, match="need at least one column"):
+            bucket_count_by_filling(5, 0, 1)
 
 
 class TestMinColumnsHit:

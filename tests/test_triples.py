@@ -131,6 +131,21 @@ class TestCheckMorphism:
         assert not report.consistent
         assert report.violations[0].condition == "relation"
 
+    def test_summary(self):
+        t = finite_triple(("1", "2"), ("a", "b"), {("1", "a"), ("2", "b")})
+        report = check_morphism(identity_candidate(), t, t)
+        assert report.summary() == (
+            "identity: consistent on probes "
+            "(2/4 relation checks engaged, 0 family checks)"
+        )
+        src = FiniteTriple(("x",), ("y",), ((True,),))
+        tgt = FiniteTriple(("x",), ("y",), ((False,),))
+        report = check_morphism(identity_candidate(), src, tgt)
+        assert report.summary() == (
+            "identity: 1 violation(s), first: " + report.violations[0].detail
+        )
+        assert report.violations[0].detail.startswith("pulled element relates")
+
     def test_a_fault_in_an_in_process_map_propagates(self):
         # only a map that gives no answer is a budget verdict
         t = FiniteTriple(("x",), ("y",), ((True,),))
