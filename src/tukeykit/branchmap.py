@@ -30,17 +30,23 @@ nor the n x n prefix matrix: only the code's nonzero entries are kept,
 and a branch's head matches a touched row or, when it is all zero, the
 untouched rows.  ``image_prefix`` walks each column's rows in (level,
 code, tails) order, so a restriction is computed once per column, at
-the deepest level the walk reaches, and sliced per level; the matching
-slots are found once per code, and a code whose rows miss the head is
-skipped whole; a prefix of the image below N costs close to O(N).
+the deepest level the walk reaches, and sliced per level; that call
+also gives the column's ``depth_used``.  The matching slots are found
+once per code, and a code whose rows miss the head is skipped whole; a
+prefix of the image below N costs close to O(N).  Each column reads its
+own values: a window shared by all columns waits until the benchmark's
+peak RSS stops growing with its answer count.
 
 Separation and witnesses.  ``divergence_level`` restricts no branch:
 the separation level comes from the first differing value, either as an
-identity entry or inside that value's block.  Restrictions are
-prefix-stable, ``b.restrict(deep)[:level] == b.restrict(level)`` for
-every ``level <= deep``, so ``witness_stream`` and
-``exact_intersection`` restrict each branch once, at the deepest level
-they read, and slice that restriction per level.  The witness tuples
+identity entry or inside that value's block.  A restriction costs
+O(level) whatever the values: it reads at most about twice the values
+whose blocks reach the level (some sqrt(2 level) for the identity) and
+cuts the last block there.  Restrictions are prefix-stable,
+``b.restrict(deep)[:level] == b.restrict(level)`` for every
+``level <= deep``, so ``witness_stream`` and ``exact_intersection``
+restrict each branch once, at the deepest level they read, and slice
+that restriction per level.  The witness tuples
 are admissible by construction, since they start above the shared
 prefix code and their components are those very restrictions.  An
 exact intersection is read as rows as well: per (level, code), the
@@ -156,7 +162,8 @@ def decode_blocks(n: int, entries: Sequence[int]) -> list[int]:
 
 class Branch(Record):
     """A branch of T_n: the ``encode_blocks`` image of a function's
-    values, so it has entries to any depth."""
+    values, so it has entries to any depth; a restriction builds none
+    past its level."""
 
     __slots__ = ("n", "func")
 
@@ -167,19 +174,28 @@ class Branch(Record):
         set_field(self, "func", func)
 
     def restrict(self, level: int) -> tuple[int, ...]:
-        values_used = self.values_needed(level)
-        return encode_blocks(self.n, self.func.values(values_used))[:level]
+        return _restriction(self.n, self.func, level)[0]
 
-    def values_needed(self, level: int) -> int:
-        """How many function values determine this branch to ``level``."""
-        if level <= self.n:
-            return level
-        length = self.n
-        u = self.n
-        while length < level:
-            length += self.func(u) + 1
-            u += 1
-        return u
+
+def _restriction(n: int, f: APFunc, level: int) -> tuple[tuple[int, ...], int]:
+    """The first ``level`` entries of f's branch of T_n, and how many of
+    f's values determine them.  Past the n identity entries value v fills
+    v + 1 entries; the values are read in doubling spans until they cover
+    the level, and the last one is capped at the entries left."""
+    if level <= n:
+        return encode_blocks(n, f.values(level)), level
+    values = f.values(min(level, n + 64))
+    room = level - n  # the entries left for the values from u on
+    u = n
+    while room > 0:
+        if u == len(values):
+            values += f.window(u, min(2 * u - n, level))
+        room -= values[u] + 1
+        u += 1
+    del values[u:]
+    if room < 0:
+        values[-1] += room + 1  # cut the last block at the level
+    return encode_blocks(n, values)[:level], u
 
 
 def branch_of(f: APFunc, n: int) -> Branch:
@@ -381,11 +397,10 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     last = c + r
     for col in range(1, last + 1):
         reach = last - col + (col >= c)
-        b = branch_of(f, col)
         deepest = _locate(col, reach - 1)[0]
-        # values_needed grows with the level, so the deepest level decides
-        depth = max(depth, b.values_needed(deepest))
-        full = b.restrict(deepest)
+        # the values read grow with the level, so the deepest level decides
+        full, used = _restriction(col, f, deepest)
+        depth = max(depth, used)
         start = 0
         level = col + 1
         while start < reach:

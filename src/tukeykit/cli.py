@@ -184,6 +184,8 @@ def _load_observations(path: str, column: int) -> list:
     data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of {{level, nodes}} tuples")
+    if not data:
+        raise ValueError(f"{path}: need at least one observation")
     observed = []
     for i, item in enumerate(data):
         nodes = item.get("nodes") if isinstance(item, dict) else None

@@ -1,10 +1,11 @@
 """Reference implementations of the glued map's codec and image reads:
-the full n^2 pairing walk, a ``ColumnTuple`` per read, an entry scan
-of two restrictions for divergence, witness streams and exact
-intersections that restrict every branch anew at each level (the
-latter over every admissible tuple of the level, or through the tuples
-carrying the first branch's node, filtered and sorted), and a set's
-trace read by scanning every natural below the bound.  The
+the full n^2 pairing walk, a restriction that counts its values one
+call at a time and encodes every block whole, a ``ColumnTuple`` per
+read, an entry scan of two restrictions for divergence, witness streams
+and exact intersections that restrict every branch anew at each level
+(the latter over every admissible tuple of the level, or through the
+tuples carrying the first branch's node, filtered and sorted), and a
+set's trace read by scanning every natural below the bound.  The
 differential tests compare the library's fast paths against these."""
 
 import itertools
@@ -19,6 +20,7 @@ from tukeykit.branchmap import (
     bound_from_trace,
     branch_of,
     decode_blocks,
+    encode_blocks,
     level_count,
     pair,
     tuple_index,
@@ -85,6 +87,24 @@ def image_contains(f: APFunc, x: int) -> bool:
     return tuple_in_column_image(col, branch_of(f, col), tuple_at(col, m))
 
 
+def values_needed(branch: Branch, level: int) -> int:
+    """How many function values determine the branch to ``level``, one
+    value at a time."""
+    if level <= branch.n:
+        return level
+    length = branch.n
+    u = branch.n
+    while length < level:
+        length += branch.func(u) + 1
+        u += 1
+    return u
+
+
+def restrict(branch: Branch, level: int) -> tuple[int, ...]:
+    """Every block of the values needed, cut at the level."""
+    return encode_blocks(branch.n, branch.func.values(values_needed(branch, level)))[:level]
+
+
 def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     elements = []
     depth = 0
@@ -94,7 +114,7 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
             continue
         t = tuple_at(col, m)
         b = branch_of(f, col)
-        depth = max(depth, b.values_needed(t.level))
+        depth = max(depth, values_needed(b, t.level))
         if tuple_in_column_image(col, b, t):
             elements.append(x)
     return ImagePrefix(tuple(elements), bound, depth)

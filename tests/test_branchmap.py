@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,61 @@ class TestBranches:
         assert len(full) == deep
         for level in range(deep + 1):
             assert full[:level] == b.restrict(level)
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(0, 10**3), max_size=8),
+        st.lists(st.integers(0, 10**3), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(0, 5000),
+    )
+    @settings(max_examples=80, deadline=None)
+    # levels below and at n, one past it, inside a value's block and at
+    # its last entry; small values that take several spans to cover
+    @example(3, [5, 6, 7], [1], 0, 2)
+    @example(3, [5, 6, 7], [1], 0, 3)
+    @example(1, [0], [4], 0, 2)
+    @example(1, [0, 3], [0], 0, 4)
+    @example(1, [0, 3], [0], 0, 5)
+    @example(1, [], [10**3], 3, 5000)
+    @example(1, [], [0], 0, 5000)
+    @example(2, [], [0, 1], 1, 5000)
+    def test_restriction_matches_whole_blocks(self, n, prefix, base, drift, level):
+        b = branch_of(APFunc(tuple(prefix), tuple(base), drift), n)
+        expected = (ref.restrict(b, level), ref.values_needed(b, level))
+        assert branchmap._restriction(n, b.func, level) == expected
+
+    def test_deep_restriction_reads_about_the_values_it_needs(self, monkeypatch):
+        # the identity needs about sqrt(2 * level) values, not level
+        read = []
+        window = APFunc.window
+
+        def counting(self, start, stop):
+            out = window(self, start, stop)
+            read.append(len(out))
+            return out
+
+        monkeypatch.setattr(APFunc, "window", counting)
+        b = branch_of(IDENTITY, 1)
+        level = 10**5
+        entries = b.restrict(level)
+        monkeypatch.undo()
+        needed = ref.values_needed(b, level)
+        assert entries == ref.restrict(b, level)
+        assert needed <= sum(read) <= 2 * needed
+
+    def test_restriction_cost_follows_the_level(self):
+        # one value of 10^7 would be a block of 10^7 + 1 entries; only the
+        # level's three are built
+        b = branch_of(constant(10**7), 1)
+        tracemalloc.start()
+        try:
+            entries = b.restrict(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries == (10**7, 1, 1)
+        assert peak < 2**20
 
     def test_divergence_level(self):
         rng = random.Random(2)
@@ -359,7 +415,7 @@ class TestImage:
             assert image_prefix(f, bound) == ImagePrefix(expected, bound, depth)
             col, m = unpair(bound)
             if col:
-                depth = max(depth, branch_of(f, col).values_needed(ref.tuple_at(col, m).level))
+                depth = max(depth, ref.values_needed(branch_of(f, col), ref.tuple_at(col, m).level))
 
 
 def branch_head_func(head, after, base, drift) -> APFunc:
@@ -436,14 +492,14 @@ class TestSparseReads:
             raise AssertionError("image reads must not decode a whole tuple")
 
         restricted = []
-        restrict = branchmap.Branch.restrict
+        restriction = branchmap._restriction
 
-        def counting(self, level):
-            restricted.append((self.n, level))
-            return restrict(self, level)
+        def counting(n, f, level):
+            restricted.append((n, level))
+            return restriction(n, f, level)
 
         monkeypatch.setattr(branchmap, "tuple_decode", dense)
-        monkeypatch.setattr(branchmap.Branch, "restrict", counting)
+        monkeypatch.setattr(branchmap, "_restriction", counting)
         bound = 16000
         result = image_prefix(IDENTITY, bound)
         assert result.bound == bound and result.elements

@@ -6,8 +6,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import reference_branchmap as ref
 from tukeykit import cli, errors
 from tukeykit.adversary import PartialProgress, _BudgetSignal
+from tukeykit.apfuncs import parse_apfunc
 from tukeykit.cli import main
 from tukeykit.upsets import UPSet
 
@@ -178,6 +180,14 @@ class TestBranchMapVerbs:
         data = json.loads(out)
         assert data["bound"] == 50
         assert all(0 <= x < 50 for x in data["elements"])
+
+    def test_psi_cost_follows_the_bound(self, capsys):
+        # every value is a block of 10^7 + 1 entries; the reads build only
+        # the few entries below the bound's levels
+        code, out = run_cli(capsys, "psi", "--f", ";10000000;0", "--N", "10")
+        assert code == 0
+        f = parse_apfunc(";10000000;0")
+        assert json.loads(out)["elements"] == list(ref.image_prefix(f, 10).elements)
 
     def test_witnesses_schema(self, capsys):
         code, out = run_cli(
@@ -481,6 +491,11 @@ class TestUsageErrors:
                 ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
                 [{"level": 3, "nodes": [[False, True, False]]}],
                 id="bound-node-true",
+            ),
+            pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [],
+                id="bound-empty",
             ),
             pytest.param(
                 ["adversary", "run", "--machine", "/nonexistent"],
