@@ -388,6 +388,8 @@ def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
     no such slot is skipped whole; each remaining row then costs one
     shift and mask per candidate slot.
     """
+    if bound < 0:
+        raise ValueError("bound must be a natural")
     elements = []
     depth = 0
     # the last element below the bound sits on diagonal ``last`` at
@@ -445,6 +447,8 @@ def witness_stream(
         raise ValueError("need between 1 and n branches")
     if any(b.n != n for b in branches):
         raise ValueError("branches must live in column n's tree")
+    if count < 0:
+        raise ValueError("count must be a natural")
     pad = n - len(branches)
     heads = [b.restrict(n) for b in branches]
     code = tuple_code(heads + heads[:1] * pad)

@@ -198,6 +198,14 @@ def _load_observations(path: str, column: int) -> list:
             raise ValueError(
                 f"{path}: observation {i} needs 'nodes', a list of integer lists"
             )
+        level = item.get("level")
+        if "level" in item and (
+            type(level) is not int or any(len(node) != level for node in nodes)
+        ):
+            raise ValueError(
+                f"{path}: observation {i} has 'level' {json.dumps(level)}, "
+                "not the length of its nodes"
+            )
         try:
             observed.append(ColumnTuple(column, tuple(tuple(n) for n in nodes)))
         except ValueError as exc:

@@ -498,6 +498,20 @@ class TestUsageErrors:
                 id="bound-empty",
             ),
             pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [{"level": 9, "nodes": [[0, 1, 0]]}],
+                id="bound-level-mismatch",
+            ),
+            pytest.param(
+                ["bound", "--column", "1", "--obs", "{tmp}/in.json"],
+                [{"level": True, "nodes": [[0, 1, 0]]}],
+                id="bound-level-true",
+            ),
+            pytest.param(["psi", "--f", ";0;1", "--N", "-5"], None, id="psi-negative-bound"),
+            pytest.param(
+                ["witnesses", "--fs", ";0;1", "--count", "-2"], None, id="witnesses-negative-count"
+            ),
+            pytest.param(
                 ["adversary", "run", "--machine", "/nonexistent"],
                 None,
                 id="adversary-no-machine",
