@@ -186,6 +186,8 @@ def x_order(x: Iterable[int], y: Iterable[int]) -> IndexSetVerdict:
 
 def order_digraph(limit: int, *, hasse: bool = False):
     """All specs with n <= limit and the morphism edges between them."""
+    if limit < 0:
+        raise ValueError("limit must be a natural")
     nodes = [SplitSpec(n, m) for n in range(1, limit + 1) for m in range(1, n + 1)]
     # bit j of succ[i] and bit i of pred[j]: a morphism from nodes[i] to
     # nodes[j], i != j

@@ -39,6 +39,12 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def proper_divisors(n: int) -> list[int]:
+    """The divisors of n below n, ascending, found up to ``isqrt(n)``."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return (low + [n // d for d in reversed(low) if d * d != n])[:-1]
+
+
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -94,14 +100,12 @@ class UPSet:
         """Store the canonical form of the set whose bits 0 to m - 1 are
         the prefix and bits m to m + p - 1 one period."""
         head, word = bits & ((1 << m) - 1), bits >> m
-        if p > 1:
-            low = [d for d in range(1, isqrt(p) + 1) if p % d == 0]
-            for d in low + [p // d for d in reversed(low) if d * d != p]:
-                # a word of period d equals itself shifted by d
-                if d < p and word >> d == word & ((1 << (p - d)) - 1):
-                    word &= (1 << d) - 1
-                    p = d
-                    break
+        for d in proper_divisors(p):
+            # a word of period d equals itself shifted by d
+            if word >> d == word & ((1 << (p - d)) - 1):
+                word &= (1 << d) - 1
+                p = d
+                break
         # Absorb the top prefix bits that already match the period run
         # backward over the prefix; this yields the shortest possible
         # prefix for the denoted set.

@@ -29,6 +29,12 @@ def window(f, start: int, stop: int) -> list[int]:
     return [value(f, k) for k in range(start, stop)]
 
 
+def run(base: Values, drift: int, lo: int, hi: int) -> list[int]:
+    """Offsets lo <= t < hi of the block's affine run, negative offsets
+    included, one divmod per offset."""
+    return [base[t % len(base)] + (t // len(base)) * drift for t in range(lo, hi)]
+
+
 def slope(f) -> Fraction:
     return Fraction(f.drift, len(f.base))
 

@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_apfuncs as ref
 from tukeykit.apfuncs import (
     APFunc,
     EnumerationBudget,
     IDENTITY,
+    _COLUMN_PASSES,
     _PREFIX_GUARD,
     _crossover,
+    _reduce_block,
     _run,
     almost_constant_on,
     bit_coloring,
@@ -92,6 +94,33 @@ class TestLiterals:
         for text in ("", "1;2", "a;0;1", "0;;1"):
             with pytest.raises(ValueError):
                 parse_apfunc(text)
+
+    @given(
+        st.lists(st.integers(0, 10**12), max_size=6).map(tuple),
+        st.lists(st.integers(0, 10**12), min_size=1, max_size=6).map(tuple),
+        st.integers(0, 10**12),
+    )
+    def test_round_trip_of_any_naturals(self, prefix, base, drift):
+        f = APFunc(prefix, base, drift)
+        assert parse_apfunc(f.literal()) == f
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (((), (1.5,), 0), ";1.5;0"),
+            (((), (True,), 0), ";True;0"),
+            (((False,), (1,), 0), "False;1;0"),
+            (((), (1,), 1.0), ";1;1.0"),
+            (((), (1,), True), ";1;True"),
+        ],
+        ids=["float-value", "bool-value", "bool-prefix", "float-drift", "bool-drift"],
+    )
+    def test_only_ints_build(self, args, text):
+        # exactly the inputs whose literal parse_apfunc rejects
+        with pytest.raises(ValueError, match="naturals"):
+            APFunc(*args)
+        with pytest.raises(ValueError):
+            parse_apfunc(text)
 
 
 class TestDomination:
@@ -263,7 +292,7 @@ def backward_runs(draw):
     values long, that continues the block backward."""
     base, drift = draw(blocks), draw(st.integers(0, 5))
     length = draw(st.integers(0, 60))
-    run = [base[t % len(base)] + (t // len(base)) * drift for t in range(-length, 0)]
+    run = ref.run(base, drift, -length, 0)
     # keep the longest tail of naturals
     negative = [i for i, v in enumerate(run) if v < 0]
     run = run[negative[-1] + 1 :] if negative else run
@@ -289,6 +318,42 @@ def steep_pair(p: int) -> tuple[APFunc, APFunc]:
         return APFunc((), tuple(3 * i for i in range(n))[::-1], 3)
 
     return block(p), block(p - 1)
+
+
+@st.composite
+def block_runs(draw):
+    """A block of 1 to 80 values, a drift (zero about half the time) and
+    a span of offsets over at most 100 passes of the block, starting
+    below zero about half the time, as the backward run does."""
+    p = draw(st.integers(1, 80))
+    base = tuple(draw(st.lists(st.integers(0, 50), min_size=p, max_size=p)))
+    drift = draw(st.one_of(st.just(0), st.integers(1, 40)))
+    lo = draw(st.integers(-60 * p, 60 * p))
+    return base, drift, lo, lo + draw(st.integers(0, 100 * p - lo % p))
+
+
+def pass_span(base: tuple[int, ...], lo: int, passes: int) -> int:
+    """The hi at which _run's window from ``lo`` spans ``passes`` passes."""
+    return (lo // len(base) + passes) * len(base)
+
+
+@st.composite
+def repeated_blocks(draw):
+    """A block of length 49, 360, 2,491 = 47 * 53 or the prime 2,503,
+    built as a short block repeated with a step, sometimes with one
+    value changed, and a drift that continues the step when the short
+    length divides the block's."""
+    p = draw(st.sampled_from([49, 360, 2491, 2503]))
+    s = draw(st.one_of(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]),
+                       st.integers(1, 12)))
+    rng = draw(st.randoms(use_true_random=False))
+    short = [rng.randrange(6) for _ in range(s)]
+    step = draw(st.integers(0, 3))
+    base = [short[t % s] + (t // s) * step for t in range(p)]
+    if draw(st.booleans()):
+        base[rng.randrange(p)] += 1
+    drift = step * (p // s) if p % s == 0 else draw(st.integers(0, 5))
+    return tuple(base), drift
 
 
 class TestAgainstReference:
@@ -323,6 +388,22 @@ class TestAgainstReference:
         assert built == [40000, 1]
         g = APFunc((7,) + tuple(range(1, 30000)), (30000,), 1)
         assert fields(g) == ((7,), (1,), 1)
+
+    @given(block_runs())
+    @example(((3, 1, 4), 2, 0, 3 * (_COLUMN_PASSES - 1)))
+    @example(((3, 1, 4), 2, 0, 3 * _COLUMN_PASSES))
+    @example(((3, 1, 4), 2, 0, 3 * (_COLUMN_PASSES + 1)))
+    @example(((5, 9), 7, -31, pass_span((5, 9), -31, _COLUMN_PASSES - 1)))
+    @example(((5, 9), 7, -31, pass_span((5, 9), -31, _COLUMN_PASSES)))
+    @example(((5, 9), 7, -31, pass_span((5, 9), -31, _COLUMN_PASSES + 1)))
+    @settings(max_examples=300)
+    def test_run(self, raw):
+        assert _run(*raw) == ref.run(*raw)
+
+    @given(repeated_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_reduce_block(self, raw):
+        assert _reduce_block(*raw) == ref.reduce_block(*raw)
 
     @given(apfuncs, st.integers(0, 40), st.integers(-3, 80))
     @settings(max_examples=150)

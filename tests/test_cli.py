@@ -509,6 +509,9 @@ class TestUsageErrors:
             ),
             pytest.param(["psi", "--f", ";0;1", "--N", "-5"], None, id="psi-negative-bound"),
             pytest.param(
+                ["diagram", "--kind", "splitting", "--limit", "-1"], None, id="diagram-negative-limit"
+            ),
+            pytest.param(
                 ["witnesses", "--fs", ";0;1", "--count", "-2"], None, id="witnesses-negative-count"
             ),
             pytest.param(

@@ -4,6 +4,7 @@ import ast
 import builtins
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,46 @@ def test_unused_import_lint_finds_a_planted_import():
         "    return os.sep\n"
     )
     assert unused_imports(ast.parse(source)) == ["Callable:3", "j:5"]
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """``module:line`` for every absolute import of a module that is
+    neither in the standard library nor tukeykit itself."""
+    allowed = sys.stdlib_module_names | {"tukeykit"}
+    names = [
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        (node.module, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    ]
+    return [f"{name}:{line}" for name, line in names if name.partition(".")[0] not in allowed]
+
+
+def test_src_imports_only_stdlib():
+    # pyproject.toml declares no dependencies; numpy and the other test
+    # extras are installed next to the package but must not be reached
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{where}" for where in foreign_imports(tree)]
+    assert not found, f"imports outside the standard library: {found}"
+
+
+def test_stdlib_import_lint_finds_a_planted_import():
+    source = (
+        "import os.path, numpy as np\n"
+        "from . import upsets\n"
+        "from .records import Record\n"
+        "from tukeykit.errors import CertificateError\n"
+        "def f():\n"
+        "    from scipy.linalg import det\n"
+        "    import itertools\n"
+    )
+    assert foreign_imports(ast.parse(source)) == ["numpy:1", "scipy.linalg:6"]
 
 
 def exception_classes() -> set[str]:
