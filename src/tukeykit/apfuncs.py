@@ -6,7 +6,10 @@ value at ``n0 + q*p + i`` is ``base[i] + q*drift``.  Identity is
 ``APFunc((), (0,), 1)``.  Eventual domination and pointwise maxima are
 computed exactly: slopes ``drift/p``, compared by cross-multiplying,
 decide the generic case and a finite window over the lcm of the periods
-settles ties.
+settles ties.  At unequal slopes the maximum is the steeper function
+from the least crossover K on, one past the last index where the other
+exceeds it.  K is read off one common block past the common start, or,
+when the other never exceeds it there, off the values before the start.
 
 Nothing on the hot paths evaluates one index at a time.  ``window``
 reads a run of values as the prefix slice followed by whole passes of
@@ -25,7 +28,7 @@ long as a crossover refuse, before allocating, one longer than
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import eq, floordiv, le, ne, sub
+from operator import eq, floordiv, gt, le, ne, sub
 
 from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
@@ -232,12 +235,16 @@ def eventually_dominates(f: APFunc, g: APFunc) -> bool:
 
 
 def _crossover(hi: APFunc, lo: APFunc) -> int:
-    """First index K with hi(k) >= lo(k) for every k >= K.
+    """The least K with hi(k) >= lo(k) for every k >= K: one past the
+    last index where lo exceeds hi, or 0 when there is none.
 
-    Requires slope(hi) > slope(lo); per residue class of the common
-    block the difference grows by a fixed positive step, so the last
-    class to turn permanently nonnegative determines K: class i turns
-    after t = -(diff // step) more blocks.
+    Requires slope(hi) > slope(lo).  Past the common start each residue
+    class of the common block grows its difference by a fixed positive
+    step per block, so class i is negative in exactly its first
+    t_i = -(diff_i // step) blocks.  The last negative index then lies
+    in block t - 1 for the largest t_i = t, at the latest class with it.
+    When no class is negative past the start, the last negative index,
+    if any, lies below it and is read from the two windows [0, start).
     """
     start, width = _aligned(hi, lo)
     step = hi.drift * (width // hi.period_len) - lo.drift * (width // lo.period_len)
@@ -248,10 +255,11 @@ def _crossover(hi: APFunc, lo: APFunc) -> int:
         map(floordiv, map(sub, hi.window(start, stop), lo.window(start, stop)), repeat(step))
     )
     least = min(floors)
-    if least >= 0:
-        return stop - 1
-    # the latest class among those that turn last
-    return stop - 1 - floors[::-1].index(least) - least * width
+    if least < 0:
+        # one past the latest class among those negative longest
+        return stop - floors[::-1].index(least) - (least + 1) * width
+    above = map(gt, reversed(lo.window(0, start)), reversed(hi.window(0, start)))
+    return next(compress(count(start, -1), above), 0)
 
 
 def _maxima(xs: list[int], ys: list[int]) -> list[int]:
@@ -260,7 +268,11 @@ def _maxima(xs: list[int], ys: list[int]) -> list[int]:
 
 
 def pointwise_max(f: APFunc, g: APFunc) -> APFunc:
-    """The pointwise maximum, re-expressed as an APFunc."""
+    """The pointwise maximum, re-expressed as an APFunc.
+
+    At unequal slopes the maximum is the steeper function from the least
+    crossover K on (see ``_crossover``), so the prefix holds the maxima
+    over [0, max(K, hi's period start)) and hi's next block follows."""
     order = _slope_order(f, g)
     if order == 0:
         start, width = _aligned(f, g)

@@ -10,9 +10,9 @@ and sets as canonical ``(prefix, period)`` bit pairs, built without the
 library's constructors."""
 
 from fractions import Fraction
+from math import lcm
 
 import reference_upsets
-from tukeykit.upsets import lcm
 
 Values = tuple[int, ...]
 Triple = tuple[Values, Values, int]
@@ -74,7 +74,9 @@ def eventually_dominates(f, g) -> bool:
     return all(value(g, k) <= value(f, k) for k in range(start, start + width))
 
 
-def crossover(hi, lo) -> int:
+def first_good(hi, lo) -> int:
+    """An index from which hi(k) >= lo(k) on: the common start, or the
+    first index past it of the residue class that turns last, if later."""
     start, width = aligned(hi, lo)
     step = hi.drift * (width // len(hi.base)) - lo.drift * (width // len(lo.base))
     out = start
@@ -83,6 +85,13 @@ def crossover(hi, lo) -> int:
         t = 0 if diff >= 0 else (-diff + step - 1) // step
         out = max(out, start + i + t * width)
     return out
+
+
+def crossover(hi, lo) -> int:
+    """One past the last index where lo exceeds hi, or 0 when none does,
+    walked index by index up to ``first_good``."""
+    above = [k for k in range(first_good(hi, lo)) if value(lo, k) > value(hi, k)]
+    return above[-1] + 1 if above else 0
 
 
 def pointwise_max(f, g) -> Triple:
@@ -107,7 +116,7 @@ def first_difference(f, g) -> int | None:
         bound = start + width
     else:
         hi, lo = (f, g) if slope(f) > slope(g) else (g, f)
-        bound = crossover(hi, lo) + 2 * width
+        bound = first_good(hi, lo) + 2 * width
     for k in range(bound):
         if value(f, k) != value(g, k):
             return k

@@ -9,8 +9,9 @@ Results are canonical ``(prefix, period)`` tuple pairs, built without
 the library's constructor."""
 
 import itertools
+from math import lcm
 
-from tukeykit.upsets import UPSet, lcm
+from tukeykit.upsets import UPSet
 
 Bits = tuple[int, ...]
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -311,6 +313,19 @@ def function_pairs(draw, same_slope: bool):
     return out
 
 
+def periodic_pair(seed: int) -> tuple[APFunc, APFunc]:
+    """Two functions of the shape the ``periodic`` benchmark workload
+    maximizes: three prefix values below 10, then blocks of 53 and 47
+    values below 20 at slopes 2 and 1."""
+    rng = random.Random(seed)
+
+    def func(length: int, slope: int) -> APFunc:
+        return APFunc(tuple(rng.randrange(10) for _ in range(3)),
+                      tuple(rng.randrange(20) for _ in range(length)), length * slope)
+
+    return func(53, 2), func(47, 1)
+
+
 def steep_pair(p: int) -> tuple[APFunc, APFunc]:
     """Base lengths p and p - 1 at drift 3, blocks falling by 3: the
     maximum's crossover sits near p * (p - 1) * p."""
@@ -354,6 +369,26 @@ def repeated_blocks(draw):
         base[rng.randrange(p)] += 1
     drift = step * (p // s) if p % s == 0 else draw(st.integers(0, 5))
     return tuple(base), drift
+
+
+class TestCrossover:
+    """The least crossover of two functions at unequal slopes, checked
+    on its definition."""
+
+    @given(function_pairs(False))
+    @example([IDENTITY, APFunc(tuple(range(10, 0, -1)), (0,), 0)])
+    @example(list(periodic_pair(0)))
+    def test_least_crossover(self, pair):
+        # K is the least index from which the steeper function is the
+        # maximum: hi >= lo over two common blocks past K, lo > hi at K - 1
+        f, g = pair
+        order = f.drift * g.period_len - g.drift * f.period_len
+        assume(order)
+        hi, lo = (f, g) if order > 0 else (g, f)
+        k = _crossover(hi, lo)
+        assert all(hi(j) >= lo(j) for j in range(k, k + 2 * lcm(f.period_len, g.period_len)))
+        if k:
+            assert lo(k - 1) > hi(k - 1)
 
 
 class TestAgainstReference:
@@ -462,6 +497,25 @@ def windows(monkeypatch):
 
     monkeypatch.setattr(APFunc, "window", counted)
     return read
+
+
+class TestMaximumWindows:
+    def test_prefix_stops_at_least_crossover(self, windows):
+        # the crossover reads one common block of each function, then the
+        # maximum reads both prefixes up to K = 109 and hi's next block,
+        # not up to 2,599, the first good index of the class that turns last
+        f, g = periodic_pair(0)
+        m = pointwise_max(f, g)
+        assert windows == [53 * 47] * 2 + [109] * 2 + [53]
+        assert len(m.prefix) == 109
+        assert ref.first_good(f, g) == 2599
+
+    def test_crossover_below_the_common_start(self, windows):
+        # no class is negative past the common start 10, so K = 5 is read
+        # from the two windows [0, 10)
+        trunc = APFunc(tuple(range(10, 0, -1)), (0,), 0)
+        pointwise_max(IDENTITY, trunc)
+        assert windows == [1] * 2 + [10] * 2 + [5] * 2 + [1]
 
 
 class TestPrefixGuard:

@@ -243,10 +243,9 @@ def test_unused_import_lint_finds_a_planted_import():
     assert unused_imports(ast.parse(source)) == ["Callable:3", "j:5"]
 
 
-def foreign_imports(tree: ast.Module) -> list[str]:
-    """``module:line`` for every absolute import of a module that is
-    neither in the standard library nor tukeykit itself."""
-    allowed = sys.stdlib_module_names | {"tukeykit"}
+def absolute_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(top-level package, "module:line")`` for every absolute import,
+    the plain imports first."""
     names = [
         (alias.name, node.lineno)
         for node in ast.walk(tree)
@@ -257,7 +256,14 @@ def foreign_imports(tree: ast.Module) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 0
     ]
-    return [f"{name}:{line}" for name, line in names if name.partition(".")[0] not in allowed]
+    return [(name.partition(".")[0], f"{name}:{line}") for name, line in names]
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """``module:line`` for every absolute import of a module that is
+    neither in the standard library nor tukeykit itself."""
+    allowed = sys.stdlib_module_names | {"tukeykit"}
+    return [where for top, where in absolute_imports(tree) if top not in allowed]
 
 
 def test_src_imports_only_stdlib():
@@ -423,6 +429,32 @@ def test_apfuncs_oracle_uses_no_private_names():
     # likewise the per-index walk must not borrow the block helpers
     private = private_imports("reference_apfuncs.py")
     assert not private, f"the oracle imports private names {private}"
+
+
+def package_imports(tree: ast.Module) -> list[str]:
+    """``module:line`` for every import of tukeykit or one of its
+    modules."""
+    return [where for top, where in absolute_imports(tree) if top == "tukeykit"]
+
+
+def test_apfuncs_oracle_imports_nothing_from_the_package():
+    # the per-index walk takes even the lcm from the standard library,
+    # so no helper of the package can carry one fault into both sides
+    oracle = Path(__file__).resolve().parent / "reference_apfuncs.py"
+    found = package_imports(ast.parse(oracle.read_text(), filename=str(oracle)))
+    assert not found, f"the oracle imports from the package at {found}"
+
+
+def test_package_import_lint_finds_a_planted_import():
+    source = (
+        "import math, tukeykit.upsets as us\n"
+        "from fractions import Fraction\n"
+        "from tukeykit.upsets import lcm\n"
+        "from .records import Record\n"
+        "def f():\n"
+        "    import tukeykit\n"
+    )
+    assert package_imports(ast.parse(source)) == ["tukeykit.upsets:1", "tukeykit:6", "tukeykit.upsets:3"]
 
 
 def test_adversary_oracle_uses_no_private_names():
