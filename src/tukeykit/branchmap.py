@@ -28,14 +28,25 @@ reads (``image_contains``, ``image_prefix``) decide membership straight
 from a tuple's (level, code, tails) and build neither a ``ColumnTuple``
 nor the n x n prefix matrix: only the code's nonzero entries are kept,
 and a branch's head matches a touched row or, when it is all zero, the
-untouched rows.  ``image_prefix`` walks each column's rows in (level,
-code, tails) order, so a restriction is computed once per column, at
-the deepest level the walk reaches, and sliced per level; that call
-also gives the column's ``depth_used``.  The matching slots are found
-once per code, and a code whose rows miss the head is skipped whole; a
-prefix of the image below N costs close to O(N).  Each column reads its
-own values: a window shared by all columns waits until the benchmark's
-peak RSS stops growing with its answer count.
+untouched rows.  The fold is increasing in every entry and
+pair(x, e) >= x, so a matrix having a head as a row codes at least as
+high as the head folded alone, its *least code*: a code below it holds
+no node with that head.  ``image_contains`` reads f's first ``col``
+values, rules such a code out before restricting anything, and
+otherwise restricts from those values on; ``exact_intersection`` starts
+each level's codes at its nodes' largest least code.  The fold skips
+leading zeros and stops once past the code it is compared with, so
+the rule costs a few ``pair`` steps.  ``image_prefix`` walks each
+column's rows in (level, code, tails) order, so a restriction is
+computed once per column, at the deepest level the walk reaches, and
+sliced per level; that call also gives the column's ``depth_used``.
+The matching slots are found once per code, and a code whose rows miss
+the head is skipped whole; a prefix of the image below N costs close
+to O(N).  Each column reads its own values, and ``image_prefix`` does
+not apply the least-code rule yet: with a value window shared by all
+columns it would raise the benchmark's answer rate, and the
+benchmark's peak RSS grows with the answers kept, so both wait until
+it stops growing with them.
 
 Separation and witnesses.  ``divergence_level`` restricts no branch:
 the separation level comes from the first differing value, either as an
@@ -57,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
+from operator import not_
 from typing import Sequence
 
 from .apfuncs import APFunc, first_difference
@@ -173,18 +185,24 @@ class Branch(Record):
         set_field(self, "n", n)
         set_field(self, "func", func)
 
-    def restrict(self, level: int) -> tuple[int, ...]:
-        return _restriction(self.n, self.func, level)[0]
+    def restrict(self, level: int, head: Sequence[int] = ()) -> tuple[int, ...]:
+        """The first ``level`` entries; ``head`` holds the function's
+        first values when the caller has read them already."""
+        return _restriction(self.n, self.func, level, head)[0]
 
 
-def _restriction(n: int, f: APFunc, level: int) -> tuple[tuple[int, ...], int]:
+def _restriction(
+    n: int, f: APFunc, level: int, head: Sequence[int] = ()
+) -> tuple[tuple[int, ...], int]:
     """The first ``level`` entries of f's branch of T_n, and how many of
     f's values determine them.  Past the n identity entries value v fills
     v + 1 entries; the values are read in doubling spans until they cover
-    the level, and the last one is capped at the entries left."""
+    the level, and the last one is capped at the entries left.  ``head``
+    holds f's first values when the caller has read them already."""
     if level <= n:
         return encode_blocks(n, f.values(level)), level
-    values = f.values(min(level, n + 64))
+    values = f.window(len(head), min(level, n + 64))
+    values[:0] = head
     room = level - n  # the entries left for the values from u on
     u = n
     while room > 0:
@@ -342,6 +360,27 @@ def _slots_holding(code: int, n: int, head: tuple[int, ...]) -> list[int]:
     return [j for j in range(n) if j not in touched]
 
 
+def _least_code(head: Sequence[int], bound: int) -> int:
+    """The code of ``head`` folded alone, which no prefix matrix having
+    ``head`` as a row codes below; the fold stops once it exceeds
+    ``bound``.
+
+    The fold is increasing in every entry and pair(x, e) >= x, so the
+    rows before and after ``head`` only raise it.  A zero leaves a fold
+    of 0 or 1 unchanged, so leading zeros are dropped in C; past 1 each
+    step takes x to at least x(x+1)/2, so few steps pass any bound.
+    """
+    rest = iter(head)
+    code = next(rest)
+    if code <= 1:
+        rest = itertools.dropwhile(not_, rest)
+    for e in rest:
+        if code > bound:
+            break
+        code = pair(code, e)
+    return code
+
+
 def _slot_carries(
     n: int, level: int, code: int, tails: int, head: tuple[int, ...], tail: int
 ) -> bool:
@@ -368,13 +407,20 @@ class ImagePrefix(Record):
 
 
 def image_contains(f: APFunc, x: int) -> bool:
-    """Is x in the glued image of f?  Column 0 carries nothing."""
+    """Is x in the glued image of f?  Column 0 carries nothing.  f's
+    first ``col`` values rule out a code below their least code before
+    any restriction; a read they leave open restricts from them on."""
+    if x < 0:
+        raise ValueError("x must be a natural")
     col, m = unpair(x)
     if col == 0:
         return False
     level, code, tails = _locate(col, m)
-    head, tail = _head_and_tail(col, branch_of(f, col).restrict(level))
-    return _slot_carries(col, level, code, tails, head, tail)
+    head = f.values(col)
+    if _least_code(head, code) > code:
+        return False
+    node = branch_of(f, col).restrict(level, head)
+    return _slot_carries(col, level, code, tails, *_head_and_tail(col, node))
 
 
 def image_prefix(f: APFunc, bound: int) -> ImagePrefix:
@@ -513,10 +559,12 @@ def _level_intersection(n: int, level: int, nodes) -> list[ColumnTuple]:
     """The admissible column-n tuples at ``level`` carrying every node
     of ``nodes``, in ``tuple_index`` order.
 
-    Per code, the distinct nodes are placed depth first into distinct
-    slots whose prefix row equals their head (a code where one node has
-    no such slot is skipped), and the slots left over range over all
-    words.  A node may fill several slots, so the tails go into a set.
+    The codes start at the largest least code of the nodes' heads, since
+    no code below it has every head as a row.  Per code, the distinct
+    nodes are placed depth first into distinct slots whose prefix row
+    equals their head (a code where one node has no such slot is
+    skipped), and the slots left over range over all words.  A node may
+    fill several slots, so the tails go into a set.
     """
     per = level - n
     if n * per > _SIZE_GUARD:
@@ -526,7 +574,7 @@ def _level_intersection(n: int, level: int, nodes) -> list[ColumnTuple]:
     split = [_head_and_tail(n, r) for r in set(nodes)]
     shifts = [per * (n - 1 - j) for j in range(n)]
     out = []
-    for code in range(level):
+    for code in range(max(_least_code(head, level) for head, _ in split), level):
         slots = []
         for head, _ in split:
             slots.append(_slots_holding(code, n, head))

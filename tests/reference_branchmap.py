@@ -77,7 +77,7 @@ def tuple_at(n: int, index: int) -> ColumnTuple:
 def tuple_in_column_image(n: int, branch: Branch, t: ColumnTuple) -> bool:
     if t.n != n:
         raise ValueError("column mismatch")
-    return branch.restrict(t.level) in t.nodes
+    return restrict(branch, t.level) in t.nodes
 
 
 def image_contains(f: APFunc, x: int) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -35,6 +36,7 @@ from tukeykit.branchmap import (
     unpair,
     witness_stream,
 )
+from tukeykit.catalog import GluedImage
 from tukeykit.upsets import UPSet
 
 from helpers import naive_level_tuples, zero_headed_apfunc
@@ -494,9 +496,9 @@ class TestSparseReads:
         restricted = []
         restriction = branchmap._restriction
 
-        def counting(n, f, level):
+        def counting(n, f, level, *head):
             restricted.append((n, level))
-            return restriction(n, f, level)
+            return restriction(n, f, level, *head)
 
         monkeypatch.setattr(branchmap, "tuple_decode", dense)
         monkeypatch.setattr(branchmap, "_restriction", counting)
@@ -511,6 +513,121 @@ class TestSparseReads:
         assert sorted(restricted) == sorted(deepest.items())
         assert image_contains(IDENTITY, pair(447, 0)) is False
         assert image_contains(ZERO, pair(447, 0)) is True
+
+
+def fold_reaches(entries, target) -> bool:
+    """Does the pairing fold of ``entries`` reach ``target``?  A step
+    never lowers the fold, pair(x, e) >= x, so it stops there: a dense
+    5 x 5 code has millions of digits."""
+    code = entries[0]
+    for e in entries[1:]:
+        if code >= target:
+            break
+        code = pair(code, e)
+    return code >= target
+
+
+def least_code_heads(data, col: int, kind: str) -> tuple[int, ...]:
+    """An all-zero head, a head with one nonzero entry (near its end
+    half the time, where the least code stays small), or a growing one."""
+    if kind == "zero":
+        return (0,) * col
+    if kind == "one":
+        back = data.draw(st.one_of(st.integers(0, min(4, col - 1)), st.integers(0, col - 1)))
+        head = [0] * col
+        head[col - 1 - back] = data.draw(st.integers(1, 3))
+        return tuple(head)
+    start, step = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    return tuple(start + step * i for i in range(col))
+
+
+class TestLeastCode:
+    @given(
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_every_matrix_holding_the_head(self, n, data):
+        entries = st.integers(0, 3)
+        head = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        matrix = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        least = functools.reduce(pair, head)
+        assert branchmap._least_code(head, least) == least
+        if least:
+            assert branchmap._least_code(head, least - 1) > least - 1
+        for j in range(n):
+            rows = [list(r) for r in matrix]
+            rows[j] = list(head)
+            assert fold_reaches([e for r in rows for e in r], least)
+        if n <= 3:
+            # small enough for whole codes
+            assert all(
+                ref.tuple_code(matrix[:j] + [list(head)] + matrix[j + 1 :]) >= least
+                for j in range(n)
+            )
+
+    @given(
+        st.integers(1, 450),
+        st.sampled_from(["zero", "one", "growing"]),
+        st.data(),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_contains_matches_tuple_walk_around_the_least_code(self, col, kind, data, after, drift):
+        head = least_code_heads(data, col, kind)
+        level = col + 1 + data.draw(st.integers(0, 2))
+        least = branchmap._least_code(head, level)
+        code = data.draw(st.sampled_from(
+            sorted({max(0, min(level - 1, c)) for c in (least - 1, least, least + 1)})
+            + [data.draw(st.integers(0, level - 1))]
+        ))
+        f = branch_head_func(head, after, 1, drift)
+        per = level - col
+        tails = data.draw(st.integers(0, (1 << col * per) - 1))
+        slots = [j for j, row in enumerate(ref.tuple_decode(code, col)) if row == head]
+        if slots and data.draw(st.booleans()):
+            # put f's own word in the last slot holding its head
+            word = int("".join(map(str, ref.restrict(branch_of(f, col), level)[col:])), 2)
+            shift = per * (col - 1 - slots[-1])
+            tails = tails & ~(((1 << per) - 1) << shift) | word << shift
+        m = sum(level_count(col, l) for l in range(col + 1, level)) + (code << col * per) + tails
+        x = pair(col, m)
+        assert image_contains(f, x) == ref.image_contains(f, x)
+
+    def test_rules_out_before_any_restriction(self, monkeypatch):
+        calls, pairs, windows = [], [], []
+        for name in ("_restriction", "encode_blocks"):
+            real = getattr(branchmap, name)
+            monkeypatch.setattr(
+                branchmap, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        monkeypatch.setattr(branchmap, "pair", lambda x, y: pairs.append((x, y)) or pair(x, y))
+        window = APFunc.window
+        monkeypatch.setattr(APFunc, "window", lambda f, a, b: windows.append((a, b)) or window(f, a, b))
+        x = pair(447, 0)  # level 448, code 0
+        assert image_contains(IDENTITY, x) is False
+        # pair(0, 1) = 2 already exceeds the code
+        assert calls == [] and pairs == [(0, 1)]
+        pairs.clear()
+        f = APFunc((0,) * 446 + (1,), (0,), 0)
+        assert image_contains(f, x) is False
+        assert calls == [] and pairs == [(0, 1)]
+        # its least code 2 is not ruled out: code 2 holds the head as its
+        # last row, whose tail bit, f(447) = 0's block, is 0
+        assert image_contains(f, pair(447, 2 << 447)) is True
+        calls.clear()
+        windows.clear()
+        assert image_contains(ZERO, x) is True
+        assert calls == ["_restriction", "encode_blocks"]
+        # the member's restriction goes on from the head's 447 values
+        assert windows == [(0, 447), (447, 448)]
+
+    def test_negative_element_is_named(self):
+        with pytest.raises(ValueError, match="x must be a natural"):
+            image_contains(ZERO, -1)
+        with pytest.raises(ValueError, match="x must be a natural"):
+            -1 in GluedImage(ZERO)
 
 
 class TestWitnesses:
@@ -665,6 +782,47 @@ class TestExactIntersection:
         # the reference walks every admissible tuple: keep it to 2^12 tails
         assume(n * (max(levels) - 1 - n) <= 12)
         assert exact_intersection(n, branches) == ref.exact_intersection(n, branches)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_level_scan_reference_with_nonzero_heads(self, data):
+        # each branch takes one of two heads, so the heads' least codes,
+        # not only the separation, bound the codes a level can hold
+        n = data.draw(st.integers(1, 3))
+        heads = data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=1, max_size=2
+        ))
+        assume(any(map(any, heads)))
+        fs = [
+            branch_head_func(
+                data.draw(st.sampled_from(heads)),
+                data.draw(st.lists(st.integers(0, 2), max_size=3)),
+                data.draw(st.integers(0, 2)),
+                data.draw(st.integers(0, 1)),
+            )
+            for _ in range(n + 1)
+        ]
+        branches = [branch_of(f, n) for f in fs]
+        levels = [divergence_level(a, b) for a, b in itertools.combinations(branches, 2)]
+        assume(None not in levels)
+        assume(n * (max(levels) - 1 - n) <= 12)
+        assert exact_intersection(n, branches) == ref.exact_intersection(n, branches)
+
+    def test_codes_start_at_the_least_code(self, monkeypatch):
+        # both heads are (2), whose least code is 2: level 2 holds codes
+        # 0 and 1 only, so no code of it is asked about
+        fs = [APFunc((2, 0, 0, 0), (1,), 0), APFunc((2, 0, 0, 0), (0,), 0)]
+        branches = [branch_of(f, 1) for f in fs]
+        asked = []
+        slots = branchmap._slots_holding
+        monkeypatch.setattr(
+            branchmap, "_slots_holding", lambda code, n, head: asked.append(code) or slots(code, n, head)
+        )
+        result = exact_intersection(1, branches)
+        assert result.separation_level == 5
+        assert [t.level for t in result.tuples] == [3, 4]
+        assert result == ref.exact_intersection(1, branches)
+        assert asked == [2, 2, 3]
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
