@@ -12,6 +12,14 @@ predictor's forecasts.  Elements predicted on a fixed residue class of
 levels keep their free intervals fully flexible (so they can split
 anything living there), while their images are pinned to 1 on the whole
 pivot class, which is the finite obstruction the certificates record.
+
+Cost: a depth-d construction against the identity machine makes
+4 * 2^d - 4 queries, and each is one meter step and one machine answer.
+``MeteredMachine.query`` checks and counts the budget and calls the inner
+``query``, bound once when the meter is built; the built-in identity and
+flip machines answer by one table lookup.  That method is the one point
+where queries are counted, until a package-level counter takes over
+(ROADMAP.md, ``Stats``).
 """
 
 from __future__ import annotations
@@ -44,10 +52,28 @@ class FunctionMachine(Record):
     __slots__ = ("name", "query")
 
 
+# bit m's answer by its character, for the identity and flip machines
+_BITS = {"0": 0, "1": 1}
+_FLIPPED_BITS = {"0": 1, "1": 0}
+
+
+def _bit_machine(name: str, answers: Mapping[str, int]) -> FunctionMachine:
+    """A machine answering bit m of the prefix through ``answers``, by
+    lookup rather than ``int()``; undecided past the prefix."""
+
+    def query(prefix: str, m: int) -> int | None:
+        if m >= len(prefix):
+            return None
+        try:
+            return answers[prefix[m]]
+        except KeyError:
+            raise ValueError(f"prefix holds {prefix[m]!r} at {m}, not a bit") from None
+
+    return FunctionMachine(name, query)
+
+
 def identity_machine() -> FunctionMachine:
-    return FunctionMachine(
-        "identity", lambda prefix, m: int(prefix[m]) if m < len(prefix) else None
-    )
+    return _bit_machine("identity", _BITS)
 
 
 def constant_machine(bit: int) -> FunctionMachine:
@@ -55,18 +81,17 @@ def constant_machine(bit: int) -> FunctionMachine:
 
 
 def flip_machine() -> FunctionMachine:
-    return FunctionMachine(
-        "flip", lambda prefix, m: 1 - int(prefix[m]) if m < len(prefix) else None
-    )
+    return _bit_machine("flip", _FLIPPED_BITS)
 
 
 class MeteredMachine:
-    """Budget wrapper; every query decrements the remaining budget."""
+    """Budget wrapper; every query decrements the remaining budget.  The
+    inner machine's ``query`` is bound once, here."""
 
-    __slots__ = ("inner", "budget", "used")
+    __slots__ = ("_query", "budget", "used")
 
     def __init__(self, inner: ContinuousMachine, budget: int) -> None:
-        self.inner = inner
+        self._query = inner.query
         self.budget = budget
         self.used = 0
 
@@ -74,7 +99,7 @@ class MeteredMachine:
         if self.used >= self.budget:
             raise _BudgetSignal("metered machine", (prefix, m))
         self.used += 1
-        return self.inner.query(prefix, m)
+        return self._query(prefix, m)
 
 
 class _BudgetSignal(MachineBudgetError):

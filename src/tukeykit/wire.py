@@ -16,9 +16,7 @@ import select
 import subprocess
 import time
 
-from .apfuncs import APFunc, parse_apfunc
 from .errors import MachineBudgetError
-from .upsets import UPSet, parse_upset
 
 
 class LineProcess:
@@ -120,7 +118,12 @@ def _exited(code: int, line: str) -> MachineBudgetError:
     return MachineBudgetError(f"external process (exited with code {code})", line)
 
 
+# the value modules load with the first map request, so a machine's
+# run never compiles them
 def _format(value) -> str:
+    from .apfuncs import APFunc
+    from .upsets import UPSet
+
     if isinstance(value, UPSet):
         return f"UPSET {value.literal()}"
     if isinstance(value, APFunc):
@@ -130,7 +133,11 @@ def _format(value) -> str:
 
 def _parse(text: str):
     if "|" in text:
+        from .upsets import parse_upset
+
         return parse_upset(text)
+    from .apfuncs import parse_apfunc
+
     return parse_apfunc(text)
 
 
@@ -154,6 +161,10 @@ def subprocess_map(command: list[str]) -> SubprocessMap:
     return SubprocessMap(LineProcess(command))
 
 
+# a machine's answer line and the value it stands for
+_ANSWERS = {"0": 0, "1": 1, "U": None}
+
+
 class SubprocessMachine:
     """A continuous machine implemented by an external executable."""
 
@@ -165,10 +176,8 @@ class SubprocessMachine:
 
     def query(self, prefix: str, m: int) -> int | None:
         answer = self.process.ask(f"QUERY {prefix or '-'} {m}")
-        if answer == "U":
-            return None
-        if answer in ("0", "1"):
-            return int(answer)
+        if answer in _ANSWERS:
+            return _ANSWERS[answer]
         raise MachineBudgetError("external machine", (prefix, m))
 
 

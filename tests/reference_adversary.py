@@ -9,11 +9,26 @@ from tukeykit.adversary import (
     AdversaryCertificate,
     ContinuousMachine,
     IntervalPartition,
-    MeteredMachine,
     PartialProgress,
     Predictor,
 )
 from tukeykit.errors import BudgetExhausted, CertificateError, MachineBudgetError
+
+
+class Meter:
+    """The oracle's own budget: a query past it raises
+    ``MachineBudgetError``, so the library's meter is not shared."""
+
+    def __init__(self, machine: ContinuousMachine, budget: int) -> None:
+        self.machine = machine
+        self.budget = budget
+        self.used = 0
+
+    def query(self, prefix: str, m: int) -> int | None:
+        if self.used >= self.budget:
+            raise MachineBudgetError("reference meter", (prefix, m))
+        self.used += 1
+        return self.machine.query(prefix, m)
 
 
 def histories(width: int):
@@ -22,7 +37,7 @@ def histories(width: int):
 
 
 def find_extension(
-    machine: MeteredMachine, stem: str, pivot: int, max_len: int
+    machine: Meter, stem: str, pivot: int, max_len: int
 ) -> str | None:
     """Shortest-then-lexicographically-least extension making the
     machine decide 1 at the pivot."""
@@ -37,7 +52,7 @@ def find_extension(
 def build_adversary(
     machine: ContinuousMachine, depth: int, budget: int = 10**6
 ) -> AdversaryCertificate:
-    metered = MeteredMachine(machine, budget)
+    metered = Meter(machine, budget)
     cuts = [0]
     pivots: list[int] = []
     tables: list[dict[str, str]] = []

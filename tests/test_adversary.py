@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -64,6 +65,14 @@ LATE_MACHINE = (
     "for line in sys.stdin:\n"
     "    time.sleep(0.7)\n"
     "    print('answer-to-' + line.split()[-1]); sys.stdout.flush()\n"
+)
+
+
+# answers the query at m with the m-th of 0, 1, U and 2
+ANSWER_PER_M_MACHINE = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print('01U2'[int(line.split()[-1])], flush=True)\n"
 )
 
 
@@ -235,6 +244,29 @@ def outcome(engine, machine, depth: int, budget: int) -> tuple:
     return "certificate", cert.to_json(), cert.queries_used, asked
 
 
+class TestBuiltinAnswers:
+    """The built-in machines against an independent spelling of their
+    rules; the differential tests hand both engines the same machine,
+    so a wrong bit would pass on both sides."""
+
+    def test_bits_match_the_int_spelling(self):
+        identity, flip = identity_machine(), flip_machine()
+        for n in range(9):
+            for prefix in map("".join, itertools.product("01", repeat=n)):
+                past = [None] * (10 - n)
+                assert [identity.query(prefix, m) for m in range(10)] == [
+                    int(c) for c in prefix
+                ] + past
+                assert [flip.query(prefix, m) for m in range(10)] == [
+                    1 - int(c) for c in prefix
+                ] + past
+
+    @pytest.mark.parametrize("machine", [identity_machine(), flip_machine()], ids=["identity", "flip"])
+    def test_a_character_other_than_a_bit_is_named(self, machine):
+        with pytest.raises(ValueError, match="'2' at 1"):
+            machine.query("021", 1)
+
+
 class TestEngineAgainstReference:
     """The engine's search loop against ``reference_adversary``'s one
     search call per history."""
@@ -271,6 +303,17 @@ class TestEngineAgainstReference:
     def test_builtin_machines(self, machine, depth, budget):
         got = outcome(build_adversary, machine, depth, budget)
         assert got == outcome(ref.build_adversary, machine, depth, budget)
+
+    @pytest.mark.parametrize(
+        "machine, depth", [(identity_machine(), 4), (flip_machine(), 3)], ids=["identity", "flip"]
+    )
+    def test_every_budget_up_to_the_queries_used(self, machine, depth):
+        # each budget runs out at another query, the last one not at all
+        used = build_adversary(machine, depth).queries_used
+        for budget in range(used + 2):
+            got = outcome(build_adversary, machine, depth, budget)
+            assert got == outcome(ref.build_adversary, machine, depth, budget), budget
+            assert got[0] == ("certificate" if budget >= used else "budget")
 
     def test_long_words_reach_past_the_table(self):
         # a machine that reads only the tenth bit makes the level-0
@@ -400,6 +443,17 @@ class TestExternalMachine:
 
         monkeypatch.setattr(wire.subprocess, "Popen", counting_popen)
         return spawned
+
+    def test_answers_map_through_one_table(self):
+        machine = wire.subprocess_machine([sys.executable, "-S", "-c", ANSWER_PER_M_MACHINE])
+        try:
+            answers = [machine.query("1", m) for m in range(3)]
+            assert answers == [0, 1, None]
+            assert [type(a) for a in answers] == [int, int, type(None)]
+            with pytest.raises(MachineBudgetError, match="external machine"):
+                machine.query("1", 3)
+        finally:
+            machine.process.close()
 
     def test_exited_child_is_not_respawned(self, tmp_path, spawned):
         script = tmp_path / "once.py"

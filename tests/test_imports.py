@@ -3,6 +3,7 @@ loads, each checked in a fresh interpreter."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,15 @@ print(json.dumps({
 """
 
 SPLITTING = ["cli", "errors", "records", "splitorder"]
+# answers bit m of the prefix once the prefix reaches it, as
+# perfbench/children/machine.py's identity does
+IDENTITY_CHILD = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    _, bits, m = line.split()\n"
+    "    bits, m = bits.strip('-'), int(m)\n"
+    "    print(bits[m] if m < len(bits) else 'U', flush=True)\n"
+)
 BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "records", "upsets"]
 
 
@@ -168,6 +178,11 @@ BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "records", "upsets"]
         pytest.param(
             ["adversary", "run", "--builtin", "identity", "--depth", "3"], 0,
             ["adversary", "cli", "errors", "records"], None, id="adversary",
+        ),
+        pytest.param(
+            ["adversary", "run", "--machine",
+             shlex.join([sys.executable, "-S", "-c", IDENTITY_CHILD]), "--depth", "3"],
+            0, ["adversary", "cli", "errors", "records", "wire"], None, id="adversary-machine",
         ),
         pytest.param(["edge", "8", "3"], 2, ["cli"], False, id="usage-error"),
         pytest.param(

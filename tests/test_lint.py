@@ -477,28 +477,38 @@ REACHABILITY_ALLOWLIST = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _reads(nodes, selves: set[str] = set()) -> tuple[set[str], set[str]]:
-    """Names and attribute names read anywhere under ``nodes``.  A string
-    that spells a dotted name (a dispatch table entry, a tracer hook)
-    reads its first part as a name and the rest as attributes.  In a
-    method, ``selves`` holds the classes ``self`` may be an instance of,
-    and ``self.<name>`` reads ``<Class>.<name>`` for each of them only."""
+def _reads(
+    nodes, related: dict[str, set[str]], cls: str | None = None
+) -> tuple[set[str], set[str]]:
+    """Names and attribute names read anywhere under ``nodes``.
+    ``related`` maps each package class to itself, its bases and its
+    subclasses.  A read ``<Class>.<name>`` through a package class, or
+    ``self.<name>`` in a method of ``cls``, reads ``<C>.<name>`` for each
+    class C related to that class only; any other attribute read reads
+    ``<name>``.  A string that spells a dotted name (a dispatch table
+    entry, a tracer hook) reads as that dotted expression would."""
     names: set[str] = set()
     attrs: set[str] = set()
+
+    def read(owner: str | None, attr: str) -> None:
+        if owner in related:
+            attrs.update(f"{c}.{attr}" for c in related[owner])
+        else:
+            attrs.add(attr)
+
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                if selves and isinstance(node.value, ast.Name) and node.value.id == "self":
-                    attrs.update(f"{cls}.{node.attr}" for cls in selves)
-                else:
-                    attrs.add(node.attr)
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                read(cls if owner == "self" else owner, node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _DOTTED.fullmatch(node.value):
-                    first, *rest = node.value.split(".")
-                    names.add(first)
-                    attrs.update(rest)
+                    parts = node.value.split(".")
+                    names.add(parts[0])
+                    for owner, attr in zip(parts, parts[1:]):
+                        read(owner, attr)
     return names, attrs
 
 
@@ -512,7 +522,8 @@ def unreached(
     code, ``cmd_*`` verbs, dunders and ``allowlist`` are roots besides
     ``roots``.  A function is reached through any read of its name, a
     method through a read of its name as an attribute of anything but
-    ``self``, or as ``self.<name>`` in its class, a base or a subclass.
+    ``self`` or a package class, or as ``self.<name>`` or
+    ``<Class>.<name>`` with its class, a base or a subclass.
     Exporting a name is not a read: ``_package_trees`` leaves out
     ``__init__``, whose export table spells every public name."""
     defs = {}  # qualified name -> (leaf, class or None, node)
@@ -541,7 +552,10 @@ def unreached(
             if (c := todo.pop()) not in ancestry[cls]:
                 ancestry[cls].add(c)
                 todo += bases.get(c, ())
-    names, attrs = _reads(top)
+    related = {
+        cls: {c for c in bases if cls in ancestry[c]} | ancestry[cls] for cls in bases
+    }
+    names, attrs = _reads(top, related)
     pending = dict(defs)
     grew = True
     while grew:
@@ -555,8 +569,7 @@ def unreached(
                 or qualified in allowlist
             ):
                 del pending[qualified]
-                selves = {c for c in bases if cls in ancestry[c]} | ancestry.get(cls, set())
-                more_names, more_attrs = _reads(node.body, selves)
+                more_names, more_attrs = _reads(node.body, related, cls)
                 names |= more_names
                 attrs |= more_attrs
                 grew = True
@@ -633,3 +646,31 @@ def test_reachability_lint_finds_an_unused_function():
     for module, tree in package.items():
         grown = {**package, module: ast.Module(tree.body + spare, [])}
         assert unreached(grown, roots) == [f"{module}._spare_helper"], module
+
+
+def test_reachability_lint_resolves_class_reads():
+    # ``Base.size`` and the hook string ``"Narrow.width"`` read only their
+    # class, its bases and its subclasses, so Spare's methods of those
+    # names are flagged; ``.count`` on a call result still reaches every
+    # ``count``
+    package = {
+        "m": ast.parse(
+            "class Base:\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def width(self):\n"
+            "        return 0\n"
+            "class Narrow(Base):\n"
+            "    def count(self):\n"
+            "        return Base.size(self)\n"
+            "class Spare:\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def width(self):\n"
+            "        return 0\n"
+            "    def count(self):\n"
+            "        return 0\n"
+        )
+    }
+    roots = [ast.parse("m.Narrow().count()\nHOOKS = [('m', 'Narrow.width')]\n")]
+    assert unreached(package, roots, set()) == ["m.Spare.size", "m.Spare.width"]
