@@ -7,13 +7,22 @@ ultimately periodic sets, function spaces by arithmetically periodic
 functions, finite-color spaces by bounded zero-drift functions, and
 sequence carriers by finite tuples read as cycling sequences.  Every
 relation in the catalog is decided exactly on these representatives.
+
+Family conditions are decided as far as the representatives allow:
+``centered`` exactly on sets, and on glued images by members shared by
+every image, found by ``common_witnesses`` with codes below
+``branchmap._CODE_GUARD``; ``linearly_ordered`` exactly on sets, and a
+family holding a glued image is refused with ``TypeError``, as is a
+mixed family for ``centered``; ``ad_infinite`` pairwise on the finite
+sample.  ``independence_derived``, the condition of ``i``, is declared,
+not checked: it refuses every family with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Sequence
+from typing import Any
 
 from .apfuncs import (
     APFunc,
@@ -46,7 +55,6 @@ from .upsets import (
     almost_disjoint,
     almost_subset,
     dyadic_family,
-    intersection_of,
     is_ad_family,
     is_centered,
     is_linearly_ordered,
@@ -190,7 +198,15 @@ def _centered_check(family: list) -> bool:
 
 
 CENTERED = FamilyProperty("centered", _centered_check, "")
-LINEARLY_ORDERED = FamilyProperty("linearly_ordered", is_linearly_ordered, "")
+
+
+def _linear_order_check(family: list) -> bool:
+    if not all(isinstance(s, UPSet) for s in family):
+        raise TypeError("a linear order is decided on sets only, not on glued images")
+    return is_linearly_ordered(family)
+
+
+LINEARLY_ORDERED = FamilyProperty("linearly_ordered", _linear_order_check, "")
 AD_INFINITE = FamilyProperty(
     "ad_infinite",
     is_ad_family,
@@ -198,50 +214,15 @@ AD_INFINITE = FamilyProperty(
 )
 
 
-class TaggedIndependentFamily(Record):
-    """A family together with the independent list it is derived from;
-    the only inputs on which the independence property is checkable.
-    ``patterns`` holds a sign pattern per member, 1=set, 0=complement."""
-
-    __slots__ = ("members", "base", "patterns")
-
-
-def _independent_base(base: Sequence[UPSet]) -> bool:
-    for signs in itertools.product((0, 1), repeat=len(base)):
-        combo = intersection_of(
-            [s if b else s.complement() for s, b in zip(base, signs)]
-        )
-        if not combo.is_infinite:
-            return False
-    return True
-
-
-def _independence_derived_check(family: list) -> bool:
-    if not family:
-        raise ValueError("empty family")
-    if len(family) == 1 and isinstance(family[0], TaggedIndependentFamily):
-        tagged = family[0]
-        if not _independent_base(tagged.base):
-            return False
-        for member, pattern in zip(tagged.members, tagged.patterns):
-            combo = intersection_of(
-                [
-                    s if b else s.complement()
-                    for s, b in zip(tagged.base, pattern)
-                    if b in (0, 1)
-                ]
-            )
-            if member != combo:
-                return False
-        return True
-    return False
+def _refuse_independence(family: list) -> bool:
+    raise ValueError("independence_derived is declared, not checked: no family is judged")
 
 
 INDEPENDENCE_DERIVED = FamilyProperty(
     "independence_derived",
-    _independence_derived_check,
-    "checkable only on explicitly tagged inputs: members must be the "
-    "declared boolean combinations of an independent list",
+    _refuse_independence,
+    "declared, not checked: members must be boolean combinations of an "
+    "independent family, and every family is refused",
 )
 
 

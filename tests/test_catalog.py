@@ -15,7 +15,6 @@ from tukeykit.catalog import (
     UPSET,
     GluedImage,
     IterateColoring,
-    TaggedIndependentFamily,
     builtin_morphisms,
     catalog,
     coloring_kind,
@@ -94,16 +93,37 @@ class TestCatalogRelations:
         with pytest.raises(ValueError):
             self.cat["r_3"].holds(IDENTITY, EVENS)
 
-    def test_independence_property_tagged_only(self):
+    def test_independence_property_refuses_every_family(self):
         prop = catalog()["i"].property
+        assert prop.name == "independence_derived"
+        assert prop.note.startswith("declared, not checked")
         base = (EVENS, UPSet.from_residues(3, {0, 1}))
-        member = base[0] & base[1]
-        good = TaggedIndependentFamily((member,), base, ((1, 1),))
-        assert prop([good])
-        assert not prop([EVENS])
-        dependent = (EVENS, EVENS.complement())
-        bad = TaggedIndependentFamily((EVENS,), dependent, ((1, 0),))
-        assert not prop([bad])
+        for family in ([], [EVENS], [base[0] & base[1]], list(base), dyadic_family(4)):
+            with pytest.raises(ValueError, match="independence_derived"):
+                prop(family)
+
+    def test_independence_refusal_reaches_check_morphism(self):
+        i, r = self.cat["i"], self.cat["r"]
+        for families in ([[EVENS, ODDS]], [[EVENS]], [dyadic_family(4)]):
+            with pytest.raises(ValueError, match="independence_derived"):
+                check_morphism(
+                    builtin_candidate("i", "r"), i, r,
+                    target_minus_probes=r.minus.probes,
+                    source_plus_probes=i.plus.probes,
+                    families=families,
+                )
+
+    @pytest.mark.parametrize(
+        "family",
+        [[GluedImage(IDENTITY), GluedImage(ZERO)], [EVENS, GluedImage(ZERO)]],
+        ids=["glued", "mixed"],
+    )
+    def test_tower_property_refuses_glued_images(self, family):
+        # the plus kind admits glued images, but their almost inclusion
+        # is not decided
+        assert all(self.cat["t"].plus.validate(y) for y in family)
+        with pytest.raises(TypeError, match="glued images"):
+            self.cat["t"].property(family)
 
 
 class TestDuality:
@@ -121,6 +141,12 @@ class TestDuality:
 
         with pytest.raises(ValueError):
             dual(catalog()["p"])
+
+    def test_independence_triple_keeps_its_property(self):
+        from tukeykit.triples import dual
+
+        with pytest.raises(ValueError, match="not simple"):
+            dual(catalog()["i"])
 
 
 class TestDominatingProbes:

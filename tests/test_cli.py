@@ -11,7 +11,8 @@ from tukeykit import cli, errors
 from tukeykit.adversary import PartialProgress, _BudgetSignal
 from tukeykit.apfuncs import parse_apfunc
 from tukeykit.cli import main
-from tukeykit.upsets import UPSet
+from tukeykit.gadgets import ThreeSetsViolation
+from tukeykit.upsets import EVENS, UPSet, parse_upset
 
 PHI_CONST_EVENS = (
     "import sys\n"
@@ -22,6 +23,11 @@ PSI_CONST_ZERO = (
     "import sys\n"
     "for line in sys.stdin:\n"
     "    print(';0;0'); sys.stdout.flush()\n"
+)
+ECHO_MAP = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print(line.split(' ', 1)[1].strip()); sys.stdout.flush()\n"
 )
 GARBAGE_MAP = (
     "import sys\n"
@@ -258,6 +264,42 @@ class TestSubprocessVerbs:
         data = json.loads(out)
         assert data["verified"] is True
         assert data["side"] == "E"
+
+    # an identity push maps a centered pair onto an incomparable pair; a
+    # constant push gives a chain whose intersection pulls back badly
+    @pytest.mark.parametrize(
+        "psi, kind", [(ECHO_MAP, "family"), (PHI_CONST_EVENS, "relation")],
+        ids=["identity-push", "constant-push"],
+    )
+    def test_refute_p2t_clauses(self, capsys, tmp_path, psi, kind):
+        phi_path = tmp_path / "phi.py"
+        phi_path.write_text(PHI_CONST_EVENS)
+        psi_path = tmp_path / "psi.py"
+        psi_path.write_text(psi)
+        code, out = run_cli(
+            capsys, "refute", "p2t", "--phi", f"{sys.executable} {phi_path}",
+            "--psi", f"{sys.executable} {psi_path}",
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["violation"] == kind and data["verified"] is True
+        trio = [UPSet.from_residues(3, r) for r in ({0, 1}, {1, 2}, {0, 2})]
+        keys = ("pair", "images") if kind == "family" else ("common", "culprit", "pulled")
+        assert set(data) == {"violation", "detail", "verified", *keys}
+        parsed = {}
+        for key in keys:
+            literals = data[key] if kind == "family" else [data[key]]
+            values = [parse_upset(text) for text in literals]
+            assert [v.literal() for v in values] == literals
+            parsed[key] = tuple(values) if kind == "family" else values[0]
+        if kind == "family":
+            assert parsed["pair"][0] in trio and parsed["pair"][1] in trio
+            assert parsed["images"] == parsed["pair"]
+            violation = ThreeSetsViolation("family", data["detail"], **parsed)
+        else:
+            assert parsed["culprit"] in trio and parsed["pulled"] == EVENS
+            violation = ThreeSetsViolation("relation", data["detail"], culprit_image=EVENS, **parsed)
+        assert violation.verify()
 
     def test_refute_cofinite_pull_is_usage_error(self, capsys, tmp_path):
         phi = tmp_path / "phi.py"

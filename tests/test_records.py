@@ -38,7 +38,6 @@ from tukeykit.catalog import (
     BuiltinMorphism,
     GluedImage,
     IterateColoring,
-    TaggedIndependentFamily,
 )
 from tukeykit.gadgets import MaxPairViolation, ThreeSetsViolation
 from tukeykit.records import Record, set_field
@@ -97,7 +96,6 @@ SAMPLES = {
     BoundCertificate: BoundCertificate(1, (CT,), False, (0, 1), 2),
     IterateColoring: IterateColoring(APFunc((), (0,), 2)),
     GluedImage: GluedImage(F),
-    TaggedIndependentFamily: TaggedIndependentFamily((EVENS,), (EVENS,), ((1,),)),
     BuiltinMorphism: BuiltinMorphism("d", "b", CANDIDATE, ((EVENS,),)),
     EdgeRecord: EDGE,
     Diagram: Diagram("borel_diagram", ("d", "b"), (EDGE,)),

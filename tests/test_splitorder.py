@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 import reference_splitorder as ref
+from tukeykit import splitorder
+from tukeykit.cli import main
 from tukeykit.splitorder import (
     EnumerationBudget,
     SplitSpec,
@@ -218,3 +220,28 @@ class TestDigraph:
         nodes, edges = order_digraph(6, hasse=True)
         assert len(nodes) == 21 and edges
         assert order_diagram(4, hasse=True).edges
+
+    def test_a_limit_past_the_bound_compares_no_specs(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return bt_edge(a, b)
+
+        monkeypatch.setattr(splitorder, "bt_edge", counted)
+        limit = 51  # 1,326 specs
+        assert limit * (limit + 1) // 2 > splitorder._DIGRAPH_SPEC_BOUND
+        with pytest.raises(EnumerationBudget, match="1326 specs"):
+            order_digraph(limit)
+        code = main(["diagram", "--kind", "splitting", "--limit", str(limit), "--hasse"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("budget: limit 51 gives 1326 specs")
+        assert calls == []
+
+    def test_the_bound_counts_specs(self, monkeypatch):
+        # at the bound the order is built as before; one spec past it is refused
+        monkeypatch.setattr(splitorder, "_DIGRAPH_SPEC_BOUND", 10)
+        assert repr(order_digraph(4, hasse=True)) == repr(ref.order_digraph(4, hasse=True))
+        with pytest.raises(EnumerationBudget):
+            order_digraph(5)
