@@ -28,7 +28,7 @@ _EXPORTS = {
         "image_contains", "image_prefix", "tuple_code", "tuple_decode",
         "witness_stream",
     ),
-    "catalog": ("builtin_morphisms", "catalog", "vd_diagram"),
+    "catalog": ("builtin_morphisms", "catalog", "compose", "vd_diagram"),
     "gadgets": (
         "refute_filterclass_to_unbounded",
         "refute_pseudo_intersection_to_tower",
@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "triples": (
         "CodedTriple", "FiniteTriple", "MorphismCandidate", "check_morphism",
-        "compose", "dual", "finite_norm", "is_dominating",
+        "dual", "finite_norm", "is_dominating",
     ),
     "upsets": (
         "EMPTY", "EVENS", "FULL", "ODDS", "UPSet", "almost_disjoint",

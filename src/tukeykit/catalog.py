@@ -1,5 +1,6 @@
 """Catalog of cardinal-invariant triples over the decidable fragment,
-the built-in morphism candidates, and the two comparison diagrams
+the built-in morphism rows (each names its two triples, whose kinds give
+its probes; ``compose`` joins two), and the two comparison diagrams
 (classical and Borel) as ``splitorder.Diagram`` values.
 
 Carriers are stood in for exactly: infinite sets and 2-colorings by
@@ -37,7 +38,7 @@ from .apfuncs import (
     pointwise_max,
 )
 from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
-from .errors import CertificateError, EnumerationBudget
+from .errors import CertificateError, ContractBreach, EnumerationBudget
 from .records import Record, set_field
 from .splitorder import Diagram, EdgeRecord, SplitSpec, bt_edge, column_sizes
 from .triples import (
@@ -271,7 +272,7 @@ def _is_upset_tuple(xs: Any) -> bool:
 UPSET = Kind("upset", _is_infinite_upset, UPSET_PROBES)  # infinite subsets of omega
 # the plus side of almost inclusion also holds glued images, which b->p pushes to
 UPSET_OR_IMAGE = Kind(
-    "upset", lambda y: isinstance(y, (UPSet, GluedImage)), UPSET_PROBES
+    "upset", lambda y: isinstance(y, GluedImage) or _is_infinite_upset(y), UPSET_PROBES
 )
 IC = Kind(  # infinite, co-infinite subsets
     "ic", lambda x: isinstance(x, UPSet) and x.is_ic, UPSET_PROBES
@@ -434,13 +435,7 @@ def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCa
             pieces.extend(partition_upset(b, size))
         return tuple(pieces)
 
-    return MorphismCandidate(
-        pull=pull,
-        push=_same,
-        source_kinds=(upset_tuple_kind(a_n), COLORING),
-        target_kinds=(upset_tuple_kind(b_n), COLORING),
-        name=f"s_{a_n},{a_m}->s_{b_n},{b_m} even partition",
-    )
+    return MorphismCandidate(pull, _same, f"s_{a_n},{a_m}->s_{b_n},{b_m} even partition")
 
 
 class BuiltinMorphism(Record):
@@ -448,16 +443,11 @@ class BuiltinMorphism(Record):
 
 
 def builtin_morphisms() -> list[BuiltinMorphism]:
-    """One candidate per positive edge; a row given by its maps takes
-    its kinds from the two catalog triples it connects.  The rows between
-    two Borel diagram nodes are that diagram's positive edges, in order."""
-    cat = catalog()
+    """One row per positive edge.  The rows between two Borel
+    diagram nodes are that diagram's positive edges, in order."""
 
     def row(source, target, label, pull, push=_same, families=()) -> BuiltinMorphism:
-        s, t = cat[source], cat[target]
-        candidate = MorphismCandidate(
-            pull, push, (s.minus, s.plus), (t.minus, t.plus), f"{source}->{target} {label}"
-        )
+        candidate = MorphismCandidate(pull, push, f"{source}->{target} {label}")
         return BuiltinMorphism(source, target, candidate, families)
 
     return [
@@ -491,18 +481,24 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
 
 
 def default_probe_check(entry: BuiltinMorphism):
-    """Run the standard probe suite against one built-in candidate."""
+    """Check one row on its two triples' probes and its families."""
     cat = catalog()
-    source = cat[entry.source]
-    target = cat[entry.target]
-    return check_morphism(
-        entry.candidate,
-        source,
-        target,
-        target_minus_probes=target.minus.probes,
-        source_plus_probes=source.plus.probes,
-        families=entry.families,
+    return check_morphism(entry.candidate, cat[entry.source], cat[entry.target], entry.families)
+
+
+def compose(first: BuiltinMorphism, second: BuiltinMorphism) -> BuiltinMorphism:
+    """The row first;second, with no families; the rows must meet."""
+    if first.target != second.source:
+        raise ContractBreach(
+            f"cannot compose {first.source}->{first.target} with {second.source}->{second.target}"
+        )
+    c1, c2 = first.candidate, second.candidate
+    candidate = MorphismCandidate(
+        lambda x: c1.apply_pull(c2.apply_pull(x)),
+        lambda y: c2.apply_push(c1.apply_push(y)),
+        f"{c1.name};{c2.name}",
     )
+    return BuiltinMorphism(first.source, second.target, candidate, ())
 
 
 # -- diagrams ------------------------------------------------------------------

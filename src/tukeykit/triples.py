@@ -4,17 +4,20 @@ A triple is a relation between a minus side and a plus side; its norm
 is the least size of a plus-side family relating to everything on the
 minus side, optionally constrained by a property of families.  A
 morphism candidate is a pair of total maps pulling minus elements back
-and pushing plus elements forward.  Finite triples are checked
-exhaustively; coded triples (carriers standing for spaces of reals) are
-checked against finite probe lists, and reports say so.
+and pushing plus elements forward.  Both kinds of triple give a name, a
+property and a probe list per side, which is all a check reads: a finite
+triple's probes are its whole carriers, so its checks are exhaustive; a
+coded triple's (carriers standing for spaces of reals) are its kinds'
+probe lists, and reports say the verdict holds on probes.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
-from .errors import ContractBreach, EnumerationBudget, MachineBudgetError
+from .errors import EnumerationBudget, MachineBudgetError
 from .records import Record, set_field
 
 
@@ -22,7 +25,8 @@ from .records import Record, set_field
 
 
 class FiniteTriple(Record):
-    """A finite relation given by labels and a boolean matrix."""
+    """A finite relation given by labels and a boolean matrix.  It
+    carries no property, and each side is its own probe list."""
 
     __slots__ = ("minus", "plus", "relation")
 
@@ -41,6 +45,11 @@ class FiniteTriple(Record):
 
     def holds(self, x: str, y: str) -> bool:
         return self.relation[self.minus.index(x)][self.plus.index(y)]
+
+    minus_probes = property(attrgetter("minus"))
+    plus_probes = property(attrgetter("plus"))
+    # set last, since in the class body ``property`` hides the builtin
+    name, property = "finite", None
 
 
 # -- coded triples -------------------------------------------------------
@@ -63,7 +72,9 @@ class Kind(Record):
     __slots__ = ("name", "validate", "probes")
 
     def __repr__(self) -> str:
-        # the name alone, as in compose's ContractBreach messages
+        # the name alone: the validator prints with a memory address and
+        # the probe list at length, so a triple's repr would be neither
+        # stable nor short
         return f"Kind(name={self.name!r})"
 
 
@@ -87,6 +98,9 @@ class CodedTriple(Record):
         if not self.plus.validate(y):
             raise ValueError(f"{y!r} is not a valid plus value for {self.name}")
         return self.relation(x, y)
+
+    minus_probes = property(attrgetter("minus.probes"))
+    plus_probes = property(attrgetter("plus.probes"))
 
 
 Triple = FiniteTriple | CodedTriple
@@ -112,20 +126,10 @@ def dual(t: Triple) -> Triple:
     )
 
 
-def is_dominating(
-    family: Sequence[Any], t: Triple, probes: Sequence[Any] | None = None
-) -> bool:
-    """Does every (probed) minus element relate to some family member?
-
-    Exhaustive for finite triples; coded triples are judged relative to
-    the supplied probe list.
-    """
-    if isinstance(t, FiniteTriple):
-        xs = t.minus if probes is None else probes
-        return all(any(t.holds(x, y) for y in family) for x in xs)
-    if not probes:
-        raise ValueError("coded triples need a nonempty probe list")
-    return all(any(t.holds(x, y) for y in family) for x in probes)
+def is_dominating(family: Sequence[Any], t: Triple) -> bool:
+    """Does every minus probe relate to some family member?  Exhaustive
+    for finite triples; coded triples are judged on their probes."""
+    return all(any(t.holds(x, y) for y in family) for x in t.minus_probes)
 
 
 _NORM_SEARCH_BOUND = 20
@@ -157,16 +161,12 @@ class MorphismCandidate(Record):
     """A pair of total maps: ``pull`` takes target-minus values to
     source-minus values, ``push`` takes source-plus to target-plus."""
 
-    # kinds None: the candidate declares no kinds, and composes with anything
-    __slots__ = ("pull", "push", "source_kinds", "target_kinds", "name")
+    __slots__ = ("pull", "push", "name")
 
     def __init__(self, pull: Callable[[Any], Any], push: Callable[[Any], Any],
-                 source_kinds: tuple[Kind, Kind] | None = None,
-                 target_kinds: tuple[Kind, Kind] | None = None, name: str = "") -> None:
+                 name: str = "") -> None:
         set_field(self, "pull", pull)
         set_field(self, "push", push)
-        set_field(self, "source_kinds", source_kinds)
-        set_field(self, "target_kinds", target_kinds)
         set_field(self, "name", name)
 
     def apply_pull(self, x: Any) -> Any:
@@ -182,21 +182,6 @@ def _apply(role: str, fn: Callable[[Any], Any], value: Any) -> Any:
     if out is None:
         raise MachineBudgetError(role, value)
     return out
-
-
-def compose(c1: MorphismCandidate, c2: MorphismCandidate) -> MorphismCandidate:
-    """Composite of a morphism source->mid with one mid->target."""
-    if None not in (c1.target_kinds, c2.source_kinds) and c1.target_kinds != c2.source_kinds:
-        raise ContractBreach(
-            f"cannot compose: {c1.target_kinds} does not match {c2.source_kinds}"
-        )
-    return MorphismCandidate(
-        pull=lambda x: c1.apply_pull(c2.apply_pull(x)),
-        push=lambda y: c2.apply_push(c1.apply_push(y)),
-        source_kinds=c1.source_kinds,
-        target_kinds=c2.target_kinds,
-        name=f"{c1.name};{c2.name}",
-    )
 
 
 # -- probe-relative checking ----------------------------------------------
@@ -230,37 +215,27 @@ def check_morphism(
     candidate: MorphismCandidate,
     source: Triple,
     target: Triple,
-    *,
-    target_minus_probes: Sequence[Any] | None = None,
-    source_plus_probes: Sequence[Any] | None = None,
     families: Sequence[Sequence[Any]] = (),
 ) -> MorphismReport:
-    """Check both morphism conditions on finite data.
+    """Check both morphism conditions on the triples' probes.
 
-    For finite triples omitted probe lists default to the whole
-    carriers, making the check exhaustive.  For coded triples the
-    verdict is only ever "consistent on probes"; the genuine conditions
-    quantify over uncountable carriers.
+    For finite triples the probes are the whole carriers, so the check
+    is exhaustive.  For coded triples the verdict is only ever
+    "consistent on probes"; the genuine conditions quantify over
+    uncountable carriers.  A family that fails the source's property is
+    refused with a ``ValueError``, since checking its image says nothing.
     """
-    if isinstance(target, FiniteTriple) and target_minus_probes is None:
-        target_minus_probes = target.minus
-    if isinstance(source, FiniteTriple) and source_plus_probes is None:
-        source_plus_probes = source.plus
-    if target_minus_probes is None or source_plus_probes is None:
-        raise ValueError("coded triples need explicit probe lists")
-
     violations: list[Violation] = []
     checks = 0
     engaged = 0
 
-    src_prop = source.property if isinstance(source, CodedTriple) else None
-    tgt_prop = target.property if isinstance(target, CodedTriple) else None
-    family_checks = 0
-    for fam in families:
-        family_checks += 1
+    src_prop, tgt_prop = source.property, target.property
+    for position, fam in enumerate(families):
         fam = list(fam)
         if src_prop is not None and not src_prop(fam):
-            continue
+            raise ValueError(
+                f"family {position} fails {src_prop.name}, the property of {source.name}"
+            )
         image = [candidate.apply_push(y) for y in fam]
         if tgt_prop is not None and not tgt_prop(image):
             violations.append(
@@ -272,9 +247,9 @@ def check_morphism(
                 )
             )
 
-    for x in target_minus_probes:
+    for x in target.minus_probes:
         pulled = candidate.apply_pull(x)
-        for y in source_plus_probes:
+        for y in source.plus_probes:
             checks += 1
             if not source.holds(pulled, y):
                 continue
@@ -290,14 +265,12 @@ def check_morphism(
                     )
                 )
 
-    src_name = source.name if isinstance(source, CodedTriple) else "finite"
-    tgt_name = target.name if isinstance(target, CodedTriple) else "finite"
     return MorphismReport(
         candidate.name or "candidate",
-        src_name,
-        tgt_name,
+        source.name,
+        target.name,
         tuple(violations),
         checks,
         engaged,
-        family_checks,
+        len(families),
     )

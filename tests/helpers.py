@@ -14,7 +14,7 @@ from tukeykit.apfuncs import (
     pointwise_max,
 )
 from tukeykit.branchmap import ColumnTuple, tuple_code, tuple_decode
-from tukeykit.triples import FiniteTriple, MorphismCandidate
+from tukeykit.triples import CodedTriple, FiniteTriple, Kind, MorphismCandidate
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, slice_by_index
 
 
@@ -70,9 +70,20 @@ def finite_triple(minus, plus, pairs: set[tuple[str, str]]) -> FiniteTriple:
     )
 
 
-def identity_candidate(kinds: tuple[str, str] | None = None, name: str = "identity") -> MorphismCandidate:
-    return MorphismCandidate(
-        pull=lambda x: x, push=lambda y: y, source_kinds=kinds, target_kinds=kinds, name=name
+def identity_candidate(name: str = "identity") -> MorphismCandidate:
+    return MorphismCandidate(pull=lambda x: x, push=lambda y: y, name=name)
+
+
+def with_probes(t: CodedTriple, minus=None, plus=None) -> CodedTriple:
+    """``t`` with the given probe lists on its kinds; a side given None
+    keeps its kind."""
+
+    def probed(kind: Kind, probes) -> Kind:
+        return kind if probes is None else Kind(kind.name, kind.validate, tuple(probes))
+
+    return CodedTriple(
+        t.name, probed(t.minus, minus), probed(t.plus, plus), t.relation, t.property,
+        t.relation_name,
     )
 
 

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,34 +13,34 @@ from tukeykit.catalog import (
     CLASSICAL_EDGES,
     CENTERED,
     COLORING,
-    IC,
     UPSET,
     GluedImage,
     IterateColoring,
     builtin_morphisms,
     catalog,
-    coloring_kind,
+    compose,
     default_probe_check,
     iterate_coloring,
     nm_partition_candidate,
     nm_splitting_triple,
     splits_general,
-    upset_tuple_kind,
     vd_diagram,
 )
 from tukeykit.errors import ContractBreach, EnumerationBudget
-from tukeykit.triples import MorphismCandidate, check_morphism, compose
+from tukeykit.triples import MorphismCandidate, check_morphism
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
 
 import reference_apfuncs as ref
-from helpers import coloring_bit, coloring_boundaries
+from helpers import coloring_bit, coloring_boundaries, with_probes
+
+
+def builtin_row(source: str, target: str) -> BuiltinMorphism:
+    (row,) = (e for e in builtin_morphisms() if (e.source, e.target) == (source, target))
+    return row
 
 
 def builtin_candidate(source: str, target: str) -> MorphismCandidate:
-    (cand,) = (
-        e.candidate for e in builtin_morphisms() if (e.source, e.target) == (source, target)
-    )
-    return cand
+    return builtin_row(source, target).candidate
 
 
 class TestCatalogRelations:
@@ -106,12 +108,29 @@ class TestCatalogRelations:
         i, r = self.cat["i"], self.cat["r"]
         for families in ([[EVENS, ODDS]], [[EVENS]], [dyadic_family(4)]):
             with pytest.raises(ValueError, match="independence_derived"):
-                check_morphism(
-                    builtin_candidate("i", "r"), i, r,
-                    target_minus_probes=r.minus.probes,
-                    source_plus_probes=i.plus.probes,
-                    families=families,
-                )
+                check_morphism(builtin_candidate("i", "r"), i, r, families)
+
+    @pytest.mark.parametrize(
+        "edge, family, prop",
+        [(("u", "r"), [EVENS, ODDS], "centered"),
+         (("a", "p"), [EVENS, UPSet.from_residues(4, {0})], "ad_infinite")],
+        ids=["u->r", "a->p"],
+    )
+    def test_check_morphism_refuses_a_family_the_source_property_rejects(self, edge, family, prop):
+        # a family outside the source's property says nothing about the
+        # candidate, so it is refused rather than counted and skipped
+        row = builtin_row(*edge)
+        source, target = self.cat[row.source], self.cat[row.target]
+        with pytest.raises(ValueError, match=f"family 1 fails {prop}, the property of {edge[0]}"):
+            check_morphism(row.candidate, source, target, [family[:1], family])
+
+    @pytest.mark.parametrize("name", ["p", "t"])
+    def test_almost_inclusion_plus_side_takes_infinite_sets_and_glued_images(self, name):
+        t = self.cat[name]
+        with pytest.raises(ValueError, match="not a valid plus value"):
+            t.holds(EVENS, UPSet.from_finite({1, 2}))
+        assert t.holds(EVENS, GluedImage(IDENTITY))
+        assert not t.holds(UPSet.from_residues(4, {0}), EVENS)
 
     @pytest.mark.parametrize(
         "family",
@@ -153,16 +172,23 @@ class TestDominatingProbes:
     def test_splitting_probe_family(self):
         from tukeykit.triples import is_dominating
 
-        s = catalog()["s"]
-        assert not is_dominating([EVENS], s, probes=[EVENS])
+        s = with_probes(catalog()["s"], minus=[EVENS])
+        assert not is_dominating([EVENS], s)
         mod4 = UPSet.from_residues(4, {0})
-        assert is_dominating([mod4], s, probes=[EVENS])
+        assert is_dominating([mod4], s)
 
-    def test_coded_requires_probes(self):
+    def test_coded_triple_is_judged_on_its_kinds_probes(self):
         from tukeykit.triples import is_dominating
 
-        with pytest.raises(ValueError):
-            is_dominating([EVENS], catalog()["s"])
+        s = catalog()["s"]
+        assert s.minus_probes == UPSET.probes
+        families = ([EVENS], [UPSet.from_residues(4, {0})], list(COLORING.probes),
+                    [UPSet((), (1, 1, 0)), UPSet((), (1, 1, 0, 0))])
+        verdicts = [is_dominating(f, s) for f in families]
+        assert verdicts == [
+            all(any(splits_general(c, a) for c in f) for a in UPSET.probes) for f in families
+        ]
+        assert True in verdicts and False in verdicts
 
 
 class TestIterateColoring:
@@ -262,14 +288,7 @@ class TestBuiltinMorphisms:
             pull=cand.pull, push=lambda y: y, name="a->p without complement"
         )
         cat = catalog()
-        report = check_morphism(
-            swapped,
-            cat["a"],
-            cat["p"],
-            target_minus_probes=UPSET.probes,
-            source_plus_probes=IC.probes,
-            families=[(EVENS, ODDS)],
-        )
+        report = check_morphism(swapped, cat["a"], cat["p"], [(EVENS, ODDS)])
         family_violations = [
             v for v in report.violations if v.condition == "family"
         ]
@@ -286,24 +305,14 @@ class TestBuiltinMorphisms:
         assert colorings[1] == UPSet.from_residues(4, {2, 3})
 
     def test_compose_sigma_chain(self):
-        chain = compose(builtin_candidate("r_sigma", "r_4"), builtin_candidate("r_4", "r_3"))
+        chain = compose(builtin_row("r_sigma", "r_4"), builtin_row("r_4", "r_3"))
+        assert (chain.source, chain.target, chain.families) == ("r_sigma", "r_3", ())
         cat = catalog()
-        report = check_morphism(
-            chain,
-            cat["r_sigma"],
-            cat["r_3"],
-            target_minus_probes=coloring_kind(3).probes,
-            source_plus_probes=UPSET.probes,
-        )
+        report = check_morphism(chain.candidate, cat["r_sigma"], cat["r_3"])
         assert report.consistent
 
     def test_builtins_compose_through_shared_triples(self):
         entries = builtin_morphisms()
-        cat = catalog()
-        for e in entries:
-            s, t = cat[e.source], cat[e.target]
-            assert e.candidate.source_kinds == (s.minus, s.plus), e.candidate.name
-            assert e.candidate.target_kinds == (t.minus, t.plus), e.candidate.name
         chains = [
             (first, second)
             for first in entries
@@ -312,18 +321,16 @@ class TestBuiltinMorphisms:
         ]
         assert len(chains) == 7
         for first, second in chains:
-            chain = compose(first.candidate, second.candidate)
-            assert chain.source_kinds == first.candidate.source_kinds
-            assert chain.target_kinds == second.candidate.target_kinds
-            composite = BuiltinMorphism(first.source, second.target, chain, ())
-            assert default_probe_check(composite).consistent, chain.name
+            chain = compose(first, second)
+            assert (chain.source, chain.target) == (first.source, second.target)
+            assert default_probe_check(chain).consistent, chain.candidate.name
 
     @pytest.mark.parametrize(
         "path", ["irb", "irbp", "urb", "urbp", "dbp", "rbp"], ids="->".join
     )
     def test_implied_borel_edges_compose_along_the_diagram(self, path):
-        chain = functools.reduce(compose, map(builtin_candidate, path, path[1:]))
-        report = default_probe_check(BuiltinMorphism(path[0], path[-1], chain, ()))
+        chain = functools.reduce(compose, map(builtin_row, path, path[1:]))
+        report = default_probe_check(chain)
         assert report.consistent, report.summary()
         assert report.nonvacuous_checks > 0
 
@@ -338,7 +345,7 @@ class TestBuiltinMorphisms:
         assert len(steps) == len(set(steps)) == 5
 
     def test_builtins_refuse_composition_across_triples(self):
-        by_edge = {(e.source, e.target): e.candidate for e in builtin_morphisms()}
+        by_edge = {(e.source, e.target): e for e in builtin_morphisms()}
         with pytest.raises(ContractBreach, match="cannot compose"):
             compose(by_edge[("u", "r")], by_edge[("d", "b")])
         with pytest.raises(ContractBreach, match="cannot compose"):
@@ -352,13 +359,8 @@ class TestBuiltinMorphisms:
     def test_partition_candidate_engages_and_passes(self):
         cand = nm_partition_candidate(14, 9, 6, 4)
         block = UPSet((), (1,) * 48 + (0,) * 48)
-        report = check_morphism(
-            cand,
-            nm_splitting_triple(14, 9),
-            nm_splitting_triple(6, 4),
-            target_minus_probes=upset_tuple_kind(6).probes,
-            source_plus_probes=COLORING.probes + (block,),
-        )
+        source = with_probes(nm_splitting_triple(14, 9), plus=COLORING.probes + (block,))
+        report = check_morphism(cand, source, nm_splitting_triple(6, 4))
         assert report.consistent
         assert report.nonvacuous_checks > 0
 
@@ -462,3 +464,31 @@ class TestCenteredDispatch:
     def test_complements_of_dyadics(self):
         fam = [s.complement() for s in dyadic_family(4)]
         assert CENTERED(fam)
+
+
+# the benchmark's stored answers for the checks it cannot re-derive cheaply
+BENCHMARK_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBenchmarkGolden:
+    def setup_method(self):
+        self.golden = json.loads(BENCHMARK_GOLDEN.read_text())
+
+    def test_probe_check_reports_match_the_benchmark_digests(self):
+        got = {
+            f"{e.source}->{e.target}": sha256(repr(default_probe_check(e)))
+            for e in builtin_morphisms()
+        }
+        assert len(got) == 14
+        assert got == self.golden["probe_check"]
+
+    def test_diagrams_match_the_benchmark_digests(self):
+        got = {
+            kind: sha256(json.dumps(vd_diagram(kind).to_json(), sort_keys=True))
+            for kind in ("classical", "borel")
+        }
+        assert got == self.golden["vd_diagram"]

@@ -32,7 +32,7 @@ ORIGIN = {
          "tuple_code", "tuple_decode", "witness_stream"],
         "branchmap",
     ),
-    **dict.fromkeys(["builtin_morphisms", "catalog", "vd_diagram"], "catalog"),
+    **dict.fromkeys(["builtin_morphisms", "catalog", "compose", "vd_diagram"], "catalog"),
     **dict.fromkeys(
         ["refute_filterclass_to_unbounded", "refute_pseudo_intersection_to_tower"], "gadgets"
     ),
@@ -42,8 +42,8 @@ ORIGIN = {
         "splitorder",
     ),
     **dict.fromkeys(
-        ["CodedTriple", "FiniteTriple", "MorphismCandidate", "check_morphism", "compose",
-         "dual", "finite_norm", "is_dominating"],
+        ["CodedTriple", "FiniteTriple", "MorphismCandidate", "check_morphism", "dual",
+         "finite_norm", "is_dominating"],
         "triples",
     ),
     **dict.fromkeys(

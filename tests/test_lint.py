@@ -471,7 +471,7 @@ REACHABILITY_ALLOWLIST = {
     "catalog.nm_partition_candidate",
     # the Borel diagram's closure will call it; until then the implied-edge
     # tests compose the built-in rows along diagram paths
-    "triples.compose",
+    "catalog.compose",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -69,7 +69,7 @@ TRACE = SplitterTrace("0110", 2, 1, ((1, 1), (2, 0)))
 PINNING = ImagePinning("0110", 2, 0, (0, 2))
 CT = ColumnTuple(1, ((0, 1, 0),))
 KIND = Kind("k", callable, (1, 2))
-CANDIDATE = MorphismCandidate(abs, abs, (KIND, KIND), (KIND, KIND), "abs")
+CANDIDATE = MorphismCandidate(abs, abs, "abs")
 PROPERTY = FamilyProperty("all", all, "a note")
 EDGE = EdgeRecord("d", "b", "BT-morphism", "successor")
 SPEC = SplitSpec(4, 2)

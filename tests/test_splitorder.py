@@ -21,6 +21,8 @@ from tukeykit.catalog import nm_splitting_triple
 from tukeykit.triples import is_dominating
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, splits
 
+from helpers import with_probes
+
 
 class TestBucketCount:
     def test_worked_example(self):
@@ -151,7 +153,8 @@ class TestIndexSetOrder:
 
 def splits_at_least(family, targets, m) -> bool:
     """Does some family member split at least m of the targets?"""
-    return is_dominating(family, nm_splitting_triple(len(targets), m), [tuple(targets)])
+    t = with_probes(nm_splitting_triple(len(targets), m), minus=[tuple(targets)])
+    return is_dominating(family, t)
 
 
 class TestSplittingWitness:

@@ -4,13 +4,11 @@ import random
 import pytest
 
 from tukeykit.triples import (
-    ContractBreach,
     EnumerationBudget,
     FiniteTriple,
     MachineBudgetError,
     MorphismCandidate,
     check_morphism,
-    compose,
     dual,
     finite_norm,
     is_dominating,
@@ -189,24 +187,6 @@ class TestCheckMorphism:
 
 
 class TestComposeAndDual:
-    def test_compose_identity(self):
-        ident = identity_candidate(("k", "k"))
-        c = compose(ident, ident)
-        assert c.apply_pull("v") == "v"
-        assert c.apply_push("w") == "w"
-
-    def test_kind_mismatch(self):
-        a = identity_candidate(("k1", "k1"))
-        b = identity_candidate(("k2", "k2"))
-        with pytest.raises(ContractBreach, match="cannot compose"):
-            compose(a, b)
-
-    def test_undeclared_kinds_compose_with_any(self):
-        declared = identity_candidate(("k1", "k2"))
-        for a, b in ((identity_candidate(), declared), (declared, identity_candidate())):
-            c = compose(a, b)
-            assert (c.source_kinds, c.target_kinds) == (a.source_kinds, b.target_kinds)
-
     def test_dual_condition_exhaustive_small(self):
         # every morphism between small triples flips to a morphism
         # between the duals with the maps swapped
