@@ -1,6 +1,6 @@
-"""The adversary engine: interval partitions and predictors built
-against a continuous machine, predicted families, and non-splitting
-certificates for their images.
+"""The adversary engine: predictors (interval cuts and forecast tables)
+built against a continuous machine, predicted families, and
+non-splitting certificates for their images.
 
 A continuous machine answers queries "given this bit prefix, what is
 the output's value at m?" with 0, 1, or undecided, and decided answers
@@ -32,12 +32,6 @@ from .records import Record, set_field
 
 if TYPE_CHECKING:
     from .upsets import UPSet
-
-
-class PartialProgress(Record):
-    # where the budget ran out: the level being built, the history being
-    # extended and the pivot being tried
-    __slots__ = ("level", "history", "pivot_tried")
 
 
 class ContinuousMachine(Protocol):
@@ -104,46 +98,41 @@ class MeteredMachine:
 
 class _BudgetSignal(MachineBudgetError):
     """The metered machine's budget ran out; ``build_adversary`` turns
-    this into a ``BudgetExhausted`` with its progress."""
+    this into a ``BudgetExhausted`` naming the level, history and pivot
+    it stopped at."""
 
 
-class IntervalPartition(Record):
-    """Consecutive finite intervals [cuts[k], cuts[k+1])."""
+class Predictor(Record):
+    """Consecutive finite intervals [cuts[k], cuts[k+1]) and total
+    forecast tables, one per interval: level k maps each history over
+    the earlier intervals to a block over interval k."""
 
-    __slots__ = ("cuts",)
+    __slots__ = ("cuts", "tables")
 
-    def __init__(self, cuts: tuple[int, ...]) -> None:
+    def __init__(self, cuts: tuple[int, ...],
+                 tables: tuple[Mapping[str, str], ...]) -> None:
         if not cuts or cuts[0] != 0:
             raise ValueError("cuts start at 0")
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("intervals must be nonempty")
-        set_field(self, "cuts", cuts)
-
-    @property
-    def depth(self) -> int:
-        return len(self.cuts) - 1
-
-    def interval(self, k: int) -> range:
-        return range(self.cuts[k], self.cuts[k + 1])
-
-
-class Predictor(Record):
-    """Total forecast tables: level k maps each history over the earlier
-    intervals to a block over interval k."""
-
-    __slots__ = ("partition", "tables")
-
-    def __init__(self, partition: IntervalPartition,
-                 tables: tuple[Mapping[str, str], ...]) -> None:
+        if len(tables) != len(cuts) - 1:
+            raise ValueError(f"{len(cuts) - 1} intervals need as many tables, got {len(tables)}")
         for k, table in enumerate(tables):
-            width = partition.cuts[k]
-            block = partition.cuts[k + 1] - width
+            width = cuts[k]
+            block = cuts[k + 1] - width
             if len(table) != 2**width:
                 raise ValueError(f"table {k} is not total over 2^{width} histories")
             if any(len(v) != block for v in table.values()):
                 raise ValueError(f"table {k} forecasts must have length {block}")
-        set_field(self, "partition", partition)
+        set_field(self, "cuts", cuts)
         set_field(self, "tables", tables)
+
+    @property
+    def depth(self) -> int:
+        return len(self.tables)
+
+    def interval(self, k: int) -> range:
+        return range(self.cuts[k], self.cuts[k + 1])
 
     def forecast(self, history: str, k: int) -> str:
         return self.tables[k][history]
@@ -159,13 +148,15 @@ class AdversaryCertificate(Record):
     # pivots[k]: the level-k pivot; queries_used: the machine queries spent
     __slots__ = ("machine_name", "predictor", "pivots", "queries_used")
 
-    @property
-    def partition(self) -> IntervalPartition:
-        return self.predictor.partition
+    def __init__(self, machine_name: str, predictor: Predictor,
+                 pivots: tuple[int, ...], queries_used: int) -> None:
+        if len(pivots) != predictor.depth:
+            raise ValueError(f"{predictor.depth} levels need as many pivots, got {len(pivots)}")
+        super().__init__(machine_name, predictor, pivots, queries_used)
 
     @property
     def depth(self) -> int:
-        return self.partition.depth
+        return self.predictor.depth
 
     @property
     def facts(self) -> tuple[DecidedFact, ...]:
@@ -180,7 +171,7 @@ class AdversaryCertificate(Record):
     def to_json(self) -> dict:
         return {
             "machine": self.machine_name,
-            "cuts": list(self.partition.cuts),
+            "cuts": list(self.predictor.cuts),
             "pivots": list(self.pivots),
             "tables": [dict(sorted(t.items())) for t in self.predictor.tables],
             "facts": [
@@ -258,7 +249,8 @@ def build_adversary(
     pivots: list[int] = []
     tables: list[dict[str, str]] = []
     histories = [""]
-    stop: PartialProgress | None = None
+    # where the budget ran out: the level, the history and the pivot
+    stop: tuple[int, str, int] | None = None
 
     for level in range(depth):
         width = cuts[-1]
@@ -297,7 +289,7 @@ def build_adversary(
                         "machine is not monotone"
                     )
         except _BudgetSignal:
-            stop = PartialProgress(level, history, pivot)
+            stop = level, history, pivot
             break
         cuts.append(width + block)
         pivots.append(pivot)
@@ -305,16 +297,22 @@ def build_adversary(
 
     cert = AdversaryCertificate(
         machine.name,
-        Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
+        Predictor(tuple(cuts), tuple(tables)),
         tuple(pivots),
         metered.used,
     )
     if stop is not None:
-        raise BudgetExhausted(stop, cert if tables else None)
+        raise BudgetExhausted(*stop, cert if tables else None)
     return cert
 
 
 # -- predicted families -------------------------------------------------------
+
+
+def _check_class(n: int, r: int) -> None:
+    """Refuse a residue class r mod n of levels unless 0 <= r < n."""
+    if not 0 <= r < n:
+        raise ValueError("need 0 <= r < n")
 
 
 def predicted_element(
@@ -326,11 +324,10 @@ def predicted_element(
 ) -> str:
     """An element predicted at every level congruent to r mod n, with
     the remaining intervals taken from ``free_bits`` (default: fill)."""
-    if not 0 <= r < n:
-        raise ValueError("need 0 <= r < n")
+    _check_class(n, r)
     if fill not in ("0", "1"):
         raise ValueError("fill must be a bit")
-    cuts = cert.partition.cuts
+    cuts = cert.predictor.cuts
     out = ""
     for k in range(cert.depth):
         block = cuts[k + 1] - cuts[k]
@@ -362,11 +359,12 @@ def splitter_from_free_class(
 ) -> SplitterTrace:
     """A predicted element alternating its free bits on the target, so
     both colors hit the target inside the free region."""
+    _check_class(n, r)
     free = [
         p
         for k in range(cert.depth)
         if k % n != r
-        for p in cert.partition.interval(k)
+        for p in cert.predictor.interval(k)
         if p in target
     ]
     if len(free) < 2:
@@ -380,7 +378,7 @@ def splitter_from_free_class(
         if k % n == r:
             continue
         free_bits[k] = "".join(
-            str(assignment.get(p, 0)) for p in cert.partition.interval(k)
+            str(assignment.get(p, 0)) for p in cert.predictor.interval(k)
         )
     element = predicted_element(cert, n, r, free_bits)
     hits = tuple((p, assignment[p]) for p in free)
@@ -407,7 +405,8 @@ def image_nonsplit_certificate(
 ) -> ImagePinning:
     """Re-query the machine along the element's predicted levels and
     confirm the recorded value-1 answers at the class pivots."""
-    cuts = cert.partition.cuts
+    _check_class(n, r)
+    cuts = cert.predictor.cuts
     if len(element) < cuts[-1]:
         raise ValueError("element must be determined over the whole partition")
     pinned = []

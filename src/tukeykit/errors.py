@@ -50,16 +50,18 @@ class MachineBudgetError(RuntimeError):
 
 
 class BudgetExhausted(RuntimeError):
-    """``build_adversary`` ran out of machine queries; ``progress`` says
-    where, and ``partial`` holds the levels completed (both types live
-    in ``adversary``)."""
+    """``build_adversary`` ran out of machine queries at ``level``, while
+    extending ``history`` and trying ``pivot``; ``partial`` is the
+    certificate of the levels completed, or None before the first."""
 
-    def __init__(self, progress: "PartialProgress", certificate: "AdversaryCertificate | None"):
-        self.progress = progress
+    def __init__(self, level: int, history: str, pivot: int, certificate: object):
+        self.level = level
+        self.history = history
+        self.pivot = pivot
         self.partial = certificate
         super().__init__(
-            f"query budget exhausted at level {progress.level}, "
-            f"history {progress.history!r}, pivot {progress.pivot_tried}"
+            f"query budget exhausted at level {level}, "
+            f"history {history!r}, pivot {pivot}"
         )
 
 

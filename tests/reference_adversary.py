@@ -8,8 +8,6 @@ import itertools
 from tukeykit.adversary import (
     AdversaryCertificate,
     ContinuousMachine,
-    IntervalPartition,
-    PartialProgress,
     Predictor,
 )
 from tukeykit.errors import BudgetExhausted, CertificateError, MachineBudgetError
@@ -62,11 +60,11 @@ def build_adversary(
         if level > 0:
             partial = AdversaryCertificate(
                 machine.name,
-                Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
+                Predictor(tuple(cuts), tuple(tables)),
                 tuple(pivots),
                 metered.used,
             )
-        return BudgetExhausted(PartialProgress(level, history, pivot), partial)
+        return BudgetExhausted(level, history, pivot, partial)
 
     for level in range(depth):
         width = cuts[-1]
@@ -108,7 +106,7 @@ def build_adversary(
 
     return AdversaryCertificate(
         machine.name,
-        Predictor(IntervalPartition(tuple(cuts)), tuple(tables)),
+        Predictor(tuple(cuts), tuple(tables)),
         tuple(pivots),
         metered.used,
     )

@@ -293,8 +293,8 @@ def test_criterion_10_adversary_identity():
     assert cert.queries_used <= 10**6
     rng = random.Random(31)
     free = {
-        0: [p for k in range(cert.depth) if k % 2 != 0 for p in cert.partition.interval(k)],
-        1: [p for k in range(cert.depth) if k % 2 != 1 for p in cert.partition.interval(k)],
+        0: [p for k in range(cert.depth) if k % 2 != 0 for p in cert.predictor.interval(k)],
+        1: [p for k in range(cert.depth) if k % 2 != 1 for p in cert.predictor.interval(k)],
     }
     split_count = 0
     for trial in range(20):

@@ -17,7 +17,6 @@ from tukeykit.adversary import (
     BudgetExhausted,
     CertificateError,
     FunctionMachine,
-    IntervalPartition,
     MeteredMachine,
     Predictor,
     build_adversary,
@@ -119,20 +118,33 @@ def ask_twice(
 
 class TestPartitionAndPredictor:
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            IntervalPartition((1, 2))
-        with pytest.raises(ValueError):
-            IntervalPartition((0, 2, 2))
-        p = IntervalPartition((0, 2, 5))
+        with pytest.raises(ValueError, match="cuts start at 0"):
+            Predictor((1, 2), ({"": "1"},))
+        with pytest.raises(ValueError, match="nonempty"):
+            Predictor((0, 2, 2), ({"": "11"}, {}))
+        p = Predictor((0, 2, 5), ({"": "11"}, {h: "000" for h in ("00", "01", "10", "11")}))
         assert p.depth == 2
         assert list(p.interval(1)) == [2, 3, 4]
 
     def test_predictor_totality_enforced(self):
-        p = IntervalPartition((0, 1, 2))
-        with pytest.raises(ValueError):
-            Predictor(p, ({"": "1"}, {"0": "1"}))  # level 1 misses history "1"
-        good = Predictor(p, ({"": "1"}, {"0": "1", "1": "0"}))
+        with pytest.raises(ValueError, match="not total"):
+            Predictor((0, 1, 2), ({"": "1"}, {"0": "1"}))  # level 1 misses history "1"
+        with pytest.raises(ValueError, match="length 1"):
+            Predictor((0, 1, 2), ({"": "1"}, {"0": "1", "1": "00"}))
+        good = Predictor((0, 1, 2), ({"": "1"}, {"0": "1", "1": "0"}))
         assert good.forecast("0", 1) == "1"
+
+    @pytest.mark.parametrize("tables", [({"": "1"},), ({"": "1"}, {"0": "1", "1": "0"}, {})])
+    def test_one_table_per_interval(self, tables):
+        # a missing table used to pass, and predicted_element then
+        # failed with IndexError at the level without one
+        with pytest.raises(ValueError, match=f"2 intervals need as many tables, got {len(tables)}"):
+            Predictor((0, 1, 2), tables)
+
+    def test_one_pivot_per_level(self):
+        cert = build_adversary(identity_machine(), 4)
+        with pytest.raises(ValueError, match="4 levels need as many pivots, got 2"):
+            AdversaryCertificate(cert.machine_name, cert.predictor, cert.pivots[:2], 0)
 
 
 class TestBuildAdversary:
@@ -143,18 +155,18 @@ class TestBuildAdversary:
         assert all(a < b for a, b in zip(cert.pivots, cert.pivots[1:]))
         # predictor totality at every level
         for k, table in enumerate(cert.predictor.tables):
-            assert len(table) == 2 ** cert.partition.cuts[k]
+            assert len(table) == 2 ** cert.predictor.cuts[k]
         assert verify_certificate(cert, identity_machine()) == len(cert.facts)
 
     def test_identity_pivots_inside_intervals(self):
         cert = build_adversary(identity_machine(), 5)
         for k, pivot in enumerate(cert.pivots):
-            assert pivot in cert.partition.interval(k)
+            assert pivot in cert.predictor.interval(k)
 
     def test_all_ones_machine_minimal(self):
         cert = build_adversary(constant_machine(1), 4)
         assert all(
-            cert.partition.cuts[k + 1] - cert.partition.cuts[k] == 1
+            cert.predictor.cuts[k + 1] - cert.predictor.cuts[k] == 1
             for k in range(cert.depth)
         )
         assert verify_certificate(cert, constant_machine(1)) == len(cert.facts)
@@ -162,7 +174,7 @@ class TestBuildAdversary:
     def test_all_zeros_machine_budget_error(self):
         with pytest.raises(BudgetExhausted) as err:
             build_adversary(constant_machine(0), 2, budget=3000)
-        assert err.value.progress.level == 0
+        assert err.value.level == 0
 
     def test_flip_machine(self):
         cert = build_adversary(flip_machine(), 4)
@@ -238,7 +250,7 @@ def outcome(engine, machine, depth: int, budget: int) -> tuple:
         cert = engine(recorder, depth, budget)
     except BudgetExhausted as exc:
         partial = exc.partial and (exc.partial.to_json(), exc.partial.queries_used)
-        return "budget", str(exc), exc.progress, partial, asked
+        return "budget", str(exc), (exc.level, exc.history, exc.pivot), partial, asked
     except CertificateError as exc:
         return "fault", str(exc), asked
     return "certificate", cert.to_json(), cert.queries_used, asked
@@ -355,7 +367,7 @@ class TestPredictedFamilies:
 
     def test_predicted_element_predicts(self):
         c = predicted_element(self.cert, 2, 0, fill="1")
-        cuts = self.cert.partition.cuts
+        cuts = self.cert.predictor.cuts
         for k in range(0, self.cert.depth, 2):
             forecast = self.cert.predictor.forecast(c[: cuts[k]], k)
             assert c[cuts[k] : cuts[k + 1]] == forecast
@@ -380,7 +392,7 @@ class TestPredictedFamilies:
         pivots_only = UPSet.from_finite(
             [p for k, p in enumerate(self.cert.pivots) if k % 2 == 0]
         )
-        target = pivots_only | UPSet.from_finite({self.cert.partition.cuts[-1] + 5})
+        target = pivots_only | UPSet.from_finite({self.cert.predictor.cuts[-1] + 5})
         with pytest.raises(ValueError):
             splitter_from_free_class(self.cert, 2, 0, target)
 
@@ -399,6 +411,20 @@ class TestPredictedFamilies:
         if k_last % 2 == 0:
             with pytest.raises(ValueError):
                 image_nonsplit_certificate(self.cert, self.machine, flipped, 2, 0)
+
+    @pytest.mark.parametrize("n, r", [(0, 0), (2, 2), (2, -1)], ids=["n=0", "r=n", "r<0"])
+    def test_residue_class_checked(self, n, r):
+        # n = 0 used to divide by zero, and r >= n to pin no pivot at all
+        element = "1" * self.cert.predictor.cuts[-1]
+        calls = [
+            lambda: predicted_element(self.cert, n, r),
+            lambda: splitter_from_free_class(self.cert, n, r, FULL),
+            lambda: image_nonsplit_certificate(self.cert, self.machine, element, n, r),
+            lambda: multiclass_family(self.cert, self.machine, [(n, r)]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"need 0 <= r < n"):
+                call()
 
     def test_multiclass_family_reports(self):
         targets = [FULL, EVENS]

@@ -8,7 +8,7 @@ import pytest
 
 import reference_branchmap as ref
 from tukeykit import cli, errors
-from tukeykit.adversary import PartialProgress, _BudgetSignal
+from tukeykit.adversary import _BudgetSignal
 from tukeykit.apfuncs import parse_apfunc
 from tukeykit.cli import main
 from tukeykit.gadgets import ThreeSetsViolation
@@ -100,6 +100,8 @@ GOLDEN_CASES = [
         "intersect_n2.json",
         ["intersect", "--n", "2", "--fs", ";0;0", "0,0;1;0", "0,0;2;1"],
     ),
+    ("adversary_identity_5.json", ["adversary", "run", "--builtin", "identity", "--depth", "5"]),
+    ("adversary_flip_4.json", ["adversary", "run", "--builtin", "flip", "--depth", "4"]),
 ]
 
 
@@ -614,7 +616,7 @@ EXIT_STATUS = [
     (errors.ContractBreach("value outside the carrier"), 2, "error:"),
     (errors.CertificateError("certificate failed re-verification"), 2, "error:"),
     (errors.MachineBudgetError("push map", "x"), 3, "budget:"),
-    (errors.BudgetExhausted(PartialProgress(1, "01", 4), None), 3, "budget:"),
+    (errors.BudgetExhausted(1, "01", 4, None), 3, "budget:"),
     (errors.EnumerationBudget("size guard"), 3, "budget:"),
     (_BudgetSignal("metered machine", ("01", 4)), 3, "budget:"),
 ]

@@ -418,16 +418,15 @@ def private_imports(oracle_name: str) -> list[str]:
     ]
 
 
-def test_branchmap_oracle_uses_no_private_names():
-    # the reference image reads must not share the fast path's helpers,
-    # or a fault in a helper would pass the differential tests
-    private = private_imports("reference_branchmap.py")
-    assert not private, f"the oracle imports private names {private}"
+ORACLES = sorted(p.name for p in Path(__file__).resolve().parent.glob("reference_*.py"))
 
 
-def test_apfuncs_oracle_uses_no_private_names():
-    # likewise the per-index walk must not borrow the block helpers
-    private = private_imports("reference_apfuncs.py")
+@pytest.mark.parametrize("oracle_name", ORACLES, ids=[name[:-3] for name in ORACLES])
+def test_oracle_uses_no_private_names(oracle_name):
+    # a reference implementation must not share the fast path's helpers
+    # (the image reads', the block walks', the search loop's word
+    # tables), or a fault in a helper would pass the differential tests
+    private = private_imports(oracle_name)
     assert not private, f"the oracle imports private names {private}"
 
 
@@ -455,12 +454,6 @@ def test_package_import_lint_finds_a_planted_import():
         "    import tukeykit\n"
     )
     assert package_imports(ast.parse(source)) == ["tukeykit.upsets:1", "tukeykit:6", "tukeykit.upsets:3"]
-
-
-def test_adversary_oracle_uses_no_private_names():
-    # the reference engine must not share the search loop's word tables
-    private = private_imports("reference_adversary.py")
-    assert not private, f"the oracle imports private names {private}"
 
 
 # Definitions kept although nothing in the program reaches them, each with

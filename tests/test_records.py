@@ -19,9 +19,7 @@ from tukeykit.adversary import (
     FamilyReport,
     FunctionMachine,
     ImagePinning,
-    IntervalPartition,
     MeteredMachine,
-    PartialProgress,
     Predictor,
     SplitterTrace,
 )
@@ -63,8 +61,7 @@ from tukeykit.wire import LineProcess, SubprocessMachine, SubprocessMap
 
 # callables are builtins and operator functions, so the samples pickle
 F = APFunc((1,), (0, 2), 3)
-PARTITION = IntervalPartition((0, 1, 3))
-PREDICTOR = Predictor(PARTITION, ({"": "1"}, {"0": "01", "1": "10"}))
+PREDICTOR = Predictor((0, 1, 3), ({"": "1"}, {"0": "01", "1": "10"}))
 TRACE = SplitterTrace("0110", 2, 1, ((1, 1), (2, 0)))
 PINNING = ImagePinning("0110", 2, 0, (0, 2))
 CT = ColumnTuple(1, ((0, 1, 0),))
@@ -78,9 +75,7 @@ VIOLATION = Violation("relation", "detail", (1, 2))
 
 # one sample per record class
 SAMPLES = {
-    PartialProgress: PartialProgress(2, "01", 5),
     FunctionMachine: FunctionMachine("m", max),
-    IntervalPartition: PARTITION,
     Predictor: PREDICTOR,
     DecidedFact: DecidedFact(1, "0", 3),
     AdversaryCertificate: AdversaryCertificate("m", PREDICTOR, (0, 2), 4),
