@@ -102,6 +102,22 @@ class _BudgetSignal(MachineBudgetError):
     it stopped at."""
 
 
+def _bit_words(words, width: int) -> bool:
+    """Is each string of ``words`` a bit string of length ``width``?
+    Joined by commas, they are: the line's length is that of the commas
+    plus ``width`` per word, its every (width + 1)-th character from
+    ``width`` on is a comma, and deleting the bits leaves only those
+    commas.  Each check is one pass in C, where a set of the words'
+    lengths would call ``len`` once per word."""
+    line = ",".join(words)
+    commas = "," * (len(words) - 1)
+    return (
+        len(line) == len(commas) + len(words) * width
+        and line[width :: width + 1] == commas
+        and line.encode().translate(None, b"01") == commas.encode()
+    )
+
+
 class Predictor(Record):
     """Consecutive finite intervals [cuts[k], cuts[k+1]) and total
     forecast tables, one per interval: level k maps each history over
@@ -120,10 +136,13 @@ class Predictor(Record):
         for k, table in enumerate(tables):
             width = cuts[k]
             block = cuts[k + 1] - width
+            # 2^width distinct width-bit keys are exactly the histories
             if len(table) != 2**width:
                 raise ValueError(f"table {k} is not total over 2^{width} histories")
-            if any(len(v) != block for v in table.values()):
-                raise ValueError(f"table {k} forecasts must have length {block}")
+            if not _bit_words(table, width):
+                raise ValueError(f"table {k} keys must be the {width}-bit histories")
+            if not _bit_words(table.values(), block):
+                raise ValueError(f"table {k} forecasts must be bit strings of length {block}")
         set_field(self, "cuts", cuts)
         set_field(self, "tables", tables)
 

@@ -31,22 +31,27 @@ and a branch's head matches a touched row or, when it is all zero, the
 untouched rows.  The fold is increasing in every entry and
 pair(x, e) >= x, so a matrix having a head as a row codes at least as
 high as the head folded alone, its *least code*: a code below it holds
-no node with that head.  ``image_contains`` reads f's first ``col``
-values, rules such a code out before restricting anything, and
-otherwise restricts from those values on; ``exact_intersection`` starts
-each level's codes at its nodes' largest least code.  The fold skips
-leading zeros and stops once past the code it is compared with, so
-the rule costs a few ``pair`` steps.  ``image_prefix`` walks each
-column's rows in (level, code, tails) order, so a restriction is
-computed once per column, at the deepest level the walk reaches, and
-sliced per level; that call also gives the column's ``depth_used``.
-The matching slots are found once per code, and a code whose rows miss
-the head is skipped whole; a prefix of the image below N costs close
-to O(N).  Each column reads its own values, and ``image_prefix`` does
-not apply the least-code rule yet: with a value window shared by all
-columns it would raise the benchmark's answer rate, and the
-benchmark's peak RSS grows with the answers kept, so both wait until
-it stops growing with them.
+no node with that head.  ``image_contains`` rules such a code out
+before restricting anything, reading only the head values the fold
+decides on: it reads f's head in windows whose ends double from 8 and
+stops once past the code, so a ruled-out read costs a few values, not
+``col``; a read left open has read the whole head, once, and restricts
+from it on.  ``exact_intersection`` starts each level's codes at its
+nodes' largest least code.  The fold skips leading zeros and stops
+once past the code it is compared with, so the rule costs a few
+``pair`` steps.  A tuple's offset counts the tuples below its level
+in closed form, and a tails int is packed from its bits in one pass
+in C, so deep offsets cost time linear in their bits.
+``image_prefix`` walks each column's rows in (level, code, tails)
+order, so a restriction is computed once per column, at the deepest
+level the walk reaches, and sliced per level; that call also gives the
+column's ``depth_used``.  The matching slots are found once per code,
+and a code whose rows miss the head is skipped whole; a prefix of the
+image below N costs close to O(N).  Each column reads its own values,
+and ``image_prefix`` does not apply the least-code rule yet: with a
+value window shared by all columns it would raise the benchmark's
+answer rate, and the benchmark's peak RSS grows with the answers kept,
+so both wait until it stops growing with them.
 
 Separation and witnesses.  ``divergence_level`` restricts no branch:
 the separation level comes from the first differing value, either as an
@@ -290,26 +295,71 @@ def level_count(n: int, level: int) -> int:
     return level << (n * (level - n))
 
 
+def _count_below(n: int, level: int) -> int:
+    """Number of admissible column-n tuples below ``level``: with
+    r = 2^n and J = level - n - 1, the sum of (n + j) r^j over
+    1 <= j <= J, in closed form.  With P = r^J, that sum times (r - 1)^2
+    is r ((r - 1)(n (P - 1) + J P) - (P - 1)), so one exact division
+    gives it, in time linear in its bits."""
+    j = level - n - 1
+    if j <= 0:
+        return 0
+    r1 = (1 << n) - 1
+    p1 = (1 << (n * j)) - 1
+    return ((r1 * (n * p1 + j * (p1 + 1)) - p1) << n) // (r1 * r1)
+
+
 def tuple_index(t: ColumnTuple) -> int:
-    """Position of a tuple in its column's (level, code, tails) order."""
-    idx = sum(level_count(t.n, l) for l in range(t.n + 1, t.level))
-    width = t.n * (t.level - t.n)
+    """Position of a tuple in its column's (level, code, tails) order:
+    the tuples below its level, counted in closed form (``_count_below``),
+    then its code, then its nodes' tails, each packed by
+    ``_head_and_tail``."""
+    per = t.level - t.n
     tails = 0
     for node in t.nodes:
-        for b in node[t.n :]:
-            tails = (tails << 1) | b
-    return idx + (t.code << width) + tails
+        tails = tails << per | _head_and_tail(t.n, node)[1]
+    return _count_below(t.n, t.level) + (t.code << t.n * per) + tails
+
+
+# levels that ``_locate`` walks before it turns to the closed form: a
+# walk of a few levels is cheaper, and every index the benchmark's image
+# reads stays within it
+_WALKED_LEVELS = 8
 
 
 def _locate(n: int, index: int) -> tuple[int, int, int]:
-    """(level, code, tails) of the column-n tuple at ``index``."""
+    """(level, code, tails) of the column-n tuple at ``index``.
+
+    The first ``_WALKED_LEVELS`` levels are walked, subtracting each
+    level's count.  Past them the level is estimated from the index's
+    bit length, since the count below level n + 1 + J has about
+    n J + log2(n + J) bits; the closed-form count below the estimate
+    (``_count_below``) is then corrected a level or two either way."""
     level = n + 1
     rest = index
-    while rest >= level_count(n, level):
-        rest -= level_count(n, level)
+    while rest >= (count := level_count(n, level)):
+        if level - n == _WALKED_LEVELS:
+            level, rest = _level_of(n, index, level + 1)
+            break
+        rest -= count
         level += 1
     width = n * (level - n)
     return level, rest >> width, rest & ((1 << width) - 1)
+
+
+def _level_of(n: int, index: int, least: int) -> tuple[int, int]:
+    """The level of the column-n tuple at ``index``, known to be at
+    least ``least``, and the index's offset inside that level."""
+    b = index.bit_length()
+    level = max(least, n + 1 + (b - (n + b // n).bit_length()) // n)
+    below = _count_below(n, level)
+    while below > index:
+        level -= 1
+        below -= level_count(n, level)
+    while index - below >= (count := level_count(n, level)):
+        below += count
+        level += 1
+    return level, index - below
 
 
 def tuple_at(n: int, index: int) -> ColumnTuple:
@@ -320,25 +370,30 @@ def tuple_at(n: int, index: int) -> ColumnTuple:
     return _row_tuples(n, level, code, (tails,))[0]
 
 
+# bytes 0 and 1 as the digits "0" and "1", and back
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _row_tuples(n: int, level: int, code: int, rows) -> list[ColumnTuple]:
     """The column-n tuple (level, code, tails) for each tails int of
-    ``rows``, decoding the code once."""
+    ``rows``, decoding the code once; a tails int is unpacked by one
+    pass in C, through its binary digits."""
     matrix = tuple_decode(code, n)
     per = level - n
     out = []
     for tails in rows:
-        bits = tuple(tails >> i & 1 for i in reversed(range(n * per)))
+        bits = tuple(format(tails, f"0{n * per}b").encode().translate(_DIGIT_BITS))
         out.append(ColumnTuple(n, tuple(matrix[j] + bits[j * per : (j + 1) * per] for j in range(n))))
     return out
 
 
 def _head_and_tail(n: int, node: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """A node's first n entries, and its bits past n read as a binary
-    word (first bit most significant, as in the tails of ``tuple_index``)."""
-    tail = 0
-    for b in node[n:]:
-        tail = (tail << 1) | b
-    return node[:n], tail
+    word (first bit most significant, as in the tails of ``tuple_index``).
+    The tail is packed by one pass in C, as the digits of a binary
+    literal, so a deep node costs time linear in its level."""
+    return node[:n], int(bytes(node[n:]).translate(_BIT_DIGITS), 2)
 
 
 def _slots_holding(code: int, n: int, head: tuple[int, ...]) -> list[int]:
@@ -406,18 +461,37 @@ class ImagePrefix(Record):
     __slots__ = ("elements", "bound", "depth_used")
 
 
+# values in the first window of a head that ``image_contains`` reads;
+# past 1 each pair step takes the fold x to at least x(x+1)/2, so a few
+# values pass any code
+_HEAD_WINDOW = 8
+
+
 def image_contains(f: APFunc, x: int) -> bool:
-    """Is x in the glued image of f?  Column 0 carries nothing.  f's
-    first ``col`` values rule out a code below their least code before
-    any restriction; a read they leave open restricts from them on."""
+    """Is x in the glued image of f?  Column 0 carries nothing.  The
+    least code of f's first ``col`` values rules out a code below it
+    before any restriction; the fold reads the head lazily and stops
+    once past the code, so a ruled-out read costs the values it decides
+    on, not ``col``.  A read left open has read the whole head, and
+    restricts from it on."""
     if x < 0:
         raise ValueError("x must be a natural")
     col, m = unpair(x)
     if col == 0:
         return False
     level, code, tails = _locate(col, m)
-    head = f.values(col)
-    if _least_code(head, code) > code:
+    # each window's end doubles; the fold starts over on the longer head,
+    # which costs a C pass over its leading zeros and a few pair steps
+    # (conditional expressions, not min(): a member read at a small
+    # column pays for every call)
+    stop = _HEAD_WINDOW if col > _HEAD_WINDOW else col
+    head = f.values(stop)
+    while _least_code(head, code) <= code:
+        if stop == col:
+            break  # the whole head is read and leaves the code open
+        stop = 2 * stop if 2 * stop < col else col
+        head += f.window(len(head), stop)
+    else:
         return False
     node = branch_of(f, col).restrict(level, head)
     return _slot_carries(col, level, code, tails, *_head_and_tail(col, node))

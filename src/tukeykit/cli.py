@@ -140,6 +140,19 @@ def cmd_witnesses(args) -> int:
 
     fs = [parse_apfunc(text) for text in args.fs]
     found = common_witnesses(fs, args.count)
+    # JSON writes each element in decimal, and Python refuses to write an
+    # int of more digits than its limit (0, or an interpreter older than
+    # 3.10.7 without the function, means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for k, (x, t) in enumerate(zip(found.elements, found.tuples)):
+        if limit and (digits := _decimal_digits(x)) > limit:
+            print(
+                f"budget: witness {k} of column {found.column}, at level {t.level}, "
+                f"has {digits} digits, past Python's int-to-str limit of {limit} "
+                "(sys.set_int_max_str_digits)",
+                file=sys.stderr,
+            )
+            return EXIT_BUDGET
     _emit(
         {
             "column": found.column,
@@ -149,6 +162,17 @@ def cmd_witnesses(args) -> int:
         }
     )
     return EXIT_OK
+
+
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of a natural, estimated from its bit
+    length and settled against powers of ten, without writing it out."""
+    digits = int((x.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+    while x >= 10**digits:
+        digits += 1
+    while digits > 1 and x < 10 ** (digits - 1):
+        digits -= 1
+    return digits
 
 
 def cmd_intersect(args) -> int:

@@ -1,8 +1,9 @@
 """Reference implementations of the glued map's codec and image reads:
 the full n^2 pairing walk, a restriction that counts its values one
 call at a time and encodes every block whole, a ``ColumnTuple`` per
-read, an entry scan of two restrictions for divergence, witness streams
-and exact intersections that restrict every branch anew at each level
+read located by a walk over the levels, an entry scan of two
+restrictions for divergence, witness streams and exact intersections
+that restrict every branch anew at each level
 (the latter over every admissible tuple of the level, or through the
 tuples carrying the first branch's node, filtered and sorted), and a
 set's trace read by scanning every natural below the bound.  The
@@ -55,16 +56,23 @@ def tuple_decode(code: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
 
 
-def tuple_at(n: int, index: int) -> ColumnTuple:
-    if index < 0:
-        raise ValueError("index must be a natural")
+def locate(n: int, index: int) -> tuple[int, int, int]:
+    """(level, code, tails) of the column-n tuple at ``index``, by a
+    walk that subtracts each level's count."""
     level = n + 1
     rest = index
     while rest >= level_count(n, level):
         rest -= level_count(n, level)
         level += 1
     width = n * (level - n)
-    code, tails = rest >> width, rest & ((1 << width) - 1)
+    return level, rest >> width, rest & ((1 << width) - 1)
+
+
+def tuple_at(n: int, index: int) -> ColumnTuple:
+    if index < 0:
+        raise ValueError("index must be a natural")
+    level, code, tails = locate(n, index)
+    width = n * (level - n)
     matrix = tuple_decode(code, n)
     bits = [(tails >> (width - 1 - i)) & 1 for i in range(width)]
     per = level - n

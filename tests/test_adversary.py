@@ -134,6 +134,24 @@ class TestPartitionAndPredictor:
         good = Predictor((0, 1, 2), ({"": "1"}, {"0": "1", "1": "0"}))
         assert good.forecast("0", 1) == "1"
 
+    @pytest.mark.parametrize(
+        "table",
+        [{"0": "1", "2": "0"}, {"0": "1", "x": "0"}, {"0": "1", "": "0"}, {"0": "1", "11": "0"}],
+        ids=["digit", "letter", "short", "long"],
+    )
+    def test_keys_are_the_histories(self, table):
+        # a key outside the histories used to pass by the table's size,
+        # and predicted_element then failed with KeyError on history "1"
+        with pytest.raises(ValueError, match="table 1 keys must be the 1-bit histories"):
+            Predictor((0, 1, 2), ({"": "1"}, table))
+
+    @pytest.mark.parametrize("forecast", ["2", "x", " "])
+    def test_forecasts_are_bits(self, forecast):
+        with pytest.raises(ValueError, match="table 0 forecasts must be bit strings of length 1"):
+            Predictor((0, 1), ({"": forecast},))
+        with pytest.raises(ValueError, match="table 1 forecasts must be bit strings of length 2"):
+            Predictor((0, 1, 3), ({"": "1"}, {"0": "01", "1": "1" + forecast}))
+
     @pytest.mark.parametrize("tables", [({"": "1"},), ({"": "1"}, {"0": "1", "1": "0"}, {})])
     def test_one_table_per_interval(self, tables):
         # a missing table used to pass, and predicted_element then

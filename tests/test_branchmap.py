@@ -286,6 +286,49 @@ class TestTupleEnumeration:
             for m in range(400):
                 assert tuple_index(tuple_at(n, m)) == m
 
+    def test_count_below_matches_the_sum(self):
+        for n in range(1, 6):
+            for level in range(n + 1, n + 41):
+                total = sum(level_count(n, l) for l in range(n + 1, level))
+                assert branchmap._count_below(n, level) == total
+
+    @given(st.integers(1, 5), st.one_of(st.integers(0, 2999), st.integers(0, 2**2000)))
+    @settings(max_examples=300, deadline=None)
+    @example(1, 2**2000)
+    @example(5, 0)
+    def test_offsets_match_the_level_walk(self, n, index):
+        assert branchmap._locate(n, index) == ref.locate(n, index)
+        assert tuple_index(ref.tuple_at(n, index)) == index
+
+    def test_offsets_at_every_level_edge(self):
+        # the first index of each level, and the last of the one before
+        for n in range(1, 6):
+            for level in range(n + 2, n + 60):
+                first = sum(level_count(n, l) for l in range(n + 1, level))
+                for index in (first - 1, first):
+                    assert branchmap._locate(n, index) == ref.locate(n, index)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_deep_index_counts_few_levels(self, monkeypatch, n):
+        index = random.Random(n).getrandbits(200_000) | 1 << 199_999
+        counted = []
+        real = branchmap.level_count
+        monkeypatch.setattr(branchmap, "level_count", lambda n, l: counted.append(l) or real(n, l))
+        level, code, tails = branchmap._locate(n, index)
+        # the walked levels, then a correction of a level or two
+        assert len(counted) <= branchmap._WALKED_LEVELS + 4
+        monkeypatch.undo()
+        below = branchmap._count_below(n, level)
+        assert below <= index < below + level_count(n, level)
+        assert index - below == (code << n * (level - n)) + tails and code < level
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_deep_index_round_trip(self, n):
+        # a level near 200,000 / n: offsets and tail bits in time linear
+        # in the index's bits, where a walk or a shift per bit took seconds
+        index = random.Random(n).getrandbits(200_000) | 1 << 199_999
+        assert tuple_index(tuple_at(n, index)) == index
+
     def test_enumeration_order_is_index_order(self):
         for n in (1, 2):
             ts = naive_level_tuples(n, n + 1) + naive_level_tuples(n, n + 2)
@@ -515,6 +558,15 @@ class TestSparseReads:
         assert image_contains(ZERO, pair(447, 0)) is True
 
 
+@pytest.fixture
+def windows(monkeypatch) -> list[tuple[int, int]]:
+    """The (start, stop) of each window ``APFunc.window`` is asked for."""
+    read = []
+    window = APFunc.window
+    monkeypatch.setattr(APFunc, "window", lambda f, a, b: read.append((a, b)) or window(f, a, b))
+    return read
+
+
 def fold_reaches(entries, target) -> bool:
     """Does the pairing fold of ``entries`` reach ``target``?  A step
     never lowers the fold, pair(x, e) >= x, so it stops there: a dense
@@ -539,6 +591,32 @@ def least_code_heads(data, col: int, kind: str) -> tuple[int, ...]:
         return tuple(head)
     start, step = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
     return tuple(start + step * i for i in range(col))
+
+
+def check_read_around_least_code(data, col, head, after, drift) -> None:
+    """``image_contains`` agrees with the tuple walk on a read of the
+    function with ``head`` at a level just past the column, at a code one
+    below, at or one above the head's least code, or anywhere below the
+    level; half the reads whose code has the head as a row carry f's own
+    word in a slot."""
+    level = col + 1 + data.draw(st.integers(0, 2))
+    least = branchmap._least_code(head, level)
+    code = data.draw(st.sampled_from(
+        sorted({max(0, min(level - 1, c)) for c in (least - 1, least, least + 1)})
+        + [data.draw(st.integers(0, level - 1))]
+    ))
+    f = branch_head_func(head, after, 1, drift)
+    per = level - col
+    tails = data.draw(st.integers(0, (1 << col * per) - 1))
+    slots = [j for j, row in enumerate(ref.tuple_decode(code, col)) if row == head]
+    if slots and data.draw(st.booleans()):
+        # put f's own word in the last slot holding its head
+        word = int("".join(map(str, ref.restrict(branch_of(f, col), level)[col:])), 2)
+        shift = per * (col - 1 - slots[-1])
+        tails = tails & ~(((1 << per) - 1) << shift) | word << shift
+    m = sum(level_count(col, l) for l in range(col + 1, level)) + (code << col * per) + tails
+    x = pair(col, m)
+    assert image_contains(f, x) == ref.image_contains(f, x)
 
 
 class TestLeastCode:
@@ -575,25 +653,26 @@ class TestLeastCode:
     )
     @settings(max_examples=60, deadline=None)
     def test_contains_matches_tuple_walk_around_the_least_code(self, col, kind, data, after, drift):
-        head = least_code_heads(data, col, kind)
-        level = col + 1 + data.draw(st.integers(0, 2))
-        least = branchmap._least_code(head, level)
-        code = data.draw(st.sampled_from(
-            sorted({max(0, min(level - 1, c)) for c in (least - 1, least, least + 1)})
-            + [data.draw(st.integers(0, level - 1))]
-        ))
-        f = branch_head_func(head, after, 1, drift)
-        per = level - col
-        tails = data.draw(st.integers(0, (1 << col * per) - 1))
-        slots = [j for j, row in enumerate(ref.tuple_decode(code, col)) if row == head]
-        if slots and data.draw(st.booleans()):
-            # put f's own word in the last slot holding its head
-            word = int("".join(map(str, ref.restrict(branch_of(f, col), level)[col:])), 2)
-            shift = per * (col - 1 - slots[-1])
-            tails = tails & ~(((1 << per) - 1) << shift) | word << shift
-        m = sum(level_count(col, l) for l in range(col + 1, level)) + (code << col * per) + tails
-        x = pair(col, m)
-        assert image_contains(f, x) == ref.image_contains(f, x)
+        check_read_around_least_code(data, col, least_code_heads(data, col, kind), after, drift)
+
+    @given(
+        st.integers(1, 450),
+        st.data(),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_fold_matches_tuple_walk(self, col, data, after, drift):
+        # a run of leading zeros crosses the first windows of the lazy
+        # fold; near the head's end a nonzero value keeps the least code
+        # small, so the read can be a member
+        zeros = data.draw(st.one_of(st.integers(0, min(40, col)), st.integers(max(0, col - 4), col)))
+        head = [0] * col
+        if zeros < col:
+            head[zeros] = data.draw(st.integers(1, 3))
+            for _ in range(data.draw(st.integers(0, 2))):
+                head[data.draw(st.integers(zeros, col - 1))] = data.draw(st.integers(0, 3))
+        check_read_around_least_code(data, col, tuple(head), after, drift)
 
     def test_rules_out_before_any_restriction(self, monkeypatch):
         calls, pairs, windows = [], [], []
@@ -620,8 +699,30 @@ class TestLeastCode:
         windows.clear()
         assert image_contains(ZERO, x) is True
         assert calls == ["_restriction", "encode_blocks"]
-        # the member's restriction goes on from the head's 447 values
-        assert windows == [(0, 447), (447, 448)]
+        # the fold reads the head's 447 values in windows whose ends
+        # double from 8; the restriction goes on from them
+        assert windows == [(0, 8), (8, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 447), (447, 448)]
+
+    def test_ruled_out_read_makes_one_small_window(self, windows):
+        # IDENTITY's head folds past code 0 at its second value
+        assert image_contains(IDENTITY, pair(447, 0)) is False
+        assert len(windows) == 1 and windows[0][0] == 0 and windows[0][1] <= 8
+
+    @pytest.mark.parametrize(
+        "f, x",
+        [
+            (ZERO, pair(447, 0)),
+            (ZERO, pair(40, 3)),
+            # least code 2, at the code; the head's last row holds it
+            (APFunc((0,) * 446 + (1,), (0,), 0), pair(447, 2 << 447)),
+        ],
+    )
+    def test_member_reads_each_value_once(self, windows, f, x):
+        assert image_contains(f, x) is True
+        # contiguous windows from 0: the fold's, then the restriction's
+        starts, stops = zip(*windows)
+        assert starts[0] == 0 and starts[1:] == stops[:-1]
+        assert len(windows) > 2
 
     def test_negative_element_is_named(self):
         with pytest.raises(ValueError, match="x must be a natural"):
@@ -674,6 +775,19 @@ class TestWitnesses:
         assert sorted((fs.index(b.func), level) for b, level in calls) == [
             (0, 3), (0, 11), (1, 3), (1, 11)
         ]
+
+    def test_deep_shared_level_counts_few_levels(self, monkeypatch):
+        # code 227,483 passes the guard; the offsets of the level-227,484
+        # tuples used to walk every level below, for some 30 s
+        counted = []
+        real = branchmap.level_count
+        monkeypatch.setattr(branchmap, "level_count", lambda n, l: counted.append(l) or real(n, l))
+        fs = [APFunc((8, 0), (0,), 1), APFunc((0, 8), (1,), 1)]
+        found = common_witnesses(fs, 2)
+        assert [t.level for t in found.tuples] == [227_484, 227_485]
+        # each element's index is located once per function, past the
+        # walked levels by a correction of a level or two
+        assert len(counted) <= 2 * len(fs) * (branchmap._WALKED_LEVELS + 4)
 
     def test_astronomic_code_guarded(self):
         branches = [branch_of(constant(1), 3)] * 3

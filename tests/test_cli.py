@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -7,6 +9,7 @@ import jsonschema
 import pytest
 
 import reference_branchmap as ref
+import tukeykit
 from tukeykit import cli, errors
 from tukeykit.adversary import _BudgetSignal
 from tukeykit.apfuncs import parse_apfunc
@@ -316,6 +319,21 @@ class TestSubprocessVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pull map must land in infinite co-infinite sets\n"
+
+    def test_witnesses_past_the_int_digit_limit(self):
+        # code 7,880 puts the witnesses at level 7,881, whose elements have
+        # more decimal digits than Python writes by default
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(tukeykit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tukeykit", "witnesses", "--fs", "5,0;0;1", "0,5;1;1", "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (
+            "budget: witness 0 of column 2, at level 7881, has 9496 digits, "
+            "past Python's int-to-str limit of 4300 (sys.set_int_max_str_digits)\n"
+        )
 
     def test_refute_budget_on_a_steep_maximum(self, capsys, tmp_path):
         # the push map answers the two halves with base lengths 151 and
