@@ -14,15 +14,17 @@ when the other never exceeds it there, off the values before the start.
 Nothing on the hot paths evaluates one index at a time.  ``window``
 reads a run of values as the prefix slice followed by whole passes of
 the block: a few passes as one comprehension over them, many passes as
-one ``range`` per block position, written into its column of the run by
-slice assignment; the two-function algorithms read two windows and
-combine them with ``map``/``zip``.  The canonical form reduces the
-block over the divisors of its length, counts, in one pass from the
-end, how many prefix values continue the block backward, then slices
-the prefix and rotates the block once.  The scans that stop at their
-first answer read bounded spans; the algorithms that build a window as
-long as a crossover refuse, before allocating, one longer than
-``_PREFIX_GUARD``.
+one ``range`` per block position, written into its column of the run
+by slice assignment; the two-function algorithms read two windows and
+combine them with ``map``/``zip``.  The canonical form shortens the
+block one prime factor of its length at a time (the lengths that fit
+are the multiples of the least one, so the descent is exact and
+compares at most e + 1 blocks per prime power q^e of the length),
+counts, in one pass from the end, how many prefix values continue the
+block backward, then slices the prefix and rotates the block once.
+The scans that stop at their first answer read bounded spans; the
+algorithms that build a window as long as a crossover refuse, before
+allocating, one longer than ``_PREFIX_GUARD``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import eq, floordiv, gt, le, ne, sub
 
 from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
-from .upsets import UPSet, almost_subset, lcm, proper_divisors
+from .upsets import UPSet, almost_subset, lcm, prime_factors
 
 # the longest window of values (a pre-canonical prefix included) that
 # pointwise_max and _crossover build; a 10^6-value window takes about a
@@ -155,20 +157,27 @@ def _run(base: tuple[int, ...], drift: int, lo: int, hi: int) -> list[int]:
 
 
 def _reduce_block(base: tuple[int, ...], drift: int) -> tuple[tuple[int, ...], int]:
-    """Reduce the block to the shortest divisor length compatible with
-    the affine repetition; minimality propagates backward through the
-    whole periodic region, so checking the stored block is exact.  The
-    block must be a whole number of shorter blocks, so only the divisors
-    d of p are tried, in ascending order, the first that fits being the
-    shortest; a d at which drift*d/p is no integer step is skipped."""
+    """Reduce the block to its shortest length, one prime of p at a time.
+
+    Past the start, f(k) - k*drift/p repeats with period p, and a
+    length d dividing p fits, with step drift*d/p, iff that sequence has
+    period d and the step is an integer.  The periods of a periodic
+    sequence are the multiples of its least one, and the integer steps
+    come at the multiples of p/gcd(p, drift), so the lengths that fit
+    are the multiples of one least length.  Hence for each prime q of p,
+    cutting the block to p/q while that fits (which needs q to divide
+    the drift, the step being drift/q) ends exactly at the least length,
+    after at most e + 1 block comparisons per prime power q^e of p.
+    Minimality propagates backward through the whole periodic region, so
+    checking the stored block is exact."""
     p = len(base)
-    for d in proper_divisors(p):
-        if (drift * d) % p:
-            continue
-        step = drift * d // p
-        # period d with step: each value is the one d earlier plus step
-        if all(map(eq, map(sub, base[d:], base), repeat(step))):
-            return base[:d], step
+    for q in prime_factors(p):
+        while p % q == 0 and drift % q == 0:
+            d, step = p // q, drift // q
+            # period d with step: each value is the one d earlier plus step
+            if not all(map(eq, map(sub, base[d:], base), repeat(step))):
+                break
+            base, drift, p = base[:d], step, d
     return base, drift
 
 

@@ -476,7 +476,13 @@ def image_contains(f: APFunc, x: int) -> bool:
     restricts from it on."""
     if x < 0:
         raise ValueError("x must be a natural")
-    col, m = unpair(x)
+    return _column_contains(f, *unpair(x))
+
+
+def _column_contains(f: APFunc, col: int, m: int) -> bool:
+    """Is row m of column col in the glued image of f?  The body of
+    ``image_contains``, for callers that built the element from its
+    column and row."""
     if col == 0:
         return False
     level, code, tails = _locate(col, m)
@@ -606,10 +612,13 @@ def common_witnesses(fs: Sequence[APFunc], count: int) -> CommonWitnesses:
             unique.append(f)
     n = len(unique)
     tuples = witness_stream(n, [branch_of(f, n) for f in unique], count)
-    elements = tuple(pair(n, tuple_index(t)) for t in tuples)
-    for x in elements:
+    rows = [tuple_index(t) for t in tuples]
+    elements = tuple(pair(n, m) for m in rows)
+    # each element is re-checked from the row it was built from: unpair
+    # would only give (n, m) back, at a cost quadratic in its bits
+    for x, m in zip(elements, rows):
         for f in fs:
-            if not image_contains(f, x):
+            if not _column_contains(f, n, m):
                 raise CertificateError(f"witness {x} is not in the image of {f.literal()}")
     return CommonWitnesses(n, tuple(tuples), elements)
 

@@ -14,35 +14,57 @@ The stored bits are two Python ints, least significant bit first:
 the ``prefix`` and ``period`` tuples are views for callers, built on
 first read.  The constructor packs bytes or any iterable of 0/1 ints
 once; every result goes through the same int canonicalizer,
-``UPSet.__post_init__``: the primitive root is the first divisor d of
-the period length at which the word equals itself shifted by d, and
-the prefix bits that the period continues backward are the top bits
-where the prefix agrees with the period run backward over it, one xor
-and one rotation.  ``&``, ``|`` and ``-`` read both operands over the
-common window (the longer prefix, then the lcm of the periods) as one
-int each and apply one int operation.  The relations build no set at
-all: past both prefixes, offset i of a period p1 and offset j of a
-period p2 are read together infinitely often iff the positions they
-stand for agree mod gcd(p1, p2) (Chinese remainder theorem).  So each
-relation folds both period words into residue classes mod the gcd and
-costs O(p1 + p2), never the lcm.
+``UPSet.__post_init__``.  The primitive root comes from a descent over
+the primes of the period length p: for each prime q, while q divides p
+and the word equals itself shifted by p/q, the word is cut to p/q.  A
+cyclic word's periods that divide its length are exactly the multiples
+of its primitive period (Fine and Wilf), so the descent stops at the
+primitive root, after at most e + 1 word comparisons per prime power
+q^e of p.  Callers that know the primes hand them in: ``&``, ``|`` and
+``-`` the primes of both operand periods, each factored to its own
+root rather than to the root of the lcm, and ``slice_by_index`` those
+of t and of the period.  The prefix bits that the period continues
+backward are the top bits where the prefix agrees with the period run
+backward over it, one xor and one rotation.  ``&``, ``|`` and ``-``
+read both operands over the common window (the longer prefix, then the
+lcm of the periods) as one int each and apply one int operation.  The
+relations build no set at all: past both prefixes, offset i of a
+period p1 and offset j of a period p2 are read together infinitely
+often iff the positions they stand for agree mod gcd(p1, p2) (Chinese
+remainder theorem).  So each relation folds both period words into
+residue classes mod the gcd and costs O(p1 + p2), never the lcm.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt
+from math import gcd, lcm
 from typing import Iterable
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division up to
+    the root of the cofactor left."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            n //= d
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def proper_divisors(n: int) -> list[int]:
-    """The divisors of n below n, ascending, found up to ``isqrt(n)``."""
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return (low + [n // d for d in reversed(low) if d * d != n])[:-1]
+def _joint_primes(a: int, b: int) -> list[int]:
+    """The distinct primes of a * b, and so of lcm(a, b), from a and b
+    factored each on its own: trial division to the root of each, not
+    of their product."""
+    primes = prime_factors(a)
+    return primes + [q for q in prime_factors(b) if a % q]
 
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
@@ -96,16 +118,19 @@ class UPSet:
             raise ValueError("period must be nonempty")
         self.__post_init__(_pack(head + word), len(head), len(word))
 
-    def __post_init__(self, bits: int, m: int, p: int) -> None:
+    def __post_init__(self, bits: int, m: int, p: int, primes=None) -> None:
         """Store the canonical form of the set whose bits 0 to m - 1 are
-        the prefix and bits m to m + p - 1 one period."""
+        the prefix and bits m to m + p - 1 one period; ``primes`` holds
+        every prime of p (more do no harm), or is None to factor p."""
         head, word = bits & ((1 << m) - 1), bits >> m
-        for d in proper_divisors(p):
+        for q in prime_factors(p) if primes is None else primes:
             # a word of period d equals itself shifted by d
-            if word >> d == word & ((1 << (p - d)) - 1):
+            while p % q == 0:
+                d = p // q
+                if word >> d != word & ((1 << (p - d)) - 1):
+                    break
                 word &= (1 << d) - 1
                 p = d
-                break
         # Absorb the top prefix bits that already match the period run
         # backward over the prefix; this yields the shortest possible
         # prefix for the denoted set.
@@ -233,8 +258,10 @@ class UPSet:
 
     def _combine(self, other: "UPSet", op) -> "UPSet":
         m = max(self.period_start, other.period_start)
-        p = lcm(self.period_len, other.period_len)
-        return _make(op(self._window(m + p), other._window(m + p)), m, p)
+        p1, p2 = self.period_len, other.period_len
+        p = lcm(p1, p2)
+        bits = op(self._window(m + p), other._window(m + p))
+        return _make(bits, m, p, _joint_primes(p1, p2))
 
     def __and__(self, other: "UPSet") -> "UPSet":
         return self._combine(other, int.__and__)
@@ -258,11 +285,11 @@ class UPSet:
         return self.literal()
 
 
-def _make(bits: int, m: int, p: int) -> UPSet:
+def _make(bits: int, m: int, p: int, primes=None) -> UPSet:
     """The set whose bits 0 to m - 1 are the prefix and bits m to
     m + p - 1 one period, built without packing."""
     s = object.__new__(UPSet)
-    s.__post_init__(bits, m, p)
+    s.__post_init__(bits, m, p, primes)
     return s
 
 
@@ -388,7 +415,7 @@ def slice_by_index(b: UPSet, t: int, j: int) -> UPSet:
         start = m + q * p
         for k in word[(j - len(head) - q * len(word)) % t :: t]:
             bits[start + k] = 1
-    return _make(_pack(bits), m, t * p)
+    return _make(_pack(bits), m, t * p, _joint_primes(p, t))
 
 
 def partition_upset(b: UPSet, parts: int) -> list[UPSet]:

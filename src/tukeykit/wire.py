@@ -26,11 +26,14 @@ class LineProcess:
     between queries, so a child that has exited is reported, not
     replaced.  A child that timed out is killed, since its late answer
     would otherwise be read as the answer to the next request; every
-    later ask fails the same way."""
+    later ask fails the same way.  ``close`` stops the child and reaps
+    it, killing it if it outlives its SIGTERM by two seconds."""
 
     __slots__ = ("command", "timeout", "_proc", "_pending", "_failure")
 
     def __init__(self, command: list[str], timeout: float = 10.0) -> None:
+        if not command:
+            raise ValueError("the external command is empty")
         self.command = command
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
@@ -112,6 +115,7 @@ class LineProcess:
                 self._proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
 
 
 def _exited(code: int, line: str) -> MachineBudgetError:

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 import zlib
@@ -538,6 +539,23 @@ class TestExternalMachine:
         finally:
             process.close()
         assert len(spawned) == 1
+
+    def test_close_reaps_a_child_that_ignores_sigterm(self, spawned):
+        # the child answers once its SIGTERM is ignored, so close() must
+        # fall back to SIGKILL, and then wait for the child it killed
+        child = (
+            "import signal, sys\n"
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+            "sys.stdin.readline()\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+        )
+        process = wire.LineProcess([sys.executable, "-S", "-c", child])
+        try:
+            assert process.ask("QUERY - 0") == "ready"
+        finally:
+            process.close()
+        assert spawned[0].returncode == -signal.SIGKILL
 
     def test_timeout_bounds_a_partial_line(self, tmp_path):
         assert ask_twice(tmp_path, PARTIAL_LINE_MACHINE) == ["budget", "budget"]

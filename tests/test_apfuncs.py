@@ -354,11 +354,15 @@ def pass_span(base: tuple[int, ...], lo: int, passes: int) -> int:
 
 @st.composite
 def repeated_blocks(draw):
-    """A block of length 49, 360, 2,491 = 47 * 53 or the prime 2,503,
-    built as a short block repeated with a step, sometimes with one
-    value changed, and a drift that continues the step when the short
-    length divides the block's."""
-    p = draw(st.sampled_from([49, 360, 2491, 2503]))
+    """A block of length 49, 360, 2,491 = 47 * 53, the prime 2,503, or a
+    composite or prime-power length up to 96, built as a short block
+    repeated with a step, sometimes with one value changed.  The drift
+    continues the step when the short length divides the block's, or
+    is a multiple of one prime of the block's length (so that the
+    reduction by that prime's cuts meets a step that is no integer), or
+    is drawn at random."""
+    p = draw(st.sampled_from([8, 12, 16, 18, 24, 27, 32, 36, 48, 49, 64, 72, 96,
+                              360, 2491, 2503]))
     s = draw(st.one_of(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]),
                        st.integers(1, 12)))
     rng = draw(st.randoms(use_true_random=False))
@@ -367,7 +371,9 @@ def repeated_blocks(draw):
     base = [short[t % s] + (t // s) * step for t in range(p)]
     if draw(st.booleans()):
         base[rng.randrange(p)] += 1
-    drift = step * (p // s) if p % s == 0 else draw(st.integers(0, 5))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 47, 53, 2503) if p % q == 0]))
+    continued = [step * (p // s)] if p % s == 0 else []
+    drift = draw(st.sampled_from(continued + [q * rng.randrange(1, 5), rng.randrange(6)]))
     return tuple(base), drift
 
 
@@ -436,7 +442,7 @@ class TestAgainstReference:
         assert _run(*raw) == ref.run(*raw)
 
     @given(repeated_blocks())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_reduce_block(self, raw):
         assert _reduce_block(*raw) == ref.reduce_block(*raw)
 

@@ -788,6 +788,9 @@ class TestWitnesses:
         # each element's index is located once per function, past the
         # walked levels by a correction of a level or two
         assert len(counted) <= 2 * len(fs) * (branchmap._WALKED_LEVELS + 4)
+        # the re-check reads (column, row) as built; the ~910,000-bit
+        # element still decodes to them
+        assert unpair(found.elements[0]) == (2, tuple_index(found.tuples[0]))
 
     def test_astronomic_code_guarded(self):
         branches = [branch_of(constant(1), 3)] * 3
@@ -806,9 +809,10 @@ class TestWitnesses:
         found = common_witnesses([ZERO, ZERO], 5)
         assert found.column == 1
 
-    @pytest.mark.parametrize("check", ["image_contains"])
+    @pytest.mark.parametrize("check", ["_column_contains"])
     def test_membership_checks_survive_optimize(self, check):
-        # a broken image read must trip common_witnesses' own re-check
+        # a broken image read must trip common_witnesses' own re-check,
+        # which reads each element's column and row as built
         script = (
             "import sys\n"
             "import tukeykit.branchmap as bm\n"

@@ -610,6 +610,23 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: Expecting value")
 
+    @pytest.mark.parametrize("command", ["", "   "], ids=["empty", "blank"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversary", "run", "--depth", "2", "--machine", "{cmd}"],
+            ["refute", "a2b", "--phi", "{cmd}", "--psi", "/nonexistent"],
+            ["refute", "p2t", "--phi", "/nonexistent", "--psi", "{cmd}"],
+        ],
+        ids=["machine", "phi", "psi"],
+    )
+    def test_empty_command_is_usage_error(self, capsys, argv, command):
+        # refused before any child starts: no traceback, no exit 1
+        code = main([arg.format(cmd=command) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: the external command is empty\n"
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -587,3 +587,83 @@ class TestNoConversions:
         is_linearly_ordered(chain), is_ad_family(family), is_centered([a, b, c])
         a & b, a | b, a - b, a.complement()
         assert packed == []
+
+
+# Composite and prime-power lengths, where the canonical form's descent
+# over the primes of the length cuts more than once per prime.
+DESCENT_LENGTHS = (8, 12, 16, 18, 24, 27, 32, 36, 48, 64, 72, 96, 360)
+
+
+@st.composite
+def descent_words(draw):
+    """A (prefix, period) whose period repeats a root whose length divides
+    one of ``DESCENT_LENGTHS``: the root is random or holds a single 1
+    (so that intersections and differences come out shorter than the
+    lcm), and the word sometimes has one bit flipped."""
+    length = draw(st.sampled_from(DESCENT_LENGTHS))
+    root_len = draw(st.sampled_from([d for d in range(1, length + 1) if length % d == 0]))
+    if draw(st.booleans()):
+        root = tuple(draw(st.lists(st.integers(0, 1), min_size=root_len, max_size=root_len)))
+    else:
+        one = draw(st.integers(0, root_len - 1))
+        root = tuple(int(i == one) for i in range(root_len))
+    word = list(root * (length // root_len))
+    if draw(st.integers(0, 3)) == 0:
+        word[draw(st.integers(0, length - 1))] ^= 1
+    return tuple(draw(st.lists(st.integers(0, 1), max_size=6))), tuple(word)
+
+
+class TestPrimeDescent:
+    """The canonical form found prime by prime, from the primes the
+    operands hand in, against the reference's scan over every length."""
+
+    @given(descent_words())
+    @settings(max_examples=150)
+    def test_constructor(self, word):
+        s = UPSet(*word)
+        assert fields(s) == ref.canonical(*word)
+        assert fields(parse_upset(ref.literal(*word))) == fields(s)
+
+    @given(descent_words(), descent_words(), st.sampled_from(sorted(ref.OPS)))
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, x, y, op):
+        a, b = UPSet(*x), UPSet(*y)
+        result = {"and": a & b, "or": a | b, "minus": a - b}[op]
+        assert fields(result) == ref.combine(a, b, ref.OPS[op])
+        # a result that is one operand again, read off an lcm period
+        assert fields(a & (a | b)) == fields(a)
+        assert fields(a | (a & b)) == fields(a)
+
+    @given(descent_words(), st.sampled_from((4, 6, 8, 9, 12)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_slices_at_composite_t(self, word, t, data):
+        s = UPSet(*word)
+        j = data.draw(st.integers(0, t - 1))
+        assert fields(slice_by_index(s, t, j)) == ref.slice_by_index(s, t, j)
+
+    def test_operations_factor_only_the_operand_periods(self, monkeypatch):
+        rng = random.Random(5)
+        a, b = (UPSet((), tuple(rng.randrange(2) for _ in range(p))) for p in (89, 83))
+        assert (a.period_len, b.period_len) == (89, 83)
+        factored = []
+        real = upsets_module.prime_factors
+
+        def recording(n):
+            factored.append(n)
+            return real(n)
+
+        monkeypatch.setattr(upsets_module, "prime_factors", recording)
+        for result in (a & b, a | b, a - b):
+            assert result.period_len == 7387
+        assert sorted(set(factored)) == [83, 89]
+        factored.clear()
+        slice_by_index(a, 7, 3)
+        assert sorted(factored) == [7, 89]
+
+    @pytest.mark.parametrize(
+        "n, primes",
+        [(1, []), (2, [2]), (360, [2, 3, 5]), (7387, [83, 89]), (2**10, [2]),
+         (3**5 * 7, [3, 7]), (997 * 1009, [997, 1009]), (720720, [2, 3, 5, 7, 11, 13])],
+    )
+    def test_prime_factors(self, n, primes):
+        assert upsets_module.prime_factors(n) == primes
