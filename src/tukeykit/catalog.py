@@ -3,6 +3,13 @@ the built-in morphism rows (each names its two triples, whose kinds give
 its probes; ``compose`` joins two), and the two comparison diagrams
 (classical and Borel) as ``splitorder.Diagram`` values.
 
+Duality is data.  ``DUALS`` pairs s with r and d with b, read both ways.
+r, the dual of s, and b, the dual of d, are built from s and d by
+``triples.dual``, not written out; i and u hold r's relation on
+narrower carriers.  ``dual_row`` turns a row A->B into the row from the
+dual of B to the dual of A with the two maps swapped, and the r->b row
+is the dual row of d->s.
+
 Carriers are stood in for exactly: infinite sets and 2-colorings by
 ultimately periodic sets, function spaces by arithmetically periodic
 functions, finite-color spaces by bounded zero-drift functions, and
@@ -47,6 +54,7 @@ from .triples import (
     Kind,
     MorphismCandidate,
     check_morphism,
+    dual,
 )
 from .upsets import (
     EVENS,
@@ -348,29 +356,34 @@ def nm_splitting_triple(n: int, m: int) -> CodedTriple:
     )
 
 
+def _catalog_dual(t: CodedTriple, relation_name: str) -> CodedTriple:
+    d = dual(t)
+    return CodedTriple(DUALS[t.name], d.minus, d.plus, d.relation, None, relation_name)
+
+
 _PSEUDO_INTERSECTION = CodedTriple(
     "p", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, CENTERED,
     "not almost contained in",
 )
+# the dual of each catalog triple whose dual is in the catalog, keyed both ways
+DUALS = {x: y for pair in (("s", "r"), ("d", "b")) for x, y in (pair, pair[::-1])}
+_S = CodedTriple("s", UPSET, COLORING, lambda a, c: splits_general(c, a), None, "is split by")
+_R = _catalog_dual(_S, "does not split")
+_D = CodedTriple("d", APFUNC, APFUNC, lambda f, g: eventually_dominates(g, f),
+                 relation_name="is eventually dominated by")
 
 # Every catalog triple in listing order; parametrized families appear
 # with small default parameters alongside their factory functions.
 TRIPLES: tuple[CodedTriple, ...] = (
     _PSEUDO_INTERSECTION,
-    CodedTriple("s", UPSET, COLORING, lambda a, c: splits_general(c, a),
-                relation_name="is split by"),
-    CodedTriple("r", COLORING, UPSET, lambda c, b: not splits_general(c, b),
-                relation_name="does not split"),
-    CodedTriple("b", APFUNC, APFUNC, lambda f, g: not eventually_dominates(f, g),
-                relation_name="does not eventually dominate"),
-    CodedTriple("d", APFUNC, APFUNC, lambda f, g: eventually_dominates(g, f),
-                relation_name="is eventually dominated by"),
+    _S,
+    _R,
+    _catalog_dual(_D, "does not eventually dominate"),
+    _D,
     CodedTriple("a", IC, IC, lambda x, y: not almost_disjoint(x, y), AD_INFINITE,
                 "meets infinitely"),
-    CodedTriple("i", IC_OR_COLORING, IC, lambda x, y: not splits_general(x, y),
-                INDEPENDENCE_DERIVED, "does not split"),
-    CodedTriple("u", UPSET_OR_COLORING, UPSET, lambda x, y: not splits_general(x, y),
-                CENTERED, "does not split"),
+    CodedTriple("i", IC_OR_COLORING, IC, _R.relation, INDEPENDENCE_DERIVED, "does not split"),
+    CodedTriple("u", UPSET_OR_COLORING, UPSET, _R.relation, CENTERED, "does not split"),
     CodedTriple("t", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, LINEARLY_ORDERED,
                 "not almost contained in"),
     n_unsplitting_triple(3),
@@ -450,17 +463,17 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
         candidate = MorphismCandidate(pull, push, f"{source}->{target} {label}")
         return BuiltinMorphism(source, target, candidate, families)
 
+    d_s = row("d", "s", "next-element / block coloring", _next_element_plus_one, iterate_coloring)
     return [
         # the pull map must choose something for finite and cofinite
         # colorings; any infinite co-infinite set works there
         row("i", "r", "identity", _as_ic),
         row("u", "r", "identity", _as_infinite, families=(CHAIN_FAMILY,)),
-        row("d", "s", "next-element / block coloring", _next_element_plus_one, iterate_coloring),
+        d_s,
         # +1 realizes "dominating families are unbounded": if x+1 is
         # eventually below y then x cannot eventually sit above y
         row("d", "b", "successor", plus_one),
-        # the dual of d->s: the two maps swap sides
-        row("r", "b", "dual of d->s", iterate_coloring, _next_element_plus_one),
+        dual_row(d_s),
         row("b", "p", "glued map / trace bound", trace_bound_func, GluedImage,
             ((IDENTITY, APFunc((), (0,), 2)), (ZERO, constant(3)))),
         row("a", "p", "complement", _as_ic, UPSet.complement,
@@ -484,6 +497,15 @@ def default_probe_check(entry: BuiltinMorphism):
     """Check one row on its two triples' probes and its families."""
     cat = catalog()
     return check_morphism(entry.candidate, cat[entry.source], cat[entry.target], entry.families)
+
+
+def dual_row(row: BuiltinMorphism) -> BuiltinMorphism:
+    """The row dual B -> dual A of a row A -> B: its maps swapped, no families."""
+    if missing := [x for x in (row.source, row.target) if x not in DUALS]:
+        raise ContractBreach(f"{missing[0]} has no dual in the catalog")
+    source, target, c = DUALS[row.target], DUALS[row.source], row.candidate
+    label = f"{source}->{target} dual of {row.source}->{row.target}"
+    return BuiltinMorphism(source, target, MorphismCandidate(c.push, c.pull, label), ())
 
 
 def compose(first: BuiltinMorphism, second: BuiltinMorphism) -> BuiltinMorphism:

@@ -112,7 +112,8 @@ def cmd_embed(args) -> int:
     print(
         f"no morphism: {verdict.missing} in Y but not in X; "
         f"separations via specs "
-        + ", ".join(str(fwd.target) for fwd, _ in verdict.separations)
+        # exponent form: 2^m in decimal can pass Python's int-to-str limit
+        + ", ".join(f"(2^{m},{m})" for m in sorted(verdict.x))
     )
     return EXIT_NEGATIVE
 

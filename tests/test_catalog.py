@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant
+from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant, eventually_dominates
 from tukeykit.catalog import (
     AD_INFINITE,
     APFUNC,
@@ -13,6 +13,7 @@ from tukeykit.catalog import (
     CLASSICAL_EDGES,
     CENTERED,
     COLORING,
+    DUALS,
     UPSET,
     GluedImage,
     IterateColoring,
@@ -20,9 +21,11 @@ from tukeykit.catalog import (
     catalog,
     compose,
     default_probe_check,
+    dual_row,
     iterate_coloring,
     nm_partition_candidate,
     nm_splitting_triple,
+    plus_one,
     splits_general,
     vd_diagram,
 )
@@ -166,6 +169,78 @@ class TestDuality:
 
         with pytest.raises(ValueError, match="not simple"):
             dual(catalog()["i"])
+
+
+# the relations of r, b, i and u as written out before r and b were built
+# as the duals of s and d; the reference the built relations must match
+HAND_WRITTEN = {
+    "r": lambda c, b: not splits_general(c, b),
+    "b": lambda f, g: not eventually_dominates(f, g),
+    "i": lambda x, y: not splits_general(x, y),
+    "u": lambda x, y: not splits_general(x, y),
+}
+
+# the probes of s, r, d and b, with the values only some kinds admit
+DUALITY_POOL = tuple(
+    dict.fromkeys(
+        [v for name in ("s", "r", "d", "b")
+         for v in catalog()[name].minus_probes + catalog()[name].plus_probes]
+        + [IterateColoring(APFunc((), (0,), 2)), IterateColoring(APFunc((3, 1), (5, 9), 5)),
+           GluedImage(IDENTITY), GluedImage(ZERO)]
+    )
+)
+
+
+class TestDualityAsData:
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+    def test_built_relation_agrees_with_the_hand_written_one(self, name):
+        t, reference = catalog()[name], HAND_WRITTEN[name]
+        xs = [v for v in DUALITY_POOL if t.minus.validate(v)]
+        ys = [v for v in DUALITY_POOL if t.plus.validate(v)]
+        if name != "b":
+            assert any(isinstance(x, IterateColoring) for x in xs)
+        verdicts = {(x, y): t.holds(x, y) for x in xs for y in ys}
+        assert verdicts == {(x, y): reference(x, y) for x in xs for y in ys}
+        assert set(verdicts.values()) == {True, False}
+
+    def test_duals_are_read_both_ways_and_built_from_their_partners(self):
+        cat = catalog()
+        assert DUALS == {"s": "r", "r": "s", "d": "b", "b": "d"}
+        for name in ("r", "b"):
+            t, partner = cat[name], cat[DUALS[name]]
+            assert (t.minus, t.plus, t.property) == (partner.plus, partner.minus, None)
+
+    @pytest.mark.parametrize("name", ["i", "u"])
+    def test_narrower_unsplitting_triples_hold_r_relation(self, name):
+        assert catalog()[name].relation is catalog()["r"].relation
+
+    @pytest.mark.parametrize("edge", [("d", "s"), ("d", "b"), ("r", "b")], ids="->".join)
+    def test_dual_row_twice_gives_the_row_maps(self, edge):
+        row = builtin_row(*edge)
+        twice = dual_row(dual_row(row))
+        assert (twice.source, twice.target, twice.families) == (row.source, row.target, ())
+        assert twice.candidate.pull is row.candidate.pull
+        assert twice.candidate.push is row.candidate.push
+
+    def test_r_to_b_is_the_dual_row_of_d_to_s(self):
+        r_b, d_s = builtin_candidate("r", "b"), builtin_candidate("d", "s")
+        assert r_b.pull is d_s.push and r_b.push is d_s.pull
+        assert r_b.name == "r->b dual of d->s"
+
+    def test_dual_of_d_to_b_passes_the_d_to_b_probe_check(self):
+        row = dual_row(builtin_row("d", "b"))
+        assert (row.source, row.target) == ("d", "b")
+        # the maps swap: the identity pulls and +1 pushes
+        for f in APFUNC.probes:
+            assert row.candidate.pull(f) is f and row.candidate.push(f) == plus_one(f)
+        assert default_probe_check(row).summary() == (
+            "d->b dual of d->b: consistent on probes "
+            "(28/49 relation checks engaged, 0 family checks)"
+        )
+
+    def test_dual_row_names_a_triple_without_a_dual(self):
+        with pytest.raises(ContractBreach, match="^p has no dual in the catalog$"):
+            dual_row(builtin_row("b", "p"))
 
 
 class TestDominatingProbes:

@@ -145,6 +145,20 @@ class TestEdgeVerbs:
         assert code == 1
         assert "4" in out
 
+    def test_embed_names_the_specs_of_x(self, capsys):
+        code, out = run_cli(capsys, "embed", "3,4", "5")
+        assert code == 1
+        assert out == (
+            "no morphism: 5 in Y but not in X; separations via specs (2^3,3), (2^4,4)\n"
+        )
+
+    @pytest.mark.parametrize("x, y", [("3", "15000"), ("15000", "3")])
+    def test_embed_with_a_large_index_is_a_negative_verdict(self, capsys, x, y):
+        # 2^15000 has more decimal digits than Python writes by default
+        code, out = run_cli(capsys, "embed", x, y)
+        assert code == 1
+        assert out.endswith(f"separations via specs (2^{x},{x})\n")
+
 
 class TestDiagramVerbs:
     def test_catalog_table(self, capsys):
@@ -319,6 +333,29 @@ class TestSubprocessVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pull map must land in infinite co-infinite sets\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["embed", "3", "15000"], 1),
+            (["antichain", "701"], 3),
+            (["witnesses", "--fs", "5,0;0;1", "0,5;1;1", "--count", "2"], 3),
+        ],
+        ids=["embed", "antichain", "witnesses"],
+    )
+    def test_large_valid_input_keeps_the_exit_code_table(self, argv, code):
+        # valid inputs whose answers pass a size limit end in a verdict or
+        # a budget line, at Python's default int-to-str limit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(tukeykit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tukeykit", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert not any(line.startswith("error:") for line in proc.stderr.splitlines())
+        assert proc.stderr.startswith("budget:") == (code == 3)
 
     def test_witnesses_past_the_int_digit_limit(self):
         # code 7,880 puts the witnesses at level 7,881, whose elements have

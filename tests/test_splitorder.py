@@ -120,6 +120,25 @@ class TestAntichain:
         with pytest.raises(ValueError):
             antichain(2)
 
+    def test_pair_bound_refuses_before_any_comparison(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(splitorder, "bt_edge", lambda a, b: calls.append((a, b)))
+        with pytest.raises(EnumerationBudget, match="top 701 gives 243951 pairs"):
+            antichain(701)
+        code = main(["antichain", "701"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "budget: top 701 gives 243951 pairs, above the bound of 243253\n"
+        assert calls == []
+
+    def test_pair_bound_counts_pairs(self, monkeypatch):
+        # top 8 gives 15 pairs and top 9 gives 21: at the bound the
+        # antichain is verified as before, one top past it is refused
+        monkeypatch.setattr(splitorder, "_ANTICHAIN_PAIR_BOUND", 15)
+        assert len(antichain(8).pairs) == 15
+        with pytest.raises(EnumerationBudget, match="top 9 gives 21 pairs"):
+            antichain(9)
+
 
 class TestIndexSetOrder:
     def test_superset(self):
