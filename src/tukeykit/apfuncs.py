@@ -34,7 +34,7 @@ from operator import eq, floordiv, gt, le, ne, sub
 
 from .errors import CertificateError, EnumerationBudget
 from .records import Record, set_field
-from .upsets import UPSet, almost_subset, lcm, prime_factors
+from .upsets import UPSet, lcm, prime_factors
 
 # the longest window of values (a pre-canonical prefix included) that
 # pointwise_max and _crossover build; a 10^6-value window takes about a
@@ -317,23 +317,6 @@ def first_difference(f: APFunc, g: APFunc) -> int | None:
     raise CertificateError("distinct canonical forms must differ within the bound")
 
 
-def level_set(f: APFunc, v: int) -> UPSet:
-    """The set {k : f(k) = v}, always ultimately periodic.
-
-    With zero drift the block repeats verbatim; with positive drift each
-    residue class hits v at most once, leaving a finite set.
-    """
-    hits_prefix = bytes([x == v for x in f.prefix])
-    n0, p = f.period_start, f.period_len
-    if f.drift == 0:
-        return UPSet(hits_prefix, bytes([b == v for b in f.base]))
-    members = [k for k, bit in enumerate(hits_prefix) if bit]
-    for i, b in enumerate(f.base):
-        if v >= b and (v - b) % f.drift == 0:
-            members.append(n0 + (v - b) // f.drift * p + i)
-    return UPSet.from_finite(members)
-
-
 def bit_coloring(f: APFunc, i: int) -> UPSet:
     """The 2-coloring reading bit i of each value (zero-drift only)."""
     if f.drift != 0:
@@ -346,15 +329,6 @@ def bit_coloring(f: APFunc, i: int) -> UPSet:
 def is_coloring(f: APFunc, colors: int) -> bool:
     """Does f take values below ``colors`` everywhere?"""
     return f.drift == 0 and all(v < colors for v in f.prefix + f.base)
-
-
-def almost_constant_on(c: APFunc, b: UPSet) -> bool:
-    """Is c constant on b up to finitely many exceptions?"""
-    if not b.is_infinite:
-        raise ValueError("almost-constancy is judged on infinite sets")
-    if c.drift != 0:
-        return False
-    return any(almost_subset(b, level_set(c, v)) for v in set(c.base))
 
 
 def next_element_func(a: UPSet) -> APFunc:

@@ -6,9 +6,15 @@ its probes; ``compose`` joins two), and the two comparison diagrams
 Duality is data.  ``DUALS`` pairs s with r and d with b, read both ways.
 r, the dual of s, and b, the dual of d, are built from s and d by
 ``triples.dual``, not written out; i and u hold r's relation on
-narrower carriers.  ``dual_row`` turns a row A->B into the row from the
-dual of B to the dual of A with the two maps swapped, and the r->b row
-is the dual row of d->s.
+narrower carriers, and t holds p's.  ``dual_row`` turns a row A->B into
+the row from the dual of B to the dual of A with the two maps swapped,
+and the r->b row is the dual row of d->s.
+
+Mildenberger's generalised triples are lifts of r and s: r_sigma,
+s_{n,m} (s_n is s_{n,n}), s_sigma and s_finite hold r's or s's relation
+for at least m entries of a tuple, or for all of them.  A k-coloring is
+almost constant on a set when none of its bit colorings splits it, so
+r_k is r_sigma on the bit colorings that the r_sigma->r_4 row pulls.
 
 Carriers are stood in for exactly: infinite sets and 2-colorings by
 ultimately periodic sets, function spaces by arithmetically periodic
@@ -36,7 +42,6 @@ from .apfuncs import (
     APFunc,
     IDENTITY,
     ZERO,
-    almost_constant_on,
     bit_coloring,
     constant,
     eventually_dominates,
@@ -273,8 +278,13 @@ def _is_infinite_upset(x: Any) -> bool:
     return isinstance(x, UPSet) and x.is_infinite
 
 
-def _is_upset_tuple(xs: Any) -> bool:
-    return isinstance(xs, tuple) and all(_is_infinite_upset(x) for x in xs)
+def _tuple_kind(entry: Kind, probes: tuple[tuple, ...], arity: int | None = None) -> Kind:
+    """Tuples of ``entry`` values, of ``arity`` entries when one is given."""
+
+    def validate(xs: Any) -> bool:
+        return isinstance(xs, tuple) and arity in (None, len(xs)) and all(map(entry.validate, xs))
+
+    return Kind(f"{entry.name}_tuple{'' if arity is None else arity}", validate, probes)
 
 
 UPSET = Kind("upset", _is_infinite_upset, UPSET_PROBES)  # infinite subsets of omega
@@ -295,14 +305,8 @@ UPSET_OR_COLORING = Kind(
     "upset", lambda x: COLORING.validate(x) and x.is_infinite, UPSET_PROBES
 )
 APFUNC = Kind("apfunc", lambda x: isinstance(x, APFunc), APFUNC_PROBES)
-UPSET_TUPLE = Kind(
-    "upset_tuple", _is_upset_tuple, ((EVENS,), (EVENS, ODDS), UPSET_PROBES[:3])
-)
-COLORING_TUPLE = Kind(
-    "coloring_tuple",
-    lambda xs: isinstance(xs, tuple) and all(map(COLORING.validate, xs)),
-    ((EVENS,), (EVENS, UPSet.from_residues(4, {1})), (FULL,)),
-)
+UPSET_TUPLE = _tuple_kind(UPSET, ((EVENS,), (EVENS, ODDS), UPSET_PROBES[:3]))
+COLORING_TUPLE = _tuple_kind(COLORING, ((EVENS,), (EVENS, UPSet.from_residues(4, {1})), (FULL,)))
 
 
 @functools.cache
@@ -322,38 +326,50 @@ def coloring_kind(colors: int) -> Kind:
 @functools.cache
 def upset_tuple_kind(arity: int) -> Kind:
     pool = UPSET_PROBES
-    return Kind(
-        f"upset_tuple{arity}",
-        lambda xs: _is_upset_tuple(xs) and len(xs) == arity,
-        (
-            tuple(pool[i % len(pool)] for i in range(arity)),
-            tuple(pool[(i + 1) % len(pool)] for i in range(arity)),
-        ),
-    )
+    # the probe pool read from its first entry and from its second
+    shifted = (tuple(pool[(i + j) % len(pool)] for i in range(arity)) for j in (0, 1))
+    return _tuple_kind(UPSET, tuple(shifted), arity)
+
+
+def _bit_colorings(c: APFunc, colors: int) -> tuple[UPSet, ...]:
+    """The 2-colorings reading each bit that a color below ``colors`` uses."""
+    return tuple(bit_coloring(c, i) for i in range((colors - 1).bit_length()))
 
 
 # -- the catalog -------------------------------------------------------------
 
 
+def _lift(base: CodedTriple, name: str, minus: Kind, relation_name: str,
+          least: int | None = None, plus: Kind | None = None) -> CodedTriple:
+    """``base`` read entrywise on the tuples of ``minus``: a tuple relates to
+    y when ``base`` relates at least ``least`` of its entries to y, or all
+    of them when ``least`` is None; ``plus`` narrows ``base``'s plus kind."""
+    holds = base.relation
+    if least is None:
+        relation = lambda xs, y: all(holds(x, y) for x in xs)
+    else:
+        relation = lambda xs, y: sum(1 for x in xs if holds(x, y)) >= least
+    return CodedTriple(name, minus, plus or base.plus, relation, None, relation_name)
+
+
 def n_unsplitting_triple(colors: int) -> CodedTriple:
+    """r_k: a k-coloring is almost constant on a set when none of its bit
+    colorings splits it, that is when r_sigma relates them to it."""
     if colors < 2:
         raise ValueError("need at least two colors")
     return CodedTriple(
-        f"r_{colors}", coloring_kind(colors), UPSET, almost_constant_on,
-        relation_name="is almost constant on",
+        f"r_{colors}", coloring_kind(colors), UPSET,
+        lambda c, b: _R_SIGMA.relation(_bit_colorings(c, colors), b), None,
+        "is almost constant on",
     )
 
 
 def nm_splitting_triple(n: int, m: int) -> CodedTriple:
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    return CodedTriple(
-        f"s_{n}" if m == n else f"s_{n},{m}",
-        upset_tuple_kind(n),
-        COLORING,
-        lambda xs, c: sum(1 for a in xs if splits_general(c, a)) >= m,
-        relation_name="splits every entry of" if m == n else f"splits at least {m} entries of",
-    )
+    if m == n:
+        return _lift(_S, f"s_{n}", upset_tuple_kind(n), "splits every entry of", m)
+    return _lift(_S, f"s_{n},{m}", upset_tuple_kind(n), f"splits at least {m} entries of", m)
 
 
 def _catalog_dual(t: CodedTriple, relation_name: str) -> CodedTriple:
@@ -361,7 +377,7 @@ def _catalog_dual(t: CodedTriple, relation_name: str) -> CodedTriple:
     return CodedTriple(DUALS[t.name], d.minus, d.plus, d.relation, None, relation_name)
 
 
-_PSEUDO_INTERSECTION = CodedTriple(
+_P = CodedTriple(
     "p", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, CENTERED,
     "not almost contained in",
 )
@@ -369,37 +385,31 @@ _PSEUDO_INTERSECTION = CodedTriple(
 DUALS = {x: y for pair in (("s", "r"), ("d", "b")) for x, y in (pair, pair[::-1])}
 _S = CodedTriple("s", UPSET, COLORING, lambda a, c: splits_general(c, a), None, "is split by")
 _R = _catalog_dual(_S, "does not split")
+_R_SIGMA = _lift(_R, "r_sigma", COLORING_TUPLE, "every listed coloring almost constant on")
 _D = CodedTriple("d", APFUNC, APFUNC, lambda f, g: eventually_dominates(g, f),
                  relation_name="is eventually dominated by")
 
 # Every catalog triple in listing order; parametrized families appear
 # with small default parameters alongside their factory functions.
 TRIPLES: tuple[CodedTriple, ...] = (
-    _PSEUDO_INTERSECTION,
+    _P,
     _S,
     _R,
     _catalog_dual(_D, "does not eventually dominate"),
     _D,
     CodedTriple("a", IC, IC, lambda x, y: not almost_disjoint(x, y), AD_INFINITE,
                 "meets infinitely"),
-    CodedTriple("i", IC_OR_COLORING, IC, _R.relation, INDEPENDENCE_DERIVED, "does not split"),
-    CodedTriple("u", UPSET_OR_COLORING, UPSET, _R.relation, CENTERED, "does not split"),
-    CodedTriple("t", UPSET, UPSET_OR_IMAGE, not_almost_subset_general, LINEARLY_ORDERED,
-                "not almost contained in"),
+    CodedTriple("i", IC_OR_COLORING, IC, _R.relation, INDEPENDENCE_DERIVED, _R.relation_name),
+    CodedTriple("u", UPSET_OR_COLORING, UPSET, _R.relation, CENTERED, _R.relation_name),
+    CodedTriple("t", _P.minus, _P.plus, _P.relation, LINEARLY_ORDERED, _P.relation_name),
     n_unsplitting_triple(3),
     n_unsplitting_triple(4),
-    CodedTriple("r_sigma", COLORING_TUPLE, UPSET,
-                lambda cs, b: all(not splits_general(c, b) for c in cs),
-                relation_name="every listed coloring almost constant on"),
+    _R_SIGMA,
     nm_splitting_triple(2, 2),
     nm_splitting_triple(3, 3),
     nm_splitting_triple(4, 2),
-    CodedTriple("s_sigma", UPSET_TUPLE, UPSET,
-                lambda xs, b: all(splits(b, a) for a in xs),
-                relation_name="splits every listed set"),
-    CodedTriple("s_finite", UPSET_TUPLE, COLORING,
-                lambda xs, c: all(splits_general(c, a) for a in xs),
-                relation_name="splits every entry of the finite tuple"),
+    _lift(_S, "s_sigma", UPSET_TUPLE, "splits every listed set", plus=UPSET),
+    _lift(_S, "s_finite", UPSET_TUPLE, "splits every entry of the finite tuple"),
 )
 
 
@@ -480,10 +490,9 @@ def builtin_morphisms() -> list[BuiltinMorphism]:
             (tuple(dyadic_family(4)), (EVENS,))),
         row("t", "p", "identity", _same, families=(CHAIN_FAMILY,)),
         row("r_sigma", "r", "constant sequence", lambda c: (c,)),
-        # a 4-coloring's two bit colorings: each almost constant on a
-        # set makes the coloring almost constant there
-        row("r_sigma", "r_4", "bit colorings",
-            lambda c: (bit_coloring(c, 0), bit_coloring(c, 1))),
+        # r_4 relates a coloring to a set exactly when r_sigma relates
+        # its two bit colorings to it
+        row("r_sigma", "r_4", "bit colorings", lambda c: _bit_colorings(c, 4)),
         row("r_4", "r_3", "inclusion", _same),
         row("s_sigma", "s", "singleton", lambda a: (a,)),
         # a coloring splitting both sets of a pair splits the pair with

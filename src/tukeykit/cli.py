@@ -109,12 +109,11 @@ def cmd_embed(args) -> int:
     if verdict.morphism:
         print(f"morphism: {sorted(verdict.x)} contains {sorted(verdict.y)}")
         return EXIT_OK
-    print(
-        f"no morphism: {verdict.missing} in Y but not in X; "
-        f"separations via specs "
-        # exponent form: 2^m in decimal can pass Python's int-to-str limit
-        + ", ".join(f"(2^{m},{m})" for m in sorted(verdict.x))
-    )
+    # exponent form: 2^m in decimal can pass Python's int-to-str limit
+    specs = ", ".join(f"(2^{m},{m})" for m in sorted(verdict.x))
+    # an empty X has no separations to name
+    print(f"no morphism: {verdict.missing} in Y but not in X"
+          + (f"; separations via specs {specs}" if specs else ""))
     return EXIT_NEGATIVE
 
 

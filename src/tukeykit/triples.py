@@ -17,7 +17,7 @@ import itertools
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
-from .errors import EnumerationBudget, MachineBudgetError
+from .errors import ContractBreach, EnumerationBudget, MachineBudgetError
 from .records import Record, set_field
 
 
@@ -94,9 +94,9 @@ class CodedTriple(Record):
 
     def holds(self, x: Any, y: Any) -> bool:
         if not self.minus.validate(x):
-            raise ValueError(f"{x!r} is not a valid minus value for {self.name}")
+            raise ContractBreach(f"{x!r} is not a valid minus value for {self.name}")
         if not self.plus.validate(y):
-            raise ValueError(f"{y!r} is not a valid plus value for {self.name}")
+            raise ContractBreach(f"{y!r} is not a valid plus value for {self.name}")
         return self.relation(x, y)
 
     minus_probes = property(attrgetter("minus.probes"))

@@ -9,13 +9,14 @@ from tukeykit.apfuncs import (
     IDENTITY,
     ZERO,
     constant,
-    level_set,
     next_element_func,
     pointwise_max,
 )
 from tukeykit.branchmap import ColumnTuple, tuple_code, tuple_decode
 from tukeykit.triples import CodedTriple, FiniteTriple, Kind, MorphismCandidate
 from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, slice_by_index
+
+import reference_apfuncs
 
 
 def value_parity_set(f: APFunc) -> UPSet:
@@ -25,6 +26,11 @@ def value_parity_set(f: APFunc) -> UPSet:
     width = p if f.drift % 2 == 0 else 2 * p
     bits = [v & 1 for v in f.window(0, n0 + width)]
     return UPSet(bits[:n0], bits[n0:])
+
+
+def level_set(f: APFunc, v: int) -> UPSet:
+    """The set {k : f(k) = v}, from the oracle's per-index walk."""
+    return UPSet(*reference_apfuncs.level_set(f, v))
 
 
 def gap_func(a: UPSet) -> APFunc:

@@ -13,17 +13,17 @@ from tukeykit.apfuncs import (
     _crossover,
     _reduce_block,
     _run,
-    almost_constant_on,
     bit_coloring,
     constant,
     eventually_dominates,
     first_difference,
     is_coloring,
-    level_set,
     next_element_func,
     parse_apfunc,
     pointwise_max,
 )
+from tukeykit.catalog import n_unsplitting_triple
+from tukeykit.errors import ContractBreach
 from tukeykit.upsets import EVENS, UPSet, lcm
 
 from helpers import gap_func, value_parity_set
@@ -196,21 +196,6 @@ class TestFirstDifference:
 
 
 class TestDerivedSets:
-    def test_level_set_zero_drift(self):
-        c = APFunc((), (0, 1, 2), 0)
-        assert level_set(c, 1) == UPSet.from_residues(3, {1})
-
-    def test_level_set_positive_drift(self):
-        assert level_set(IDENTITY, 4) == UPSet.from_finite({4})
-
-    @given(apfuncs, st.integers(0, 6))
-    @settings(max_examples=80)
-    def test_level_set_oracle(self, f, v):
-        s = level_set(f, v)
-        horizon = f.period_start + 3 * f.period_len + len(s.prefix) + 3 * len(s.period) + v * f.period_len + 5
-        for k in range(horizon):
-            assert (k in s) == (f(k) == v)
-
     @given(apfuncs)
     def test_parity_set_oracle(self, f):
         s = value_parity_set(f)
@@ -232,16 +217,21 @@ class TestDerivedSets:
 
 
 class TestAlmostConstant:
+    # a 2-coloring is almost constant on a set exactly when r_2 relates them
+    R2 = n_unsplitting_triple(2)
+
     def test_constant_coloring(self):
-        assert almost_constant_on(constant(1), EVENS)
+        assert self.R2.holds(constant(1), EVENS)
 
     def test_alternating_not_constant_on_full(self):
         c = APFunc((), (0, 1), 0)
-        assert not almost_constant_on(c, UPSet((), (1,)))
-        assert almost_constant_on(c, EVENS)
+        assert not self.R2.holds(c, UPSet((), (1,)))
+        assert self.R2.holds(c, EVENS)
 
     def test_positive_drift_never(self):
-        assert not almost_constant_on(IDENTITY, EVENS)
+        # a drifting function is no coloring, so r_2 refuses to judge it
+        with pytest.raises(ContractBreach, match="not a valid minus value for r_2"):
+            self.R2.holds(IDENTITY, EVENS)
 
 
 class TestEnumeratorFunctions:
@@ -477,12 +467,6 @@ class TestAgainstReference:
         for agree in range(300):
             h = APFunc(tuple(g.window(0, agree)), (0,), 0)
             assert first_difference(g, h) == ref.first_difference(g, h)
-
-    @given(apfuncs, st.integers(0, 12))
-    @settings(max_examples=150)
-    def test_level_set(self, f, v):
-        s = level_set(f, v)
-        assert (s.prefix, s.period) == ref.level_set(f, v)
 
     @given(apfuncs)
     @settings(max_examples=150)

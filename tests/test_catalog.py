@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tukeykit.apfuncs import APFunc, IDENTITY, ZERO, constant, eventually_dominates
 from tukeykit.catalog import (
@@ -17,6 +18,7 @@ from tukeykit.catalog import (
     UPSET,
     GluedImage,
     IterateColoring,
+    LINEARLY_ORDERED,
     builtin_morphisms,
     catalog,
     compose,
@@ -24,6 +26,7 @@ from tukeykit.catalog import (
     dual_row,
     iterate_coloring,
     nm_partition_candidate,
+    n_unsplitting_triple,
     nm_splitting_triple,
     plus_one,
     splits_general,
@@ -31,10 +34,11 @@ from tukeykit.catalog import (
 )
 from tukeykit.errors import ContractBreach, EnumerationBudget
 from tukeykit.triples import MorphismCandidate, check_morphism
-from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family
+from tukeykit.upsets import EVENS, FULL, ODDS, UPSet, dyadic_family, splits
 
 import reference_apfuncs as ref
-from helpers import coloring_bit, coloring_boundaries, with_probes
+import reference_upsets
+from helpers import coloring_bit, coloring_boundaries, level_set, with_probes
 
 
 def builtin_row(source: str, target: str) -> BuiltinMorphism:
@@ -97,6 +101,27 @@ class TestCatalogRelations:
             self.cat["p"].holds(UPSet.from_finite({1}), EVENS)
         with pytest.raises(ValueError):
             self.cat["r_3"].holds(IDENTITY, EVENS)
+
+    def test_a_value_outside_a_kind_is_a_contract_breach(self):
+        # a map that leaves its declared carrier breaks the contract,
+        # which is still a ValueError and so still exits 2
+        s = self.cat["s"]
+        pull_to_apfunc = MorphismCandidate(lambda a: IDENTITY, lambda c: c, "apfunc pull")
+        with pytest.raises(ContractBreach, match="is not a valid minus value for s$"):
+            check_morphism(pull_to_apfunc, s, s)
+        with pytest.raises(ContractBreach, match="is not a valid plus value for s$"):
+            s.holds(EVENS, IDENTITY)
+
+    def test_n_unsplitting_is_almost_constancy(self):
+        # a k-coloring is almost constant on a set when no bit coloring
+        # splits the set; the 2-color cases are in test_apfuncs, and
+        # only infinite sets are r_2's plus values
+        assert not n_unsplitting_triple(2).plus.validate(UPSet.from_finite({1}))
+        # both bit colorings of 0, 1, 2, 0, 1, 2, ... vanish on the
+        # multiples of 3 and split the numbers that are 1 or 2 mod 3
+        r3, mod3 = self.cat["r_3"], APFunc((), (0, 1, 2), 0)
+        assert r3.holds(mod3, UPSet.from_residues(3, {0}))
+        assert not r3.holds(mod3, UPSet.from_residues(3, {1, 2}))
 
     def test_independence_property_refuses_every_family(self):
         prop = catalog()["i"].property
@@ -213,6 +238,7 @@ class TestDualityAsData:
     @pytest.mark.parametrize("name", ["i", "u"])
     def test_narrower_unsplitting_triples_hold_r_relation(self, name):
         assert catalog()[name].relation is catalog()["r"].relation
+        assert catalog()[name].relation_name == catalog()["r"].relation_name
 
     @pytest.mark.parametrize("edge", [("d", "s"), ("d", "b"), ("r", "b")], ids="->".join)
     def test_dual_row_twice_gives_the_row_maps(self, edge):
@@ -241,6 +267,116 @@ class TestDualityAsData:
     def test_dual_row_names_a_triple_without_a_dual(self):
         with pytest.raises(ContractBreach, match="^p has no dual in the catalog$"):
             dual_row(builtin_row("b", "p"))
+
+
+# the relations of the generalised triples as written out before they
+# were lifted from r and s; r_k's is the level-set rule
+def almost_constant_on(c: APFunc, b: UPSet) -> bool:
+    return any(reference_upsets.almost_subset(b, level_set(c, v)) for v in set(c.base))
+
+
+def splits_at_least(m: int):
+    return lambda xs, c: sum(1 for a in xs if splits_general(c, a)) >= m
+
+
+HAND_WRITTEN_LIFTS = {
+    "r_3": almost_constant_on,
+    "r_4": almost_constant_on,
+    "r_sigma": lambda cs, b: all(not splits_general(c, b) for c in cs),
+    "s_2": splits_at_least(2),
+    "s_3": splits_at_least(3),
+    "s_4,2": splits_at_least(2),
+    "s_sigma": lambda xs, b: all(splits(b, a) for a in xs),
+    "s_finite": lambda xs, c: all(splits_general(c, a) for a in xs),
+}
+
+bit_tuples = st.lists(st.integers(0, 1), max_size=5).map(tuple)
+periods = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
+infinite_sets = st.builds(UPSet, bit_tuples, periods.map(lambda w: (1, *w)))
+# slope above 1, so a coloring that is no UPSet
+iterate_colorings = st.builds(
+    lambda prefix, base, extra: IterateColoring(APFunc(prefix, base, len(base) + extra)),
+    st.lists(st.integers(0, 6), max_size=2).map(tuple),
+    st.lists(st.integers(0, 6), min_size=1, max_size=2).map(tuple),
+    st.integers(1, 3),
+)
+# about one coloring in six is an IterateColoring
+colorings = st.integers(0, 5).flatmap(
+    lambda pick: iterate_colorings if pick == 5 else st.builds(UPSet, bit_tuples, periods)
+)
+
+
+def k_colorings(k: int):
+    values = st.integers(0, k - 1)
+    return st.builds(
+        lambda prefix, base: APFunc(prefix, base, 0),
+        st.lists(values, max_size=3).map(tuple),
+        st.lists(values, min_size=1, max_size=4).map(tuple),
+    )
+
+
+def tuples_of(entries, arity: int | None = None):
+    lo, hi = (1, 4) if arity is None else (arity, arity)
+    return st.lists(entries, min_size=lo, max_size=hi).map(tuple)
+
+
+LIFT_VALUES = {
+    "r_3": (k_colorings(3), infinite_sets),
+    "r_4": (k_colorings(4), infinite_sets),
+    "r_sigma": (tuples_of(colorings), infinite_sets),
+    "s_2": (tuples_of(infinite_sets, 2), colorings),
+    "s_3": (tuples_of(infinite_sets, 3), colorings),
+    "s_4,2": (tuples_of(infinite_sets, 4), colorings),
+    "s_sigma": (tuples_of(infinite_sets), infinite_sets),
+    "s_finite": (tuples_of(infinite_sets), colorings),
+}
+
+
+class TestLifts:
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN_LIFTS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lifted_relation_agrees_with_the_hand_written_one(self, name, data):
+        t = catalog()[name]
+        minus, plus = LIFT_VALUES[name]
+        x, y = data.draw(minus), data.draw(plus)
+        assert t.minus.validate(x) and t.plus.validate(y)
+        assert t.holds(x, y) == HAND_WRITTEN_LIFTS[name](x, y)
+
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN_LIFTS))
+    def test_lifted_relation_agrees_on_the_probes(self, name):
+        t, reference = catalog()[name], HAND_WRITTEN_LIFTS[name]
+        extra = (IterateColoring(APFunc((), (0,), 2)),) if t.plus is COLORING else ()
+        ys = t.plus_probes + extra
+        verdicts = {(x, y): t.holds(x, y) for x in t.minus_probes for y in ys}
+        assert verdicts == {(x, y): reference(x, y) for x in t.minus_probes for y in ys}
+        assert set(verdicts.values()) == {True, False}
+
+    def test_tower_triple_is_p_with_a_linear_order(self):
+        t, p = catalog()["t"], catalog()["p"]
+        assert (t.minus, t.plus, t.relation, t.relation_name) == (
+            p.minus, p.plus, p.relation, p.relation_name
+        )
+        assert (t.property, p.property) == (LINEARLY_ORDERED, CENTERED)
+
+    @given(k_colorings(4), infinite_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_r_4_is_r_sigma_on_the_pulled_bit_colorings(self, c, b):
+        cat, pull = catalog(), builtin_candidate("r_sigma", "r_4").pull
+        assert cat["r_4"].holds(c, b) == cat["r_sigma"].holds(pull(c), b)
+
+    def test_r_4_and_its_pull_decompose_through_one_helper(self, monkeypatch):
+        seen = []
+        real = builtin_morphisms.__globals__["_bit_colorings"]
+        monkeypatch.setitem(
+            builtin_morphisms.__globals__, "_bit_colorings",
+            lambda c, colors: seen.append((c, colors)) or real(c, colors),
+        )
+        c = APFunc((2,), (0, 1, 2, 3), 0)
+        catalog()["r_4"].holds(c, EVENS)
+        pulled = builtin_candidate("r_sigma", "r_4").pull(c)
+        assert seen == [(c, 4), (c, 4)]
+        assert pulled == real(c, 4) == (UPSet((0,), (0, 1, 0, 1)), UPSet((1,), (0, 0, 1, 1)))
 
 
 class TestDominatingProbes:

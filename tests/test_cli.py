@@ -152,6 +152,11 @@ class TestEdgeVerbs:
             "no morphism: 5 in Y but not in X; separations via specs (2^3,3), (2^4,4)\n"
         )
 
+    def test_embed_with_an_empty_x_names_no_separations(self, capsys):
+        code, out = run_cli(capsys, "embed", "", "3")
+        assert code == 1
+        assert out == "no morphism: 3 in Y but not in X\n"
+
     @pytest.mark.parametrize("x, y", [("3", "15000"), ("15000", "3")])
     def test_embed_with_a_large_index_is_a_negative_verdict(self, capsys, x, y):
         # 2^15000 has more decimal digits than Python writes by default

@@ -382,6 +382,53 @@ def test_unraised_error_lint_finds_a_planted_class():
     assert unraised_error_classes(errors, [module]) == ["C"]
 
 
+# the relations the catalog states; each belongs to one triple, and the
+# triples that share it read it from that one
+STATED_RELATIONS = (
+    "splits", "splits_general", "almost_subset", "almost_disjoint",
+    "not_almost_subset_general", "eventually_dominates",
+)
+
+
+def restated_relations(tree: ast.Module) -> list[str]:
+    """``name:count`` for each of ``STATED_RELATIONS`` that more than one
+    ``CodedTriple(...)`` call in ``tree`` names."""
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CodedTriple"
+    ]
+    counts = {
+        name: sum(
+            any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(call))
+            for call in calls
+        )
+        for name in STATED_RELATIONS
+    }
+    return [f"{name}:{count}" for name, count in counts.items() if count > 1]
+
+
+def test_each_relation_is_written_once():
+    # a relation restated in a second triple can drift from the first;
+    # the generalised triples lift theirs from r and s, and t reads p's
+    path = Path(tukeykit.__file__).resolve().parent / "catalog.py"
+    restated = restated_relations(ast.parse(path.read_text(), filename=str(path)))
+    assert not restated, f"relations stated in more than one CodedTriple call: {restated}"
+
+
+def test_restated_relation_lint_finds_a_planted_statement():
+    source = (
+        "S = CodedTriple('s', A, B, lambda a, c: splits_general(c, a))\n"
+        "D = CodedTriple('d', F, F, lambda f, g: eventually_dominates(g, f))\n"
+        "R = CodedTriple('r', B, A, relation=lambda c, b: not splits_general(c, b))\n"
+        "def lift(t):\n"
+        "    return CodedTriple('x', T, t.plus, lambda xs, y: all(t.relation(x, y) for x in xs))\n"
+        "def splitting(c, a):\n"
+        "    return splits_general(c, a)\n"
+    )
+    assert restated_relations(ast.parse(source)) == ["splits_general:2"]
+
+
 def test_tracer_patches_resolve():
     # the benchmark's traced run rebinds these names; a rename in the
     # package must fail here, not only in a traced benchmark run.  The

@@ -6,6 +6,7 @@ import reference_splitorder as ref
 from tukeykit import splitorder
 from tukeykit.cli import main
 from tukeykit.splitorder import (
+    CertificateError,
     EnumerationBudget,
     SplitSpec,
     antichain,
@@ -168,6 +169,48 @@ class TestIndexSetOrder:
     def test_small_elements_rejected(self):
         with pytest.raises(ValueError):
             x_order({2}, {3})
+
+    def test_containment_builds_no_spec(self, monkeypatch):
+        monkeypatch.setattr(splitorder, "SplitSpec", None)
+        assert x_order({3, 10**12}, {10**12}).morphism
+
+    def test_separation_bound_refuses_before_building_a_spec(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(splitorder, "SplitSpec", lambda n, m: built.append(m))
+        with pytest.raises(EnumerationBudget, match="from index 1500001 need 1500001 bits"):
+            x_order({3}, {1500001})
+        code = main(["embed", "3", "10000000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "budget: the separations from index 10000000 need 10000000 bits, "
+            "above the bound of 1500000\n"
+        )
+        assert built == []
+
+    def test_separation_bound_sums_the_larger_index(self, monkeypatch):
+        # X = {3, 10} against Y = {5} builds separations of 5 and 10 bits
+        monkeypatch.setattr(splitorder, "_SEPARATION_BIT_BOUND", 15)
+        assert len(x_order({3, 10}, {5}).separations) == 2
+        with pytest.raises(EnumerationBudget, match="need 16 bits"):
+            x_order({3, 11}, {5})
+
+    def test_separations_face_from_each_member_of_x(self):
+        (f3, b3), (f7, b7) = x_order({3, 7}, {5}).separations
+        assert [(e.source.m, e.target.m, e.reason) for e in (f3, b3, f7, b7)] == [
+            (3, 5, "m_increase"), (5, 3, "bound_fails"),
+            (7, 5, "bound_fails"), (5, 7, "m_increase"),
+        ]
+
+    def test_separations_are_re_derived(self, monkeypatch):
+        # a comparison that answers the wrong way round is caught, as in
+        # the antichain, and named in exponent form
+        real = splitorder.bt_edge
+        monkeypatch.setattr(splitorder, "bt_edge", lambda a, b: real(b, a))
+        with pytest.raises(CertificateError, match=r"^\(2\^3,3\) -> \(2\^5,5\) must fail by m"):
+            x_order({3}, {5})
+        with pytest.raises(CertificateError, match=r"^\(2\^3,3\) -> \(2\^4,4\) must fail by m"):
+            antichain(4)
 
 
 def splits_at_least(family, targets, m) -> bool:
