@@ -102,6 +102,8 @@ def tuple_code(matrix: Sequence[Sequence[int]]) -> int:
     a 0 into a code of 0 or 1 leaves it unchanged, so those steps are
     skipped."""
     n = len(matrix)
+    if not n:
+        raise ValueError("matrix must not be empty")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     entries = [e for row in matrix for e in row]
@@ -364,6 +366,8 @@ def _level_of(n: int, index: int, least: int) -> tuple[int, int]:
 
 def tuple_at(n: int, index: int) -> ColumnTuple:
     """Inverse of ``tuple_index``."""
+    if n < 1:
+        raise ValueError("column index must be at least 1")
     if index < 0:
         raise ValueError("index must be a natural")
     level, code, tails = _locate(n, index)

@@ -2,6 +2,9 @@
 of candidate morphisms, with certificates the core decision procedures
 re-verify.
 
+Each gadget refutes one non-edge of the Borel diagram, a->b or p->t,
+and checks through that row's catalog triples.
+
 Both gadgets run arbitrary user-supplied map pairs (budgeted machines)
 and return a violation whose clauses are checked exactly, so a returned
 certificate is a proof about the supplied candidate, not a sample.
@@ -9,18 +12,15 @@ certificate is a proof about the supplied candidate, not a sample.
 
 from __future__ import annotations
 
-from .apfuncs import APFunc, eventually_dominates, pointwise_max
+from .apfuncs import pointwise_max
+from .catalog import UPSET, catalog
 from .errors import CertificateError, ContractBreach
 from .records import Record, set_field
 from .triples import MorphismCandidate
-from .upsets import (
-    EVENS,
-    ODDS,
-    UPSet,
-    almost_subset,
-    intersection_of,
-    is_linearly_ordered,
-)
+from .upsets import EVENS, ODDS, UPSet, intersection_of
+
+# the triples of the two refuted rows, a->b and p->t
+_A, _B, _P, _T = map(catalog().get, "abpt")
 
 
 class MaxPairViolation(Record):
@@ -28,20 +28,19 @@ class MaxPairViolation(Record):
     "pull(f) meets A infinitely => f does not eventually dominate push(A)".
 
     ``combined`` dominates both pushed complementary halves at once, and
-    ``side`` is a half that pull(combined) meets infinitely.
+    ``side`` is a half that pull(combined) meets infinitely.  ``verify``
+    reads a and b, so a value off their carriers raises ``ContractBreach``.
     """
 
     __slots__ = ("combined", "side_name", "side", "pulled", "pushed_side")
 
     def verify(self) -> bool:
-        meets = (self.pulled & self.side).is_infinite
-        dominates = eventually_dominates(self.combined, self.pushed_side)
-        return meets and dominates
+        return _A.holds(self.pulled, self.side) and not _B.holds(self.combined, self.pushed_side)
 
 
 def refute_filterclass_to_unbounded(candidate: MorphismCandidate) -> MaxPairViolation:
-    """Defeat any candidate from a filter-style inclusion triple to the
-    unbounded triple.
+    """Defeat any candidate from the almost-disjointness triple a to the
+    unbounding triple b.
 
     The pull map takes functions to sets, the push map takes sets to
     functions.  Pushing both halves of the complementary pair (O, E) of
@@ -52,16 +51,14 @@ def refute_filterclass_to_unbounded(candidate: MorphismCandidate) -> MaxPairViol
     halves = (("O", ODDS), ("E", EVENS))
     pushed = {name: candidate.apply_push(half) for name, half in halves}
     for name, val in pushed.items():
-        if not isinstance(val, APFunc):
+        if not _B.plus.validate(val):
             raise ContractBreach(f"push map must produce functions, got {val!r} on {name}")
     combined = pointwise_max(pushed["O"], pushed["E"])
     pulled = candidate.apply_pull(combined)
-    if not isinstance(pulled, UPSet):
-        raise ContractBreach(f"pull map must produce sets, got {pulled!r}")
-    if not pulled.is_ic:
+    if not _A.minus.validate(pulled):
         raise ContractBreach("pull map must land in infinite co-infinite sets")
     for name, half in halves:
-        if (pulled & half).is_infinite:
+        if _A.holds(pulled, half):
             violation = MaxPairViolation(combined, name, half, pulled, pushed[name])
             if not violation.verify():
                 raise CertificateError("max-pair certificate failed re-verification")
@@ -74,7 +71,8 @@ class ThreeSetsViolation(Record):
 
     ``kind`` is "family" when two centered inputs have incomparable
     images, and "relation" when the common image intersection pulls
-    back outside one of the three sets.
+    back outside one of the three sets.  ``verify`` reads p and t, so in
+    the relation case a value off their carriers raises ``ContractBreach``.
     """
 
     # family case: ``pair`` and its ``images``; relation case: the
@@ -97,20 +95,13 @@ class ThreeSetsViolation(Record):
 
     def verify(self) -> bool:
         if self.kind == "family":
-            a, b = self.pair
-            return (
-                (a & b).is_infinite
-                and not is_linearly_ordered(list(self.images))
-            )
-        return (
-            almost_subset(self.common, self.culprit_image)
-            and not almost_subset(self.pulled, self.culprit)
-        )
+            return _P.property(list(self.pair)) and not _T.property(list(self.images))
+        return _P.holds(self.pulled, self.culprit) and not _T.holds(self.common, self.culprit_image)
 
 
 def refute_pseudo_intersection_to_tower(candidate: MorphismCandidate) -> ThreeSetsViolation:
-    """Defeat any candidate from the pseudo-intersection triple to the
-    tower triple.
+    """Defeat any candidate from the pseudo-intersection triple p to the
+    tower triple t.
 
     Three infinite sets with infinite pairwise but empty triple
     intersection make the conditions collide: pairs are centered, so
@@ -124,12 +115,13 @@ def refute_pseudo_intersection_to_tower(candidate: MorphismCandidate) -> ThreeSe
     images = {}
     for s in trio:
         out = candidate.apply_push(s)
-        if not isinstance(out, UPSet) or not out.is_infinite:
+        # narrower than t's plus side: glued images have no intersection
+        if not UPSET.validate(out):
             raise ContractBreach(f"push map must produce infinite sets, got {out!r}")
         images[s] = out
     for x, y in ((a, b), (a, c), (b, c)):
         ix, iy = images[x], images[y]
-        if not (almost_subset(ix, iy) or almost_subset(iy, ix)):
+        if not _T.property([ix, iy]):
             violation = ThreeSetsViolation(
                 "family",
                 "a centered pair has images incomparable under almost inclusion",
@@ -140,13 +132,13 @@ def refute_pseudo_intersection_to_tower(candidate: MorphismCandidate) -> ThreeSe
                 raise CertificateError("three-sets family certificate failed re-verification")
             return violation
     common = intersection_of(list(images.values()))
-    if not common.is_infinite:
+    if not _T.minus.validate(common):
         raise CertificateError("a chain of infinite sets meets in an infinite set")
     pulled = candidate.apply_pull(common)
-    if not isinstance(pulled, UPSet) or not pulled.is_infinite:
+    if not _P.minus.validate(pulled):
         raise ContractBreach(f"pull map must produce infinite sets, got {pulled!r}")
     for s in trio:
-        if not almost_subset(pulled, s):
+        if _P.holds(pulled, s):
             violation = ThreeSetsViolation(
                 "relation",
                 "the common image intersection is almost inside every image "

@@ -103,6 +103,23 @@ class TestCoding:
         with pytest.raises(ValueError):
             tuple_code([(1, 2), (3,)])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: tuple_code([]), "matrix must not be empty"),
+            (lambda: tuple_code(()), "matrix must not be empty"),
+            (lambda: tuple_at(0, 100), "column index must be at least 1"),
+            (lambda: tuple_at(0, 3), "column index must be at least 1"),
+            (lambda: tuple_at(-2, 5), "column index must be at least 1"),
+        ],
+        ids=["code-empty-list", "code-empty-tuple", "at-0-deep", "at-0-shallow", "at-negative"],
+    )
+    def test_bad_dimension_is_refused(self, call, message):
+        # the dimension is checked before any entry or level is read, so
+        # the message names the argument at fault
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @given(st.integers(1, 12), st.integers(0, 10**40))
     # chains that settle at 1 (1, 4, 10) and at 0 (3, 6)
     @example(1, 1)

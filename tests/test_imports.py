@@ -154,6 +154,16 @@ IDENTITY_CHILD = (
     "    print(bits[m] if m < len(bits) else 'U', flush=True)\n"
 )
 BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "records", "upsets"]
+# a map child answering its one argument to every request
+CONSTANT_CHILD = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print(sys.argv[1], flush=True)\n"
+)
+# the gadgets read their rows' triples from the catalog, which loads the
+# branch map (glued images) and the splitting order (its diagrams)
+REFUTE = ["apfuncs", "branchmap", "catalog", "cli", "errors", "gadgets", "records",
+          "splitorder", "triples", "upsets", "wire"]
 
 
 @pytest.mark.parametrize(
@@ -183,6 +193,13 @@ BRANCH_MAP = ["apfuncs", "branchmap", "cli", "errors", "records", "upsets"]
             ["adversary", "run", "--machine",
              shlex.join([sys.executable, "-S", "-c", IDENTITY_CHILD]), "--depth", "3"],
             0, ["adversary", "cli", "errors", "records", "wire"], None, id="adversary-machine",
+        ),
+        pytest.param(
+            # the pull answers the evens, the push the zero function
+            ["refute", "a2b",
+             "--phi", shlex.join([sys.executable, "-S", "-c", CONSTANT_CHILD, "|10"]),
+             "--psi", shlex.join([sys.executable, "-S", "-c", CONSTANT_CHILD, ";0;0"])],
+            1, REFUTE, None, id="refute-a2b",
         ),
         pytest.param(["edge", "8", "3"], 2, ["cli"], False, id="usage-error"),
         pytest.param(

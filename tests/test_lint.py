@@ -429,6 +429,49 @@ def test_restated_relation_lint_finds_a_planted_statement():
     assert restated_relations(ast.parse(source)) == ["splits_general:2"]
 
 
+# the relations and family checks on sets and functions, and the modules
+# that define them (upsets, apfuncs) or state them in a triple (catalog)
+RELATION_FUNCTIONS = (
+    "almost_subset", "almost_disjoint", "splits", "eventually_dominates",
+    "is_centered", "is_linearly_ordered", "is_ad_family",
+)
+RELATION_HOMES = ("upsets", "apfuncs", "catalog")
+
+
+def relation_calls(tree: ast.Module) -> list[str]:
+    """``name:line`` for every call of one of ``RELATION_FUNCTIONS``, by
+    its name or as an attribute of a module."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in RELATION_FUNCTIONS
+    ]
+
+
+def test_relations_are_called_only_where_stated():
+    # a module that decides a relation itself can drift from the catalog
+    # triple that states it; the gadgets read a, b, p and t instead
+    found = []
+    for path in sorted(Path(tukeykit.__file__).resolve().parent.glob("*.py")):
+        if path.stem not in RELATION_HOMES:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{where}" for where in relation_calls(tree)]
+    assert not found, f"relations called outside {', '.join(RELATION_HOMES)}: {found}"
+
+
+def test_relation_call_lint_finds_a_planted_call():
+    source = (
+        "from .upsets import almost_subset, is_linearly_ordered\n"
+        "from . import apfuncs\n"
+        "def check(x, y, images, splits):\n"
+        "    ordered = is_linearly_ordered\n"
+        "    return almost_subset(x, y) or apfuncs.eventually_dominates(x, y) or not splits\n"
+    )
+    assert relation_calls(ast.parse(source)) == ["almost_subset:5", "eventually_dominates:5"]
+
+
 def test_tracer_patches_resolve():
     # the benchmark's traced run rebinds these names; a rename in the
     # package must fail here, not only in a traced benchmark run.  The
