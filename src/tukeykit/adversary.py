@@ -14,12 +14,15 @@ anything living there), while their images are pinned to 1 on the whole
 pivot class, which is the finite obstruction the certificates record.
 
 Cost: a depth-d construction against the identity machine makes
-4 * 2^d - 4 queries, and each is one meter step and one machine answer.
-``MeteredMachine.query`` checks and counts the budget and calls the inner
-``query``, bound once when the meter is built; the built-in identity and
-flip machines answer by one table lookup.  That method is the one point
-where queries are counted, until a package-level counter takes over
-(ROADMAP.md, ``Stats``).
+4 * 2^d - 4 queries, and the built-in identity and flip machines answer
+each by one table lookup.  ``build_adversary`` counts the queries
+itself: a search attempt that the remaining budget covers, even if every
+history tries every candidate, asks the machine directly and is counted
+afterwards by the extensions it found.  Only an attempt the budget may
+not cover, and every search over streamed long words, goes through
+``MeteredMachine``, which stops it at the query where the budget runs
+out.  The padding pass, one query per history, checks the budget once
+per level.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ def flip_machine() -> FunctionMachine:
 
 
 class MeteredMachine:
-    """Budget wrapper; every query decrements the remaining budget.  The
-    inner machine's ``query`` is bound once, here."""
+    """Budget guard over the stretch of a search where the budget can run
+    out: a query past ``budget`` raises, and ``used`` counts the queries
+    made through it.  The inner machine's ``query`` is bound once, here."""
 
     __slots__ = ("_query", "budget", "used")
 
@@ -224,6 +228,9 @@ _WORDS = [
     tuple(map("".join, itertools.product("01", repeat=n))) for n in range(9)
 ]
 _UP_TO = list(itertools.accumulate(_WORDS))
+# _RANK[w]: one plus w's index in _UP_TO[-1], the queries a search spends
+# up to and including w
+_RANK = {w: i for i, w in enumerate(_UP_TO[-1], 1)}
 
 
 def _words(length: int):
@@ -262,20 +269,18 @@ def build_adversary(
         raise ValueError(f"depth must be a natural, got {depth}")
     if budget < 0:
         raise ValueError(f"budget must be a natural, got {budget}")
-    metered = MeteredMachine(machine, budget)
-    query = metered.query
+    used = 0  # the machine queries spent so far
     cuts = [0]
     pivots: list[int] = []
     tables: list[dict[str, str]] = []
-    histories = [""]
     # where the budget ran out: the level, the history and the pivot
     stop: tuple[int, str, int] | None = None
 
     for level in range(depth):
         width = cuts[-1]
-        if level:
-            block = width - cuts[-2]
-            histories = [h + tail for h in histories for tail in _words(block)]
+        # a level's histories are the words of its width, lexicographically:
+        # each earlier level extended every history by every block
+        histories = tuple(_words(width))
         pivot = (pivots[-1] + 1) if pivots else 0
         try:
             while True:
@@ -287,6 +292,12 @@ def build_adversary(
                 # the previous pivot
                 max_len = pivot + 2 - width
                 short = _UP_TO[max_len] if max_len < len(_UP_TO) else None
+                # an attempt asks the machine directly when the budget
+                # covers every history trying every candidate; otherwise
+                # a meter stops it where the budget runs out
+                direct = short is not None and len(histories) * len(short) <= budget - used
+                meter = None if direct else MeteredMachine(machine, budget - used)
+                query = machine.query if direct else meter.query
                 # exts[i] is the extension found for histories[i]
                 exts: list[str] = []
                 for history in histories:
@@ -296,20 +307,36 @@ def build_adversary(
                             break
                     else:
                         break
-                if len(exts) == len(histories):
+                found = len(exts) == len(histories)
+                if direct:
+                    # a history asked up to its extension's rank, or
+                    # every candidate when it found none
+                    used += sum(map(_RANK.__getitem__, exts)) + (0 if found else len(short))
+                else:
+                    used += meter.used
+                if found:
                     break
                 pivot += 1
-            block = max(1, max(map(len, exts)))
-            padded = [ext + "0" * (block - len(ext)) for ext in exts]
-            for history, ext in zip(histories, padded):
-                if query(history + ext, pivot) != 1:
-                    raise CertificateError(
-                        "a decided answer did not persist under padding; the "
-                        "machine is not monotone"
-                    )
         except _BudgetSignal:
             stop = level, history, pivot
+            used = budget
             break
+        block = max(1, max(map(len, exts)))
+        padded = [ext.ljust(block, "0") for ext in exts]
+        # the padding pass makes one query per history, as far as the
+        # budget goes
+        room = budget - used
+        for history, ext in zip(histories[:room], padded):
+            if machine.query(history + ext, pivot) != 1:
+                raise CertificateError(
+                    "a decided answer did not persist under padding; the "
+                    "machine is not monotone"
+                )
+        if room < len(histories):
+            stop = level, histories[room], pivot
+            used = budget
+            break
+        used += len(histories)
         cuts.append(width + block)
         pivots.append(pivot)
         tables.append(dict(zip(histories, padded)))
@@ -318,7 +345,7 @@ def build_adversary(
         machine.name,
         Predictor(tuple(cuts), tuple(tables)),
         tuple(pivots),
-        metered.used,
+        used,
     )
     if stop is not None:
         raise BudgetExhausted(*stop, cert if tables else None)

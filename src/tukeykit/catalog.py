@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .apfuncs import (
     APFunc,
@@ -49,10 +49,8 @@ from .apfuncs import (
     next_element_func,
     pointwise_max,
 )
-from .branchmap import common_witnesses, image_contains, pair, trace_bound_func
 from .errors import CertificateError, ContractBreach, EnumerationBudget
 from .records import Record, set_field
-from .splitorder import Diagram, EdgeRecord, SplitSpec, bt_edge, column_sizes
 from .triples import (
     CodedTriple,
     FamilyProperty,
@@ -75,6 +73,11 @@ from .upsets import (
     partition_upset,
     splits,
 )
+
+# the glued map (``branchmap``) and the diagrams (``splitorder``) load
+# where they are first needed, so reading a triple loads neither
+if TYPE_CHECKING:
+    from .splitorder import Diagram
 
 # -- derived colorings -----------------------------------------------------
 
@@ -149,9 +152,13 @@ class GluedImage(Record):
     __slots__ = ("func",)
 
     def __contains__(self, x: int) -> bool:
+        from .branchmap import image_contains
+
         return image_contains(self.func, x)
 
     def _infinite_trace_column(self, a: UPSet) -> int:
+        from .branchmap import pair
+
         d, n0 = a.period_len, a.period_start
         for col in range(0, 2 * d + 2):
             m0 = 0
@@ -166,6 +173,8 @@ class GluedImage(Record):
     def missing_elements(self, a: UPSet, count: int) -> list[int]:
         """Concrete members of ``a`` outside this image; fewer than
         ``count`` within ``_MISSING_SCAN`` positions is an ``EnumerationBudget``."""
+        from .branchmap import image_contains, pair
+
         if not a.is_infinite:
             raise ValueError("need an infinite set")
         col = self._infinite_trace_column(a)
@@ -205,6 +214,8 @@ def _centered_check(family: list) -> bool:
     if all(isinstance(s, UPSet) for s in family):
         return is_centered(family)
     if all(isinstance(s, GluedImage) for s in family):
+        from .branchmap import common_witnesses
+
         # raises unless it finds members shared by every image
         common_witnesses([s.func for s in family], 12)
         return True
@@ -447,6 +458,8 @@ def nm_partition_candidate(a_n: int, a_m: int, b_n: int, b_m: int) -> MorphismCa
     """The even-partition map behind positive verdicts in the
     (n, m)-splitting order: each incoming set is cut into almost equal
     infinite pieces, remainder to the left."""
+    from .splitorder import SplitSpec, bt_edge, column_sizes
+
     verdict = bt_edge(SplitSpec(a_n, a_m), SplitSpec(b_n, b_m))
     if not verdict.morphism:
         raise ValueError(f"no morphism: {verdict.describe()}")
@@ -468,6 +481,7 @@ class BuiltinMorphism(Record):
 def builtin_morphisms() -> list[BuiltinMorphism]:
     """One row per positive edge.  The rows between two Borel
     diagram nodes are that diagram's positive edges, in order."""
+    from .branchmap import trace_bound_func
 
     def row(source, target, label, pull, push=_same, families=()) -> BuiltinMorphism:
         candidate = MorphismCandidate(pull, push, f"{source}->{target} {label}")
@@ -548,43 +562,45 @@ CLASSICAL_EDGES: tuple[tuple[str, str], ...] = (
 )
 
 # Edges of the classical picture that fail definably, plus the open and
-# incomparability annotations.
-BOREL_NEGATIVE_EDGES: tuple[EdgeRecord, ...] = (
-    EdgeRecord(
+# incomparability annotations, as (source, target, verdict, provenance)
+# rows; ``vd_diagram`` makes them ``EdgeRecord``s, so the diagram module
+# loads only when a diagram is built
+BOREL_NEGATIVE_EDGES: tuple[tuple[str, str, str, str], ...] = (
+    (
         "i",
         "d",
         "no-BT-morphism",
         "forcing: such maps would compare unsplitting with dominating, "
         "which the Miller model separates",
     ),
-    EdgeRecord(
+    (
         "r",
         "d",
         "no-BT-morphism",
         "forcing: fails in the Miller model and both triples are simple",
     ),
-    EdgeRecord(
+    (
         "a",
         "b",
         "no-morphism-at-all",
         "gadget: parity max over a complementary pair refutes every map pair",
     ),
-    EdgeRecord(
+    (
         "s",
         "p",
         "no-BT-morphism",
         "forcing: restricted Mathias forcing keeps the ground model splitting",
     ),
-    EdgeRecord(
+    (
         "p",
         "t",
         "no-BT-morphism",
         "gadget: three sets with empty triple intersection but infinite "
         "pairwise intersections",
     ),
-    EdgeRecord("b", "t", "open", "open question"),
+    ("b", "t", "open", "open question"),
 ) + tuple(
-    EdgeRecord(
+    (
         x,
         y,
         "no-BT-morphism",
@@ -597,6 +613,8 @@ BOREL_NEGATIVE_EDGES: tuple[EdgeRecord, ...] = (
 
 def vd_diagram(kind: str) -> Diagram:
     """The two comparison diagrams over the nine catalog invariants."""
+    from .splitorder import Diagram, EdgeRecord
+
     if kind == "classical":
         nodes = ("i", "u", "d", "r", "a", "s", "b", "p")
         edges = tuple(
@@ -614,7 +632,7 @@ def vd_diagram(kind: str) -> Diagram:
             if b.source in nodes and b.target in nodes
         )
         negatives = tuple(
-            e for e in BOREL_NEGATIVE_EDGES if e.source in nodes and e.target in nodes
+            EdgeRecord(*e) for e in BOREL_NEGATIVE_EDGES if e[0] in nodes and e[1] in nodes
         )
         return Diagram("borel_diagram", nodes, positives + negatives)
     raise ValueError("diagram kind must be classical or borel")

@@ -268,6 +268,7 @@ def outcome(engine, machine, depth: int, budget: int) -> tuple:
     try:
         cert = engine(recorder, depth, budget)
     except BudgetExhausted as exc:
+        assert len(asked) <= budget
         partial = exc.partial and (exc.partial.to_json(), exc.partial.queries_used)
         return "budget", str(exc), (exc.level, exc.history, exc.pivot), partial, asked
     except CertificateError as exc:
@@ -336,15 +337,55 @@ class TestEngineAgainstReference:
         assert got == outcome(ref.build_adversary, machine, depth, budget)
 
     @pytest.mark.parametrize(
-        "machine, depth", [(identity_machine(), 4), (flip_machine(), 3)], ids=["identity", "flip"]
+        "machine, depth",
+        [
+            (identity_machine(), 4),
+            (flip_machine(), 3),
+            # levels that need more than one pivot attempt: pivots 0, 1, 5
+            # and 3, 7
+            (table_machine(0, 2, 3), 3),
+            (table_machine(9, 3, 6), 2),
+            # never finishes: its searches reach streamed words at pivot 7
+            (constant_machine(0), 1),
+        ],
+        ids=["identity", "flip", "table-0", "table-9", "zeros-long-words"],
     )
     def test_every_budget_up_to_the_queries_used(self, machine, depth):
-        # each budget runs out at another query, the last one not at all
-        used = build_adversary(machine, depth).queries_used
-        for budget in range(used + 2):
+        # each budget runs out at another query, the last one not at all;
+        # so somewhere in every level and attempt the engine must stop
+        # asking the machine directly.  A machine that never finishes is
+        # run up to 2,100 queries, past its first streamed search.
+        try:
+            used = build_adversary(machine, depth, 2100).queries_used
+        except BudgetExhausted:
+            used = None
+        for budget in range(2100 if used is None else used + 2):
             got = outcome(build_adversary, machine, depth, budget)
             assert got == outcome(ref.build_adversary, machine, depth, budget), budget
-            assert got[0] == ("certificate" if budget >= used else "budget")
+            finished = used is not None and budget >= used
+            assert got[0] == ("certificate" if finished else "budget")
+
+    def test_queries_used_counts_every_answered_query(self):
+        for machine in identity_machine(), flip_machine(), constant_machine(1):
+            asked = []
+            recorder = FunctionMachine(
+                machine.name, lambda prefix, m, q=machine.query: asked.append(m) or q(prefix, m)
+            )
+            cert = build_adversary(recorder, 6)
+            assert len(asked) == cert.queries_used, machine.name
+        assert build_adversary(identity_machine(), 6).queries_used == 4 * 2**6 - 4
+
+    def test_a_covered_attempt_bypasses_the_meter(self, monkeypatch):
+        # with the default budget no depth-8 identity attempt can run
+        # out, so the meter is never asked and the certificate is the
+        # reference engine's
+        def refuse(self, prefix, m):
+            raise AssertionError("metered query on a covered attempt")
+
+        monkeypatch.setattr(MeteredMachine, "query", refuse)
+        cert = build_adversary(identity_machine(), 8)
+        expected = ref.build_adversary(identity_machine(), 8)
+        assert (cert.to_json(), cert.queries_used) == (expected.to_json(), expected.queries_used)
 
     def test_long_words_reach_past_the_table(self):
         # a machine that reads only the tenth bit makes the level-0
@@ -360,18 +401,6 @@ class TestEngineAgainstReference:
         got = outcome(build_adversary, NONMONOTONE, 4, 10**6)
         assert got == outcome(ref.build_adversary, NONMONOTONE, 4, 10**6)
         assert got[0] == "fault"
-
-    def test_queries_used_counts_every_metered_query(self, monkeypatch):
-        calls = []
-        query = MeteredMachine.query
-
-        def counted(self, prefix, m):
-            calls.append(m)
-            return query(self, prefix, m)
-
-        monkeypatch.setattr(MeteredMachine, "query", counted)
-        cert = build_adversary(identity_machine(), 6)
-        assert len(calls) == cert.queries_used == 4 * 2**6 - 4
 
     @pytest.mark.parametrize("depth, budget", [(-1, 10), (3, -1)])
     def test_negative_depth_or_budget_rejected(self, depth, budget):

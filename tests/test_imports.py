@@ -160,10 +160,10 @@ CONSTANT_CHILD = (
     "for line in sys.stdin:\n"
     "    print(sys.argv[1], flush=True)\n"
 )
-# the gadgets read their rows' triples from the catalog, which loads the
-# branch map (glued images) and the splitting order (its diagrams)
-REFUTE = ["apfuncs", "branchmap", "catalog", "cli", "errors", "gadgets", "records",
-          "splitorder", "triples", "upsets", "wire"]
+# the gadgets read their rows' triples from the catalog; a triple's
+# relation and kinds load neither the branch map nor the splitting order
+REFUTE = ["apfuncs", "catalog", "cli", "errors", "gadgets", "records", "triples", "upsets",
+          "wire"]
 
 
 @pytest.mark.parametrize(

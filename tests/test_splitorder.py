@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_splitorder as ref
 from tukeykit import splitorder
@@ -47,6 +48,28 @@ class TestBucketCount:
             for n2 in range(1, n + 1):
                 for m2 in range(1, n2 + 1):
                     assert bucket_count(n, n2, m2) == bucket_count_by_filling(n, n2, m2)
+
+    @given(st.integers(0, 200), st.integers(0, 7), st.data())
+    def test_power_of_two_buckets_match_filling(self, n, k, data):
+        m2 = data.draw(st.integers(1, 2**k))
+        assert bucket_count(n, 2**k, m2) == bucket_count_by_filling(n, 2**k, m2)
+
+    @given(st.integers(0, 2**3000), st.integers(0, 2000), st.integers(1, 2**64))
+    def test_power_of_two_buckets_match_long_division(self, n, k, m2):
+        n2 = 2**k
+        assert bucket_count(n, n2, m2) == (n // n2) * (m2 - 1) + min(n % n2, m2 - 1)
+
+    def test_power_of_two_buckets_take_no_division(self):
+        class Undividable(int):
+            def __floordiv__(self, other):
+                raise AssertionError("long division")
+
+            __mod__ = __floordiv__
+
+        n = Undividable(2**1500000)
+        assert bucket_count(n, 2**750000, 749999) == 2**750000 * 749998
+        with pytest.raises(AssertionError, match="long division"):
+            bucket_count(n, 3, 2)
 
     def test_zero_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -177,16 +200,37 @@ class TestIndexSetOrder:
     def test_separation_bound_refuses_before_building_a_spec(self, monkeypatch, capsys):
         built = []
         monkeypatch.setattr(splitorder, "SplitSpec", lambda n, m: built.append(m))
-        with pytest.raises(EnumerationBudget, match="from index 1500001 need 1500001 bits"):
-            x_order({3}, {1500001})
-        code = main(["embed", "3", "10000000"])
+        with pytest.raises(EnumerationBudget, match="from index 10000001 need 10000001 bits"):
+            x_order({3}, {10000001})
+        code = main(["embed", "3", "10000001"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == (
-            "budget: the separations from index 10000000 need 10000000 bits, "
-            "above the bound of 1500000\n"
+            "budget: the separations from index 10000001 need 10000001 bits, "
+            "above the bound of 10000000\n"
         )
         assert built == []
+
+    def test_separation_at_the_bound_is_a_negative_verdict(self, capsys):
+        code = main(["embed", "3", "10000000"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "no morphism: 10000000 in Y but not in X; separations via specs (2^3,3)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "x, y", [({750000}, {1500000}), (range(3, 1224), {1224})], ids=["one-wide", "many-narrow"]
+    )
+    def test_separations_count_power_of_two_buckets(self, monkeypatch, x, y):
+        # the worst shapes at the bound that long division set: each
+        # backward edge counts 2^m buckets, which a shift answers
+        buckets = []
+        real = splitorder.bucket_count
+        monkeypatch.setattr(
+            splitorder, "bucket_count", lambda n, n2, m2: buckets.append(n2) or real(n, n2, m2)
+        )
+        verdict = x_order(x, y)
+        assert buckets == [2 ** min(m, verdict.missing) for m in sorted(verdict.x)]
 
     def test_separation_bound_sums_the_larger_index(self, monkeypatch):
         # X = {3, 10} against Y = {5} builds separations of 5 and 10 bits
